@@ -122,6 +122,25 @@ def parse_accounting(lines):
     return None
 
 
+# What each workload was chosen to exercise (the program refuses a run that
+# misses it; the self-test checks the printed counts independently).
+EXERCISE = {
+    "chat": lambda preempt, hits, adm: hits == 0 and preempt == 0,
+    "shared_prefix": lambda preempt, hits, adm: adm > 0 and hits >= 0.9 * adm,
+    "long_context": lambda preempt, hits, adm: preempt > 0,
+}
+
+
+def engine_counts(lines):
+    """(preemptions, prefix hits, admissions) from the report."""
+    for line in lines:
+        m = re.match(r"engine: \d+ steps, (\d+) preemptions, (\d+) prefix hits "
+                     r"in (\d+) admissions", line)
+        if m:
+            return tuple(int(g) for g in m.groups())
+    return None
+
+
 def digest(lines):
     for line in lines:
         if line.startswith("stream digest: "):
@@ -192,6 +211,12 @@ def selftest():
                     fail(f"{tag}: sent {sent} != completed {completed} + failed {failed}")
                 if result["attempted"] != sent or result["failed"] != failed:
                     fail(f"{tag}: JSON attempted/failed disagree with the report")
+            counts = engine_counts(lines)
+            if counts is None:
+                fail(f"{tag}: no engine counts line")
+            elif wl in EXERCISE and not EXERCISE[wl](*counts):
+                fail(f"{tag}: preemptions/prefix hits/admissions {counts} miss "
+                     f"what the workload exercises")
             if trace:
                 err = check_trace(trace_path)
                 if err:

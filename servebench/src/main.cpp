@@ -34,7 +34,12 @@ namespace {
 // for whichever thread the host descheduled, which doubled the run-to-run
 // spread; the second thread buys only ~1.0-1.4x (parallel.* metrics).
 constexpr int kThreads = 1;
-constexpr int kSetupRepeats = 3;  // setup_s is the median of these
+// setup_s is the fastest of these set-ups: each repeats identical work, and
+// a shared host only ever adds time to one. All but one run before the
+// timed phase, the last of them serving the traffic; the last set-up runs
+// after it, so the samples span the run rather than one stretch of the
+// host's speed drift.
+constexpr int kSetupRepeats = 3;
 
 struct Args {
   std::string workload;
@@ -89,10 +94,6 @@ Args parse(int argc, char** argv) {
   return a;
 }
 
-double ms(Clock::time_point a, Clock::time_point b) {
-  return std::chrono::duration<double, std::milli>(b - a).count();
-}
-
 // The end-to-end view of one timed phase.
 struct EndToEnd {
   std::vector<double> ttft_ms, gap_ms, mean_gap_ms;
@@ -111,11 +112,11 @@ EndToEnd end_to_end(const RunResult& run, const WorkloadSpec& spec) {
     e.output_tokens += static_cast<int64_t>(r.tokens.size());
     if (r.reason != qserve::FinishReason::kLength) continue;
     ++e.completed;
-    const double ttft = ms(r.submit, r.tokens.front());
+    const double ttft = ms_between(r.submit, r.tokens.front());
     e.ttft_ms.push_back(ttft);
     double gap_sum = 0;
     for (size_t t = 1; t < r.tokens.size(); ++t) {
-      const double g = ms(r.tokens[t - 1], r.tokens[t]);
+      const double g = ms_between(r.tokens[t - 1], r.tokens[t]);
       e.gap_ms.push_back(g);
       gap_sum += g;
     }
@@ -143,6 +144,20 @@ void print_tail(const char* name, const std::vector<double>& v, double p) {
                 static_cast<long long>(n));
 }
 
+// Empty when the run exercised what `spec` was chosen for; else the reason.
+std::string check_exercise(const WorkloadSpec& spec, int64_t prefix_hits,
+                           double hit_rate, int64_t preemptions) {
+  if (spec.no_prefix_hits && prefix_hits != 0)
+    return std::to_string(prefix_hits) + " prefix hits, expected 0";
+  if (hit_rate < spec.min_prefix_hit_rate)
+    return "prefix hit rate " + std::to_string(hit_rate) + " < " +
+           std::to_string(spec.min_prefix_hit_rate);
+  if (spec.no_preemptions && preemptions != 0)
+    return std::to_string(preemptions) + " preemptions, expected 0";
+  if (spec.preempts && preemptions == 0) return "no preemption";
+  return "";
+}
+
 std::string host_name() {
   char buf[256] = {0};
   if (gethostname(buf, sizeof(buf) - 1) != 0) return "unknown";
@@ -156,6 +171,7 @@ int main(int argc, char** argv) {
   const WorkloadSpec& spec = *find_workload(args.workload);
   qserve::set_num_threads(kThreads);
   const qserve::ModelConfig mcfg = bench_model_config(args.toy);
+  const int length_div = args.toy ? 8 : 1;
   const char* isa = qserve::cpu::isa_name(qserve::cpu::active_isa());
   std::printf("servebench workload=%s seed=%llu seconds=%g trace=%d%s\n",
               spec.name, static_cast<unsigned long long>(args.seed),
@@ -169,35 +185,30 @@ int main(int argc, char** argv) {
               static_cast<long long>(mcfg.ffn_dim),
               static_cast<long long>(mcfg.vocab));
 
-  // --- set-up, repeated; the last one serves the traffic -------------------
   std::vector<double> setup_s;
   std::unique_ptr<Setup> setup;
-  for (int i = 0; i < kSetupRepeats; ++i) {
+  const auto timed_setup = [&] {
     setup.reset();
     const auto t0 = Clock::now();
-    setup = build_setup(mcfg, spec);
+    setup = build_setup(mcfg, spec, length_div);
     setup_s.push_back(std::chrono::duration<double>(Clock::now() - t0).count());
-  }
-  std::printf("setup samples s:");
-  for (double t : setup_s) std::printf(" %.3f", t);
-  std::printf("\n");
-  qserve::ServingEngine& engine = *setup->engine;
-  qserve::QuantizedModel& model = *setup->model;
+  };
+  for (int i = 0; i + 1 < kSetupRepeats; ++i) timed_setup();
 
   const Traffic traffic = generate(spec, args.seed, args.seconds,
-                                   static_cast<int>(mcfg.vocab),
-                                   args.toy ? 8 : 1);
-  const double prime_s = prime_prefix_cache(engine, traffic);
+                                   static_cast<int>(mcfg.vocab), length_div);
+  const double prime_s = prime_prefix_cache(*setup->engine, traffic);
 
-  Trace trace(args.trace);
+  Trace trace;
   Trace* tr = args.trace ? &trace : nullptr;
-  const RunResult run = run_traffic(engine, model, spec, traffic, tr);
-  const uint64_t digest = stream_digest(engine, run);
+  const RunResult run =
+      run_traffic(*setup->engine, *setup->model, spec, traffic, tr);
+  const uint64_t digest = stream_digest(*setup->engine, run);
   std::string gate_msg;
   bool gate_ok = false;
   {
     Span sp(tr, "correctness_gate", "bench");
-    gate_ok = run_gate(model, engine, traffic, run, args.seed,
+    gate_ok = run_gate(*setup->model, *setup->engine, traffic, run, args.seed,
                        spec.gate_requests, &gate_msg);
   }
   const EndToEnd e = end_to_end(run, spec);
@@ -212,12 +223,18 @@ int main(int argc, char** argv) {
                 static_cast<long long>(count));
     first = false;
   }
-  std::printf(")\nengine: %lld steps, %lld preemptions, %lld prefix hits\n",
+  const int64_t preemptions = run.after.preemptions - run.before.preemptions;
+  const int64_t prefix_hits = run.after.prefix_hits - run.before.prefix_hits;
+  // Admissions: first admissions plus re-admissions after preemption.
+  const int64_t admissions = run.first_admissions + preemptions;
+  const double hit_rate =
+      admissions > 0 ? double(prefix_hits) / double(admissions) : 0;
+  std::printf(")\nengine: %lld steps, %lld preemptions, %lld prefix hits in "
+              "%lld admissions\n",
               static_cast<long long>(run.after.steps - run.before.steps),
-              static_cast<long long>(run.after.preemptions -
-                                     run.before.preemptions),
-              static_cast<long long>(run.after.prefix_hits -
-                                     run.before.prefix_hits));
+              static_cast<long long>(preemptions),
+              static_cast<long long>(prefix_hits),
+              static_cast<long long>(admissions));
   std::printf("stream digest: %016llx\n",
               static_cast<unsigned long long>(digest));
   std::printf("prefix-cache priming before timing: %.3f s\n", prime_s);
@@ -229,12 +246,26 @@ int main(int argc, char** argv) {
   std::printf("correctness gate: %d solo replays bitwise identical, "
               "pages_in_use() == 0 after drain\n",
               std::min<int>(spec.gate_requests, static_cast<int>(e.sent)));
+  const std::string exercise_msg =
+      check_exercise(spec, prefix_hits, hit_rate, preemptions);
+  if (!exercise_msg.empty()) {
+    std::fprintf(stderr, "servebench: workload %s no longer exercises its "
+                 "layer: %s\n", spec.name, exercise_msg.c_str());
+    return 6;
+  }
+
+  timed_setup();  // the replays of the traced run use this one
+  std::printf("setup samples s:");
+  for (double t : setup_s) std::printf(" %.3f", t);
+  std::printf("\n");
 
   Report e2e;
-  e2e.add("setup_s", percentile(setup_s, 50), "s");
+  e2e.add("setup_s", *std::min_element(setup_s.begin(), setup_s.end()), "s");
   e2e.add("ttft_p50_ms", percentile(e.ttft_ms, 50), "ms");
-  e2e.add("tpot_p50_ms", percentile(e.gap_ms, 50), "ms");
-  e2e.add("tpot_p99_ms", percentile(e.gap_ms, 99), "ms");
+  // TPOT per request (its mean gap, the quantity the SLO limits), then the
+  // median over requests. The pooled gaps give the inter-token latency.
+  e2e.add("tpot_p50_ms", percentile(e.mean_gap_ms, 50), "ms");
+  e2e.add("itl_p99_ms", percentile(e.gap_ms, 99), "ms");
   e2e.add("output_tok_s", double(e.output_tokens) / e.wall_s, "tok/s");
   e2e.add("goodput_tok_s", double(e.good_tokens) / e.wall_s, "tok/s");
   e2e.add("peak_rss_mb", peak_rss_mb(), "MB");
@@ -243,6 +274,7 @@ int main(int argc, char** argv) {
                                "overhead)"
                              : "end-to-end");
   print_tail("ttft_p90_ms", e.ttft_ms, 90);
+  std::printf("  %-30s %16.6g ms\n", "itl_p50_ms", percentile(e.gap_ms, 50));
   std::printf("  %-30s %16.6g ratio (%lld of %lld sent met TTFT <= %g ms "
               "and mean gap <= %g ms)\n",
               "slo_attain_frac", double(e.met) / double(e.sent),
@@ -275,7 +307,7 @@ int main(int argc, char** argv) {
     double prompt_tokens = 0;
     for (size_t i = 0; i < run.requests.size(); ++i) {
       const RequestRecord& r = run.requests[i];
-      if (r.admitted) queue_ms.push_back(ms(r.submit, r.admit));
+      if (r.admitted) queue_ms.push_back(ms_between(r.submit, r.admit));
       prompts.push_back(double(traffic.requests[i].prompt.size()));
       prompt_tokens += double(traffic.requests[i].prompt.size());
     }
@@ -291,7 +323,7 @@ int main(int argc, char** argv) {
     ReplayResult rp;
     {
       Span sp(tr, "replay", "bench");
-      rp = run_replays(model, setup->weights, shapes, tr);
+      rp = run_replays(*setup->model, setup->weights, shapes, tr);
     }
     std::printf("\nreplay shapes: %d decode rows at context %lld, prefill "
                 "chunk after %lld tokens\n",
@@ -300,8 +332,6 @@ int main(int argc, char** argv) {
                 static_cast<long long>(shapes.prefill_prefix));
 
     out = Report();
-    const int64_t admissions =
-        run.first_admissions + (b.preemptions - a.preemptions);
     out.add("serving.step_ms_p50", percentile(step_ms, 50), "ms");
     out.add("serving.step_ms_p99", percentile(step_ms, 99), "ms");
     out.add("serving.rows_per_step_mean",
@@ -310,13 +340,8 @@ int main(int argc, char** argv) {
     out.add("serving.host_frac",
             1.0 - fwd_s / (b.wall_seconds - a.wall_seconds), "ratio");
     out.add("serving.queue_wait_ms_p50", percentile(queue_ms, 50), "ms");
-    out.add("serving.preemptions", double(b.preemptions - a.preemptions),
-            "count");
-    out.add("serving.prefix_hit_rate",
-            admissions > 0
-                ? double(b.prefix_hits - a.prefix_hits) / double(admissions)
-                : 0,
-            "ratio");
+    out.add("serving.preemptions", double(preemptions), "count");
+    out.add("serving.prefix_hit_rate", hit_rate, "ratio");
     out.add("serving.prefill_saved_frac",
             double(b.prefill_tokens_saved - a.prefill_tokens_saved) /
                 prompt_tokens,

@@ -132,12 +132,6 @@ GemmSetTime time_gemm_set(const std::vector<Projection>& projs,
   return g;
 }
 
-std::vector<int> tokens(int64_t n, int vocab, SplitMix& rng) {
-  std::vector<int> t(static_cast<size_t>(n));
-  for (int& x : t) x = rng.below(vocab);
-  return t;
-}
-
 }  // namespace
 
 ReplayResult run_replays(qserve::QuantizedModel& model,
@@ -167,8 +161,9 @@ ReplayResult run_replays(qserve::QuantizedModel& model,
     const int64_t base_len = std::max(ctx, prefix);
     for (int64_t pos = 0; pos < base_len; pos += kChunk) {
       qserve::BatchedStep st;
-      st.chunks.push_back({base, tokens(std::min(kChunk, base_len - pos), vocab, rng),
-                           static_cast<int>(pos), 0});
+      st.chunks.push_back(
+          {base, random_tokens(std::min(kChunk, base_len - pos), vocab, rng),
+           static_cast<int>(pos), 0});
       model.forward_step(st);
     }
     // Decode rows: d sequences forked at a page boundary (the appended token
@@ -178,7 +173,8 @@ ReplayResult run_replays(qserve::QuantizedModel& model,
       forks.push_back(model.fork_sequence(base, ctx));
     qserve::BatchedStep decode;
     for (int f : forks)
-      decode.chunks.push_back({f, tokens(1, vocab, rng), static_cast<int>(ctx), 1});
+      decode.chunks.push_back(
+          {f, random_tokens(1, vocab, rng), static_cast<int>(ctx), 1});
     const auto rollback = [&] {
       for (int f : forks) model.truncate_sequence(f, ctx);
     };
@@ -188,7 +184,7 @@ ReplayResult run_replays(qserve::QuantizedModel& model,
                              rollback);
     int fork = model.fork_sequence(base, prefix);
     qserve::BatchedStep chunk;
-    chunk.chunks.push_back({fork, tokens(kChunk, vocab, rng),
+    chunk.chunks.push_back({fork, random_tokens(kChunk, vocab, rng),
                             static_cast<int>(prefix), 1});
     r.fwd_prefill_ms =
         1e3 * median_seconds(

@@ -13,14 +13,6 @@ using qserve::Request;
 using qserve::RequestState;
 using qserve::ServingEngine;
 
-namespace {
-
-double ms_between(Clock::time_point a, Clock::time_point b) {
-  return std::chrono::duration<double, std::milli>(b - a).count();
-}
-
-}  // namespace
-
 qserve::ModelConfig bench_model_config(bool toy) {
   qserve::ModelConfig c;
   c.name = toy ? "servebench-toy" : "servebench";
@@ -35,11 +27,12 @@ qserve::ModelConfig bench_model_config(bool toy) {
 }
 
 std::unique_ptr<Setup> build_setup(const qserve::ModelConfig& cfg,
-                                   const WorkloadSpec& spec) {
+                                   const WorkloadSpec& spec, int length_div) {
   auto s = std::make_unique<Setup>();
   s->weights = qserve::make_synthetic_weights(cfg);
   qserve::QuantSchemeConfig q = qserve::QuantSchemeConfig::qserve_w4a8kv4_g128();
-  if (spec.kv_max_pages > 0) q.kv_max_pages = spec.kv_max_pages;
+  const int64_t pool = kv_pool_pages(spec, cfg.n_layers, length_div);
+  if (pool > 0) q.kv_max_pages = pool;
   s->model = std::make_unique<QuantizedModel>(s->weights, q);
   EngineConfig ec;
   ec.prefix_caching = true;

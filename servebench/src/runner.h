@@ -17,6 +17,10 @@ namespace servebench {
 
 using Clock = std::chrono::steady_clock;
 
+inline double ms_between(Clock::time_point a, Clock::time_point b) {
+  return std::chrono::duration<double, std::milli>(b - a).count();
+}
+
 // The benchmark model: hidden 512, 4 layers, 8 query / 2 KV heads of dim 64,
 // ffn 1536, vocab 2048. `toy` shrinks it for self-tests.
 qserve::ModelConfig bench_model_config(bool toy);
@@ -31,7 +35,7 @@ struct Setup {
 // Synthesize and quantize the model, construct the engine (prefix caching
 // on, KV pool per the workload) and serve one warm-up request.
 std::unique_ptr<Setup> build_setup(const qserve::ModelConfig& cfg,
-                                   const WorkloadSpec& spec);
+                                   const WorkloadSpec& spec, int length_div);
 
 // Submit each shared system prompt once and drain, so the timed traffic
 // meets a warm prefix cache. Returns the seconds it took.

@@ -24,7 +24,7 @@ void write_us(std::FILE* f, int64_t ns) {
 
 }  // namespace
 
-Trace::Trace(bool enabled) : enabled_(enabled), origin_(Clock::now()) {}
+Trace::Trace() : origin_(Clock::now()) {}
 
 int64_t Trace::ns_since_origin(Clock::time_point t) const {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(t - origin_)
@@ -32,7 +32,6 @@ int64_t Trace::ns_since_origin(Clock::time_point t) const {
 }
 
 int Trace::begin(const char* name, const char* cat) {
-  if (!enabled_) return -1;
   Event e;
   e.name = name;
   e.cat = cat;
@@ -45,7 +44,6 @@ int Trace::begin(const char* name, const char* cat) {
 }
 
 void Trace::end(int id, std::vector<std::pair<std::string, double>> args) {
-  if (!enabled_ || id < 0) return;
   Event& e = events_[static_cast<size_t>(id)];
   e.end_ns = ns_since_origin(Clock::now());
   for (auto& [k, v] : args) {
@@ -59,7 +57,6 @@ void Trace::end(int id, std::vector<std::pair<std::string, double>> args) {
 void Trace::request_event(
     char phase, const char* name, int req, Clock::time_point at,
     std::vector<std::pair<std::string, std::string>> args) {
-  if (!enabled_) return;
   Event e;
   e.name = name;
   e.cat = "request";

@@ -5,8 +5,8 @@
 // engine's public entry points; each carries the innermost open span as its
 // parent, so a layer's self time is its duration minus its children's. A
 // request's lifecycle (submit, admission, tokens, finish) is one async
-// track keyed by the request's index. A disabled recorder costs one branch
-// per call site.
+// track keyed by the request's index. Untraced runs pass a null Trace*,
+// which every call site checks: one branch each.
 #pragma once
 
 #include <chrono>
@@ -21,12 +21,10 @@ class Trace {
  public:
   using Clock = std::chrono::steady_clock;
 
-  explicit Trace(bool enabled);
-
-  bool enabled() const { return enabled_; }
+  Trace();
 
   // Open a complete ("X") span; its parent is the innermost open span.
-  // Returns a handle for end(), or -1 when disabled.
+  // Returns a handle for end().
   int begin(const char* name, const char* cat);
   // Close span `id` (must be the innermost open span) and attach args.
   void end(int id, std::vector<std::pair<std::string, double>> args = {});
@@ -54,7 +52,6 @@ class Trace {
   };
   int64_t ns_since_origin(Clock::time_point t) const;
 
-  bool enabled_;
   Clock::time_point origin_;
   std::vector<Event> events_;
   std::vector<int> open_;  // stack of open span indices
@@ -64,8 +61,7 @@ class Trace {
 class Span {
  public:
   Span(Trace* trace, const char* name, const char* cat)
-      : trace_(trace && trace->enabled() ? trace : nullptr),
-        id_(trace_ ? trace_->begin(name, cat) : -1) {}
+      : trace_(trace), id_(trace_ ? trace_->begin(name, cat) : -1) {}
   ~Span() {
     if (trace_) trace_->end(id_, std::move(args_));
   }

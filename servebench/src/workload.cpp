@@ -80,12 +80,6 @@ std::vector<int> stratified_lengths(const LengthDist& d, int clients,
   return out;
 }
 
-std::vector<int> random_tokens(int n, int vocab, SplitMix& rng) {
-  std::vector<int> t(static_cast<size_t>(n));
-  for (int& x : t) x = rng.below(vocab);
-  return t;
-}
-
 std::vector<WorkloadSpec> make_specs() {
   std::vector<WorkloadSpec> specs;
   {
@@ -95,9 +89,11 @@ std::vector<WorkloadSpec> make_specs() {
     s.seconds_per_request = 2.0;
     s.prompt = {true, 128, 0.6, 32, 512};
     s.output = {true, 64, 0.6, 16, 256};
-    s.ttft_slo_ms = 550;
-    s.tpot_slo_ms = 35;
+    s.ttft_slo_ms = 570;
+    s.tpot_slo_ms = 45;
     s.gate_requests = 2;
+    s.no_prefix_hits = true;
+    s.no_preemptions = true;
     specs.push_back(s);
   }
   {
@@ -110,23 +106,25 @@ std::vector<WorkloadSpec> make_specs() {
     s.system_prompts = 4;
     s.system_prompt_len = 1024;
     s.ttft_slo_ms = 250;
-    s.tpot_slo_ms = 38;
+    s.tpot_slo_ms = 48;
     s.gate_requests = 1;
+    s.min_prefix_hit_rate = 0.9;
     specs.push_back(s);
   }
   {
     WorkloadSpec s;
     s.name = "long_context";
     s.clients = 2;
-    s.seconds_per_request = 20;
+    s.seconds_per_request = 10;
     s.prompt = {false, 0, 0, 1024, 2048};
     s.output = {false, 0, 0, 128, 128};
-    // 1.5x the longest context (2048 + 128 tokens = 136 pages per layer),
-    // times 4 layers: two long contexts collide.
-    s.kv_max_pages = 816;
-    s.ttft_slo_ms = 4200;
+    // 1.5x the longest context (2048 + 128 tokens = 136 pages per layer;
+    // 816 pages at 4 layers): two long contexts collide.
+    s.kv_pool_contexts = 1.5;
+    s.ttft_slo_ms = 5100;
     s.tpot_slo_ms = 150;
     s.gate_requests = 1;
+    s.preempts = true;
     specs.push_back(s);
   }
   return specs;
@@ -153,6 +151,12 @@ std::vector<int> SplitMix::permutation(int n) {
   return p;
 }
 
+std::vector<int> random_tokens(int64_t n, int vocab, SplitMix& rng) {
+  std::vector<int> t(static_cast<size_t>(n));
+  for (int& x : t) x = rng.below(vocab);
+  return t;
+}
+
 const std::vector<WorkloadSpec>& workload_specs() {
   static const std::vector<WorkloadSpec> specs = make_specs();
   return specs;
@@ -162,6 +166,16 @@ const WorkloadSpec* find_workload(const std::string& name) {
   for (const WorkloadSpec& s : workload_specs())
     if (name == s.name) return &s;
   return nullptr;
+}
+
+int64_t kv_pool_pages(const WorkloadSpec& spec, int n_layers, int length_div) {
+  if (spec.kv_pool_contexts <= 0) return 0;
+  constexpr int64_t kPageSize = 16;  // the model's KV page size
+  const int64_t longest = spec.system_prompt_len / length_div +
+                          spec.prompt.hi / length_div +
+                          spec.output.hi / length_div;
+  const int64_t pages = (longest + kPageSize - 1) / kPageSize;
+  return static_cast<int64_t>(spec.kv_pool_contexts * double(pages * n_layers));
 }
 
 Traffic generate(const WorkloadSpec& spec, uint64_t seed, double seconds,

@@ -42,10 +42,18 @@ struct WorkloadSpec {
   // unique part. They are cached before timing starts.
   int system_prompts = 0;
   int system_prompt_len = 0;
-  int64_t kv_max_pages = 0;  // 0 = the model default (ample)
+  // KV pool size in longest contexts (system prompt + prompt + output, all
+  // layers); 0 = the model default (ample).
+  double kv_pool_contexts = 0;
   double ttft_slo_ms = 0;    // TTFT limit
   double tpot_slo_ms = 0;    // limit on a request's mean inter-token gap
   int gate_requests = 1;     // requests replayed solo by the correctness gate
+  // What the workload was chosen to exercise. A run that does not is
+  // refused, so the numbers keep measuring what the workload claims to.
+  bool no_prefix_hits = false;     // the prefix index gets 0 hits
+  double min_prefix_hit_rate = 0;  // prefix hits / admissions
+  bool no_preemptions = false;     // the scheduler never preempts
+  bool preempts = false;           // the scheduler preempts at least once
 };
 
 const std::vector<WorkloadSpec>& workload_specs();
@@ -66,6 +74,11 @@ struct Traffic {
 
 // `length_div` shrinks every length (and the system prompts) for toy-scale
 // self-tests; 1 for the real benchmark.
+
+// KV pool pages for `spec` (0 = the model default): kv_pool_contexts times
+// the pages of the longest context over all layers.
+int64_t kv_pool_pages(const WorkloadSpec& spec, int n_layers, int length_div);
+
 Traffic generate(const WorkloadSpec& spec, uint64_t seed, double seconds,
                  int vocab, int length_div);
 
@@ -82,5 +95,8 @@ class SplitMix {
  private:
   uint64_t state_;
 };
+
+// n tokens drawn uniformly from [0, vocab).
+std::vector<int> random_tokens(int64_t n, int vocab, SplitMix& rng);
 
 }  // namespace servebench

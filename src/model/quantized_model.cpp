@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <unordered_set>
+#include <utility>
 
 #include "common/half.h"
 #include "common/math_util.h"
@@ -87,6 +89,33 @@ I32Tensor reduce_partials(const std::vector<I32Tensor>& parts) {
   return out;
 }
 
+// SwiGLU over column-aligned gate/up slices. Row-independent like the
+// norm/quant loops, so the stacked rows of a batched step parallelize
+// bitwise-identically.
+Tensor swiglu(const Tensor& gate, const Tensor& up) {
+  Tensor act({gate.rows(), gate.cols()});
+  parallel_for(0, gate.rows(), 4, [&](int64_t lo, int64_t hi) {
+    for (int64_t t = lo; t < hi; ++t)
+      for (int64_t c = 0; c < gate.cols(); ++c) {
+        const float g = gate.at2(t, c);
+        act.at2(t, c) = (g / (1.0f + std::exp(-g))) * up.at2(t, c);
+      }
+  });
+  return act;
+}
+
+double seconds_since(std::chrono::steady_clock::time_point t0) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+      .count();
+}
+
+void accumulate(std::atomic<double>& total, double v) {
+  double cur = total.load(std::memory_order_relaxed);
+  while (!total.compare_exchange_weak(cur, cur + v,
+                                      std::memory_order_relaxed)) {
+  }
+}
+
 }  // namespace
 
 // --- scheme presets -----------------------------------------------------------
@@ -143,109 +172,85 @@ QuantSchemeConfig QuantSchemeConfig::fp16() {
 
 // --- QuantizedLinear -----------------------------------------------------------
 
-QuantizedLinear::QuantizedLinear(const Tensor& w,
-                                 const QuantSchemeConfig& cfg)
-    : scheme_(cfg.weights), acts_(cfg.acts), n_(w.rows()) {
-  // INT8-path schemes are packed for the ISA active at construction; the
-  // blocked driver falls back to the scalar microkernel if the active ISA
-  // changes to an incompatible vector width afterwards.
+QuantizedLinear::QuantizedLinear(const Tensor& w, const QuantSchemeConfig& cfg,
+                                 std::vector<PackSlice> slices)
+    : scheme_(cfg.weights), slices_(std::move(slices)) {
+  if (slices_.empty()) slices_.push_back({0, w.rows(), 0, w.cols()});
+  const int group = static_cast<int>(std::min<int64_t>(cfg.group, w.cols()));
+  // INT8-path schemes quantize the full matrix ONCE, then pack each shard's
+  // rectangle from it for the ISA active at construction (the blocked
+  // driver falls back to the scalar microkernel if the active ISA changes to
+  // an incompatible vector width afterwards). pack_gemm_b_slice reads
+  // metadata at absolute indices, so every packed code / row_sum / epilogue
+  // constant is bitwise the full pack's entry for the same (row, col).
   const int nr = cpu::microkernel_for(cpu::active_isa()).nr;
+  const auto pack = [&](const auto& qw) {
+    for (const PackSlice& s : slices_)
+      packs_.push_back(pack_gemm_b_slice(qw, nr, s));
+  };
+  // The other schemes have no sliced form: one shard, the whole matrix.
+  const auto check_whole = [&] {
+    const PackSlice& s = slices_[0];
+    QS_CHECK_MSG(slices_.size() == 1 && s.row0 == 0 && s.row1 == w.rows() &&
+                     s.col0 == 0 && s.col1 == w.cols(),
+                 "tensor-parallel sharding requires an INT8-path weight "
+                 "scheme (W8A8 or W4A8)");
+  };
   switch (scheme_) {
     case WeightScheme::kFp16:
+      check_whole();
       fp_ = w;
       for (int64_t i = 0; i < fp_.numel(); ++i)
         fp_[i] = to_half_precision(fp_[i]);
       break;
     case WeightScheme::kW8PerChannel:
-      packed_ = pack_gemm_b(quantize_w8_per_channel(w), nr);
+      pack(quantize_w8_per_channel(w));
       break;
     case WeightScheme::kW4PerChannel:
-      packed_ = pack_gemm_b(quantize_w4_per_channel(w), nr);
+      pack(quantize_w4_per_channel(w));
       break;
     case WeightScheme::kW4PerGroupProgressive: {
       ProgressiveOptions popt;
-      popt.group = static_cast<int>(std::min<int64_t>(cfg.group, w.cols()));
+      popt.group = group;
       popt.level1_range = cfg.level1_range;
-      packed_ = pack_gemm_b(quantize_progressive(w, popt), nr);
+      pack(quantize_progressive(w, popt));
       break;
     }
     case WeightScheme::kW4A16Group:
-      w4a16_ = quantize_w4a16(
-          w, static_cast<int>(std::min<int64_t>(cfg.group, w.cols())));
+      check_whole();
+      w4a16_ = quantize_w4a16(w, group);
       break;
     case WeightScheme::kW4A4Group:
-      w4a4_ = quantize_w4a4_per_group(
-          w, static_cast<int>(std::min<int64_t>(cfg.group, w.cols())));
+      check_whole();
+      w4a4_ = quantize_w4a4_per_group(w, group);
       break;
   }
 }
 
-QuantizedLinear::QuantizedLinear(const Tensor& w, const QuantSchemeConfig& cfg,
-                                 const std::vector<PackSlice>& shard_slices)
-    : scheme_(cfg.weights), acts_(cfg.acts), n_(w.rows()) {
-  QS_CHECK_MSG(!shard_slices.empty(),
-               "tensor-parallel QuantizedLinear needs at least one slice");
-  const int nr = cpu::microkernel_for(cpu::active_isa()).nr;
-  shard_packs_.reserve(shard_slices.size());
-  // Quantize the full matrix ONCE, then pack each shard's rectangle from it.
-  // pack_gemm_b_slice reads metadata at absolute indices, so every packed
-  // code / row_sum / epilogue constant is bitwise the full pack's entry for
-  // the same (row, col) — and the quantization-time struct is dropped after
-  // the loop, so TP never holds the weight twice.
-  switch (scheme_) {
-    case WeightScheme::kW8PerChannel: {
-      const W8PerChannel qw = quantize_w8_per_channel(w);
-      for (const PackSlice& s : shard_slices)
-        shard_packs_.push_back(pack_gemm_b_slice(qw, nr, s));
-      break;
-    }
-    case WeightScheme::kW4PerChannel: {
-      const W4PerChannel qw = quantize_w4_per_channel(w);
-      for (const PackSlice& s : shard_slices)
-        shard_packs_.push_back(pack_gemm_b_slice(qw, nr, s));
-      break;
-    }
-    case WeightScheme::kW4PerGroupProgressive: {
-      ProgressiveOptions popt;
-      popt.group = static_cast<int>(std::min<int64_t>(cfg.group, w.cols()));
-      popt.level1_range = cfg.level1_range;
-      const W4PerGroup qw = quantize_progressive(w, popt);
-      for (const PackSlice& s : shard_slices)
-        shard_packs_.push_back(pack_gemm_b_slice(qw, nr, s));
-      break;
-    }
-    default:
-      QS_CHECK_MSG(false,
-                   "tensor-parallel sharding requires an INT8-path weight "
-                   "scheme (W8A8 or W4A8)");
-  }
-}
-
-Tensor QuantizedLinear::apply_shard(const QuantizedActs& x, int s) const {
-  QS_DCHECK(s >= 0 && s < static_cast<int>(shard_packs_.size()));
-  return gemm_blocked(x, shard_packs_[static_cast<size_t>(s)]);
-}
-
-I32Tensor QuantizedLinear::acc_shard(const QuantizedActs& x_slice,
-                                     int s) const {
-  QS_DCHECK(s >= 0 && s < static_cast<int>(shard_packs_.size()));
-  return gemm_blocked_acc(x_slice, shard_packs_[static_cast<size_t>(s)]);
-}
-
-const std::vector<float>& QuantizedLinear::epilogue_scale() const {
-  QS_CHECK(!shard_packs_.empty());
-  return shard_packs_[0].scale;
-}
-
-const std::vector<float>& QuantizedLinear::epilogue_zp_term() const {
-  QS_CHECK(!shard_packs_.empty());
-  return shard_packs_[0].zp_term;
-}
-
-Tensor QuantizedLinear::apply(const Tensor& x) const {
+LinearInput QuantizedLinear::quantize(Tensor x) const {
+  LinearInput in;
   switch (scheme_) {
     case WeightScheme::kFp16:
-      return gemm_f32_ref(x, fp_);
+    case WeightScheme::kW4A16Group:
+      in.fp = std::move(x);
+      break;
+    case WeightScheme::kW8PerChannel:
+    case WeightScheme::kW4PerChannel:
+    case WeightScheme::kW4PerGroupProgressive:
+      in.q = quantize_acts_per_token(x);
+      break;
+    case WeightScheme::kW4A4Group:
+      in.q = quantize_acts_per_token_int4(x);
+      break;
+  }
+  return in;
+}
+
+Tensor QuantizedLinear::apply(const LinearInput& x, int s) const {
+  QS_DCHECK(s >= 0 && s < static_cast<int>(slices_.size()));
+  switch (scheme_) {
+    case WeightScheme::kFp16:
+      return gemm_f32_ref(x.fp, fp_);
     // The INT8 paths hit the pre-packed blocked GEMM: weight tiles were
     // interleaved (and, for per-group, dequantized to level-1 codes) once at
     // construction, and a stacked prefill reuses each tile across all its
@@ -253,14 +258,26 @@ Tensor QuantizedLinear::apply(const Tensor& x) const {
     case WeightScheme::kW8PerChannel:
     case WeightScheme::kW4PerChannel:
     case WeightScheme::kW4PerGroupProgressive:
-      return gemm_blocked(quantize_acts_per_token(x), packed_);
+      return gemm_blocked(x.q, packs_[static_cast<size_t>(s)]);
     case WeightScheme::kW4A16Group:
-      return gemm_w4a16(x, w4a16_);
+      return gemm_w4a16(x.fp, w4a16_);
     case WeightScheme::kW4A4Group:
-      return gemm_w4a4_atom(quantize_acts_per_token_int4(x), w4a4_);
+      return gemm_w4a4_atom(x.q, w4a4_);
   }
   QS_CHECK(false);
   return Tensor{};
+}
+
+I32Tensor QuantizedLinear::acc_shard(const QuantizedActs& x, int s) const {
+  QS_DCHECK(s >= 0 && s < static_cast<int>(packs_.size()));
+  const PackSlice& sl = slices_[static_cast<size_t>(s)];
+  return gemm_blocked_acc(slice_acts_cols(x, sl.col0, sl.col1),
+                          packs_[static_cast<size_t>(s)]);
+}
+
+Tensor QuantizedLinear::epilogue(const I32Tensor& acc,
+                                 const QuantizedActs& x) const {
+  return gemm_blocked_epilogue(acc, x, packs_[0].scale, packs_[0].zp_term);
 }
 
 // --- QuantizedModel --------------------------------------------------------------
@@ -282,74 +299,53 @@ QuantizedModel::QuantizedModel(const ModelWeights& weights,
   QS_CHECK_MSG(cfg.kv_max_pages > 0,
                "QuantSchemeConfig.kv_max_pages must be >= 1");
   tp_ = resolve_tp_shards(cfg_, cfg, tp);
-  if (tp_ > 1) {
-    // Shard plan: contiguous near-even KV head ranges (feasibility caps
-    // tp_ at n_kv_heads, so every range is non-empty), query ranges scaled
-    // by the GQA group, and near-even granularity-1 splits of ffn_dim and
-    // the o_proj input — the k-splits need no head/group alignment because
-    // pack_gemm_b_slice resolves metadata at absolute indices.
-    const int group = cfg_.n_heads / cfg_.n_kv_heads;
-    const int64_t q_dim = int64_t(cfg_.n_heads) * cfg_.head_dim;
-    QS_CHECK_GE(cfg_.ffn_dim, int64_t(tp_));
-    tp_plan_.resize(static_cast<size_t>(tp_));
-    for (int s = 0; s < tp_; ++s) {
-      TpShard& sh = tp_plan_[static_cast<size_t>(s)];
-      sh.kh0 = (s * cfg_.n_kv_heads) / tp_;
-      sh.kh1 = ((s + 1) * cfg_.n_kv_heads) / tp_;
-      sh.qh0 = sh.kh0 * group;
-      sh.qh1 = sh.kh1 * group;
-      sh.f0 = (int64_t(s) * cfg_.ffn_dim) / tp_;
-      sh.f1 = (int64_t(s + 1) * cfg_.ffn_dim) / tp_;
-      sh.ko0 = (int64_t(s) * q_dim) / tp_;
-      sh.ko1 = (int64_t(s + 1) * q_dim) / tp_;
-      QS_CHECK(sh.kh1 > sh.kh0 && sh.f1 > sh.f0 && sh.ko1 > sh.ko0);
-    }
+  // Shard plan: contiguous near-even KV head ranges (feasibility caps tp_ at
+  // n_kv_heads, so every range is non-empty), query ranges scaled by the GQA
+  // group, and near-even granularity-1 splits of ffn_dim and the o_proj
+  // input — the k-splits need no head/group alignment because
+  // pack_gemm_b_slice resolves metadata at absolute indices. At S = 1 the
+  // one shard spans every dimension.
+  const int group = cfg_.n_heads / cfg_.n_kv_heads;
+  const int64_t dim = cfg_.head_dim;
+  const int64_t hidden = cfg_.hidden;
+  const int64_t q_dim = int64_t(cfg_.n_heads) * dim;
+  QS_CHECK_GE(cfg_.ffn_dim, int64_t(tp_));
+  tp_plan_.resize(static_cast<size_t>(tp_));
+  // Per-projection slice lists, identical for every layer: column-parallel
+  // layers (QKV, gate/up) slice output rows; row-parallel layers (o_proj,
+  // down) slice input columns.
+  std::vector<PackSlice> sq, skv, so, sffn, sdown;
+  for (int s = 0; s < tp_; ++s) {
+    TpShard& sh = tp_plan_[static_cast<size_t>(s)];
+    sh.kh0 = (s * cfg_.n_kv_heads) / tp_;
+    sh.kh1 = ((s + 1) * cfg_.n_kv_heads) / tp_;
+    sh.qh0 = sh.kh0 * group;
+    sh.qh1 = sh.kh1 * group;
+    sh.f0 = (int64_t(s) * cfg_.ffn_dim) / tp_;
+    sh.f1 = (int64_t(s + 1) * cfg_.ffn_dim) / tp_;
+    sh.ko0 = (int64_t(s) * q_dim) / tp_;
+    sh.ko1 = (int64_t(s + 1) * q_dim) / tp_;
+    QS_CHECK(sh.kh1 > sh.kh0 && sh.f1 > sh.f0 && sh.ko1 > sh.ko0);
+    sq.push_back({int64_t(sh.qh0) * dim, int64_t(sh.qh1) * dim, 0, hidden});
+    skv.push_back({int64_t(sh.kh0) * dim, int64_t(sh.kh1) * dim, 0, hidden});
+    so.push_back({0, hidden, sh.ko0, sh.ko1});
+    sffn.push_back({sh.f0, sh.f1, 0, hidden});
+    sdown.push_back({0, hidden, sh.f0, sh.f1});
   }
   embedding_ = weights.embedding;
   layers_.reserve(weights.layers.size());
-  if (tp_ > 1) {
-    // Per-projection slice lists, identical for every layer: column-parallel
-    // layers (QKV, gate/up) slice output rows; row-parallel layers (o_proj,
-    // down) slice input columns. Each shard's rectangle is packed once at
-    // construction — no duplicated packing, no full pack.
-    const int64_t dim = cfg_.head_dim;
-    const int64_t hidden = cfg_.hidden;
-    std::vector<PackSlice> sq, skv, so, sffn, sdown;
-    for (const TpShard& sh : tp_plan_) {
-      sq.push_back({int64_t(sh.qh0) * dim, int64_t(sh.qh1) * dim, 0, hidden});
-      skv.push_back(
-          {int64_t(sh.kh0) * dim, int64_t(sh.kh1) * dim, 0, hidden});
-      so.push_back({0, hidden, sh.ko0, sh.ko1});
-      sffn.push_back({sh.f0, sh.f1, 0, hidden});
-      sdown.push_back({0, hidden, sh.f0, sh.f1});
-    }
-    for (const auto& lw : weights.layers) {
-      QLayer ql;
-      ql.wq = QuantizedLinear(lw.wq, cfg, sq);
-      ql.wk = QuantizedLinear(lw.wk, cfg, skv);
-      ql.wv = QuantizedLinear(lw.wv, cfg, skv);
-      ql.wo = QuantizedLinear(lw.wo, cfg, so);
-      ql.w_gate = QuantizedLinear(lw.w_gate, cfg, sffn);
-      ql.w_up = QuantizedLinear(lw.w_up, cfg, sffn);
-      ql.w_down = QuantizedLinear(lw.w_down, cfg, sdown);
-      ql.ln_attn = lw.ln_attn;
-      ql.ln_ffn = lw.ln_ffn;
-      layers_.push_back(std::move(ql));
-    }
-  } else {
-    for (const auto& lw : weights.layers) {
-      QLayer ql;
-      ql.wq = QuantizedLinear(lw.wq, cfg);
-      ql.wk = QuantizedLinear(lw.wk, cfg);
-      ql.wv = QuantizedLinear(lw.wv, cfg);
-      ql.wo = QuantizedLinear(lw.wo, cfg);
-      ql.w_gate = QuantizedLinear(lw.w_gate, cfg);
-      ql.w_up = QuantizedLinear(lw.w_up, cfg);
-      ql.w_down = QuantizedLinear(lw.w_down, cfg);
-      ql.ln_attn = lw.ln_attn;
-      ql.ln_ffn = lw.ln_ffn;
-      layers_.push_back(std::move(ql));
-    }
+  for (const auto& lw : weights.layers) {
+    QLayer ql;
+    ql.wq = QuantizedLinear(lw.wq, cfg, sq);
+    ql.wk = QuantizedLinear(lw.wk, cfg, skv);
+    ql.wv = QuantizedLinear(lw.wv, cfg, skv);
+    ql.wo = QuantizedLinear(lw.wo, cfg, so);
+    ql.w_gate = QuantizedLinear(lw.w_gate, cfg, sffn);
+    ql.w_up = QuantizedLinear(lw.w_up, cfg, sffn);
+    ql.w_down = QuantizedLinear(lw.w_down, cfg, sdown);
+    ql.ln_attn = lw.ln_attn;
+    ql.ln_ffn = lw.ln_ffn;
+    layers_.push_back(std::move(ql));
   }
   ln_final_ = weights.ln_final;
   // The LM head stays FP16 in all configurations (standard practice).
@@ -376,408 +372,246 @@ QuantizedModel::QuantizedModel(const ModelWeights& weights,
   attn_cfg_.validate(/*int4_kv=*/qcfg_.kv == KvPrecision::kInt4);
 }
 
-int QuantizedModel::begin_sequence() {
-  int id = -1;
-  for (size_t i = 0; i < seqs_.size(); ++i) {
-    if (!seqs_[i].live) {
-      id = static_cast<int>(i);
-      break;
-    }
-  }
-  if (id < 0) {
-    id = static_cast<int>(seqs_.size());
-    seqs_.emplace_back();
-  }
-  auto& s = seqs_[static_cast<size_t>(id)];
-  s.layer_seqs.clear();
-  for (int l = 0; l < cfg_.n_layers; ++l)
-    s.layer_seqs.push_back(kv_->alloc_sequence());
-  s.next_pos = 0;
+// --- sequences ---------------------------------------------------------------
+
+const QuantizedModel::SeqState& QuantizedModel::live_seq(int seq) const {
+  QS_CHECK_MSG(seq >= 0 && seq < static_cast<int>(seqs_.size()) &&
+                   seqs_[static_cast<size_t>(seq)].live,
+               "sequence handle " << seq << " is not a live sequence");
+  return seqs_[static_cast<size_t>(seq)];
+}
+
+QuantizedModel::SeqState& QuantizedModel::live_seq(int seq) {
+  return const_cast<SeqState&>(std::as_const(*this).live_seq(seq));
+}
+
+int QuantizedModel::add_sequence(std::vector<int> layer_seqs,
+                                 int64_t next_pos) {
+  int id = 0;
+  while (id < static_cast<int>(seqs_.size()) &&
+         seqs_[static_cast<size_t>(id)].live)
+    ++id;
+  if (id == static_cast<int>(seqs_.size())) seqs_.emplace_back();
+  SeqState& s = seqs_[static_cast<size_t>(id)];
+  s.layer_seqs = std::move(layer_seqs);
+  s.next_pos = next_pos;
   s.sink = 0;
   s.window = 0;
   s.live = true;
   return id;
 }
 
+int QuantizedModel::begin_sequence() {
+  std::vector<int> layer_seqs;
+  for (int l = 0; l < cfg_.n_layers; ++l)
+    layer_seqs.push_back(kv_->alloc_sequence());
+  return add_sequence(std::move(layer_seqs), 0);
+}
+
+int QuantizedModel::fork_sequence(int src, int64_t upto_len) {
+  const SeqState& source = live_seq(src);
+  QS_CHECK_MSG(upto_len >= 0 && upto_len <= source.next_pos,
+               "fork upto_len " << upto_len << " outside [0, "
+                                << source.next_pos << "]");
+  std::vector<int> layer_seqs;
+  for (int ls : source.layer_seqs)
+    layer_seqs.push_back(kv_->fork_sequence(ls, upto_len));
+  // Forks start full-attention regardless of the source's policy (the cache
+  // enforces that only never-recycled pages were aliased); the caller
+  // installs its own window if it wants one.
+  return add_sequence(std::move(layer_seqs), upto_len);
+}
+
+void QuantizedModel::end_sequence(int seq) {
+  SeqState& s = live_seq(seq);
+  for (int ls : s.layer_seqs) kv_->free_sequence(ls);
+  s.live = false;
+}
+
 void QuantizedModel::set_sequence_window(int seq, int64_t sink_tokens,
                                          int64_t window_tokens,
                                          int64_t slack_tokens) {
-  auto& state = seqs_[static_cast<size_t>(seq)];
-  QS_CHECK(state.live);
+  SeqState& state = live_seq(seq);
   for (int ls : state.layer_seqs)
     kv_->set_window(ls, sink_tokens, window_tokens, slack_tokens);
   state.sink = sink_tokens;
   state.window = window_tokens;
 }
 
-void QuantizedModel::end_sequence(int seq) {
-  auto& s = seqs_[static_cast<size_t>(seq)];
-  QS_CHECK(s.live);
-  for (int ls : s.layer_seqs) kv_->free_sequence(ls);
-  s.live = false;
+void QuantizedModel::truncate_sequence(int seq, int64_t new_len) {
+  SeqState& state = live_seq(seq);
+  QS_CHECK_MSG(new_len >= 0 && new_len <= state.next_pos,
+               "truncate target " << new_len << " outside [0, "
+                                  << state.next_pos << "]");
+  for (int ls : state.layer_seqs) kv_->truncate_sequence(ls, new_len);
+  state.next_pos = new_len;
 }
 
-Tensor QuantizedModel::run_blocks(int seq, const Tensor& embedded, int pos0) {
-  const int64_t n = embedded.rows();
-  std::vector<int> positions(static_cast<size_t>(n));
-  for (int64_t i = 0; i < n; ++i)
-    positions[static_cast<size_t>(i)] = pos0 + static_cast<int>(i);
-  return run_blocks_batched({{seq, 0, n}}, embedded, positions);
+int64_t QuantizedModel::seq_pos(int seq) const {
+  return live_seq(seq).next_pos;
 }
 
-Tensor QuantizedModel::run_blocks_batched(const std::vector<SeqSpan>& spans,
-                                          const Tensor& embedded,
-                                          const std::vector<int>& positions) {
-  if (tp_ > 1) return run_blocks_batched_tp(spans, embedded, positions);
-  const int64_t n = embedded.rows();
-  QS_CHECK_EQ(n, static_cast<int64_t>(positions.size()));
-  const AttentionConfig& acfg = attn_cfg_;
+std::vector<uint32_t> QuantizedModel::sequence_page_generations(
+    int seq) const {
+  std::vector<uint32_t> gens;
+  for (int ls : live_seq(seq).layer_seqs) {
+    const std::vector<uint32_t> layer = kv_->page_generations(ls);
+    gens.insert(gens.end(), layer.begin(), layer.end());
+  }
+  return gens;
+}
 
-  Tensor x = embedded;
+int64_t QuantizedModel::sequence_shared_pages(int seq) const {
+  int64_t n = 0;
+  for (int ls : live_seq(seq).layer_seqs) n += kv_->seq_shared_pages(ls);
+  return n;
+}
+
+// --- the executor ------------------------------------------------------------
+
+Tensor QuantizedModel::run_layers(const std::vector<SeqSpan>& spans, Tensor x,
+                                  const std::vector<int>& positions) {
+  QS_CHECK_EQ(x.rows(), static_cast<int64_t>(positions.size()));
+  // Per-shard outputs of one region, consumed by the next.
+  const size_t n_shards = tp_plan_.size();
+  std::vector<Tensor> qs(n_shards), ks(n_shards), vs(n_shards),
+      attns(n_shards), acts(n_shards);
+  std::vector<int64_t> pos0(spans.size());
+  int64_t n_single = 0;
+  for (const SeqSpan& sp : spans) n_single += (sp.n == 1) ? 1 : 0;
+
   for (size_t li = 0; li < layers_.size(); ++li) {
-    auto& layer = layers_[li];
-    // Attention block. Every projection runs ONE GEMM over the whole row
-    // stack — all sequences' decode tokens and prefill chunks together.
-    // Activation quantization is fused into RMSNorm (QuantizedLinear::apply
-    // re-runs the same deterministic per-row quantizer), so stacking rows
-    // from different sequences changes no per-row numerics.
-    Tensor h = rms_norm(x, layer.ln_attn);
-    Tensor q = layer.wq.apply(h);
-    Tensor k = layer.wk.apply(h);
-    Tensor v = layer.wv.apply(h);
-    rope_inplace(q, positions, cfg_.head_dim);
-    rope_inplace(k, positions, cfg_.head_dim);
+    const QLayer& layer = layers_[li];
+    // Attention block. RMSNorm + activation quantization run once over FULL
+    // rows (the per-token scale must see every column) of the whole stack —
+    // all sequences' decode tokens and prefill chunks together; quantization
+    // is per row, so stacking changes no numerics. Each shard then runs its
+    // QKV row-slice GEMMs and RoPE on its own head slices — RoPE is
+    // per-head, so a head slice transforms bitwise like the full matrix.
+    const LinearInput h = layer.wq.quantize(rms_norm(x, layer.ln_attn));
+    run_shards([&](int s) {
+      const size_t i = static_cast<size_t>(s);
+      qs[i] = layer.wq.apply(h, s);
+      ks[i] = layer.wk.apply(h, s);
+      vs[i] = layer.wv.apply(h, s);
+      rope_inplace(qs[i], positions, cfg_.head_dim);
+      rope_inplace(ks[i], positions, cfg_.head_dim);
+    });
 
     // Attention section, timed separately (attention_seconds_): KV append +
-    // attend. Every span first appends its K/V rows to its own cache
-    // sequence in one batched scatter; then all single-row spans (decode and
-    // token-wise verify rows) run through ONE batched executor call that
-    // walks all sequences × heads in a single parallel_for, dequantizing
-    // page data inline in the ISA-dispatched microkernels (§5.3). Multi-row
-    // spans (prefill chunks) gather the full dequantized K/V once — both
-    // paths share the same kernel arithmetic, so the step is bitwise
-    // identical to a per-sequence fan-out at any thread count and ISA.
+    // attend. Slots for every span are reserved centrally, in span order —
+    // ONE kKvAppend fault draw per span, so an armed fault site fires at the
+    // same step at every shard count and thread count.
     const auto attn_t0 = std::chrono::steady_clock::now();
-    Tensor attn;
-    if (spans.size() == 1 && spans[0].n > 1) {
-      // Single multi-row span (a plain prefill chunk): q already is exactly
-      // this span's rows, so attend on it directly — no scratch copies.
-      const SeqSpan& sp = spans[0];
-      const auto& st = seqs_[static_cast<size_t>(sp.seq)];
-      const int lseq = st.layer_seqs[li];
-      kv_->append_batch(lseq, k.row(0), v.row(0), sp.n);
-      attn = span_attention(lseq, st, q,
-                            int64_t(positions[static_cast<size_t>(sp.row0)]) +
-                                sp.n,
-                            acfg, 0, cfg_.n_kv_heads);
-    } else {
-      attn = Tensor({n, q.cols()});
-      // Pass 1: appends. Distinct sequences may scatter concurrently (the
-      // pool bookkeeping is internally locked), and every span's KV must be
-      // in its pages before that span attends.
-      parallel_for(
-          0, static_cast<int64_t>(spans.size()), 1,
-          [&](int64_t lo, int64_t hi) {
-            for (int64_t si = lo; si < hi; ++si) {
-              const SeqSpan& sp = spans[static_cast<size_t>(si)];
-              const int lseq =
-                  seqs_[static_cast<size_t>(sp.seq)].layer_seqs[li];
-              kv_->append_batch(lseq, k.row(sp.row0), v.row(sp.row0), sp.n);
-            }
-          });
-      // Pass 2: one batched decode-attention dispatch for every single-row
-      // span of the step...
-      std::vector<DecodeAttentionItem> items;
-      std::vector<size_t> multi;
-      items.reserve(spans.size());
-      for (size_t si = 0; si < spans.size(); ++si) {
-        const SeqSpan& sp = spans[si];
-        if (sp.n == 1) {
-          items.push_back(
-              {seqs_[static_cast<size_t>(sp.seq)].layer_seqs[li],
-               q.row(sp.row0), attn.row(sp.row0)});
-        } else {
-          multi.push_back(si);
-        }
-      }
-      if (!items.empty()) {
-        batched_fused_decode_attention(*kv_, items, acfg);
-        ++batched_attention_calls_;
-        decode_attention_items_ += static_cast<int64_t>(items.size());
-      }
-      // ...and the gather path for the (rare) multi-row spans sharing the
-      // step with decodes.
-      if (!multi.empty()) {
-        parallel_for(
-            0, static_cast<int64_t>(multi.size()), 1,
-            [&](int64_t lo, int64_t hi) {
-              for (int64_t mi = lo; mi < hi; ++mi) {
-                const SeqSpan& sp = spans[multi[static_cast<size_t>(mi)]];
-                const auto& st = seqs_[static_cast<size_t>(sp.seq)];
-                const int lseq = st.layer_seqs[li];
-                Tensor qs({sp.n, q.cols()});
-                std::copy(q.row(sp.row0), q.row(sp.row0) + sp.n * q.cols(),
-                          qs.data());
-                const Tensor a = span_attention(
-                    lseq, st, qs,
-                    int64_t(positions[static_cast<size_t>(sp.row0)]) + sp.n,
-                    acfg, 0, cfg_.n_kv_heads);
-                std::copy(a.data(), a.data() + a.numel(), attn.row(sp.row0));
-              }
-            });
-      }
-    }
-    attention_seconds_ +=
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      attn_t0)
-            .count();
-    // Separate quant node before the output projection (Fig. 11).
-    Tensor attn_proj = layer.wo.apply(attn);
-    add_inplace(x, attn_proj);
-
-    // FFN block.
-    Tensor h2 = rms_norm(x, layer.ln_ffn);
-    Tensor gate = layer.w_gate.apply(h2);
-    Tensor up = layer.w_up.apply(h2);
-    Tensor act({n, cfg_.ffn_dim});
-    // Row-independent like the norm/quant loops, so the stacked rows of a
-    // batched step parallelize bitwise-identically.
-    parallel_for(0, n, 4, [&](int64_t lo, int64_t hi) {
-      for (int64_t t = lo; t < hi; ++t)
-        for (int64_t c = 0; c < cfg_.ffn_dim; ++c) {
-          const float g = gate.at2(t, c);
-          act.at2(t, c) = (g / (1.0f + std::exp(-g))) * up.at2(t, c);
-        }
-    });
-    Tensor down = layer.w_down.apply(act);
-    add_inplace(x, down);
-  }
-  return x;
-}
-
-void QuantizedModel::note_shard_times(const std::vector<double>& seconds) {
-  if (seconds.empty()) return;
-  double mx = 0.0, sum = 0.0;
-  for (double v : seconds) {
-    mx = std::max(mx, v);
-    sum += v;
-  }
-  tp_shard_max_seconds_ += mx;
-  tp_shard_mean_seconds_ += sum / double(seconds.size());
-}
-
-Tensor QuantizedModel::run_blocks_batched_tp(const std::vector<SeqSpan>& spans,
-                                             const Tensor& embedded,
-                                             const std::vector<int>& positions) {
-  const int64_t n = embedded.rows();
-  QS_CHECK_EQ(n, static_cast<int64_t>(positions.size()));
-  const AttentionConfig& acfg = attn_cfg_;
-  const int S = tp_;
-  const int64_t dim = cfg_.head_dim;
-  const auto dur = [](std::chrono::steady_clock::time_point t0) {
-    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                         t0)
-        .count();
-  };
-
-  std::vector<double> times(static_cast<size_t>(S), 0.0);
-  // Per-shard scratch reused across regions of one layer.
-  std::vector<Tensor> qs(static_cast<size_t>(S)), ks(static_cast<size_t>(S)),
-      vs(static_cast<size_t>(S)), attns(static_cast<size_t>(S)),
-      acts(static_cast<size_t>(S));
-  std::vector<I32Tensor> accs(static_cast<size_t>(S));
-
-  Tensor x = embedded;
-  for (size_t li = 0; li < layers_.size(); ++li) {
-    auto& layer = layers_[li];
-    // Attention block. Norm + activation quantization run centrally over
-    // FULL rows (the per-token scale must see every column); each shard then
-    // runs its QKV row-slice GEMMs and RoPE on its own head slices — RoPE is
-    // per-head, so a head slice transforms bitwise like the full matrix.
-    const QuantizedActs hq =
-        quantize_acts_per_token(rms_norm(x, layer.ln_attn));
-    run_sharded(
-        S,
-        [&](int s) {
-          qs[static_cast<size_t>(s)] = layer.wq.apply_shard(hq, s);
-          ks[static_cast<size_t>(s)] = layer.wk.apply_shard(hq, s);
-          vs[static_cast<size_t>(s)] = layer.wv.apply_shard(hq, s);
-          rope_inplace(qs[static_cast<size_t>(s)], positions, cfg_.head_dim);
-          rope_inplace(ks[static_cast<size_t>(s)], positions, cfg_.head_dim);
-        },
-        times.data());
-    note_shard_times(times);
-
-    // Attention section (timed like the single-shard path: KV append +
-    // attend). Slots for every span are reserved centrally, in span order —
-    // ONE kKvAppend fault draw per span, exactly append_batch's schedule, so
-    // an armed fault site fires at the same step regardless of shard count.
-    const auto attn_t0 = std::chrono::steady_clock::now();
-    std::vector<int64_t> pos0(spans.size());
     for (size_t si = 0; si < spans.size(); ++si) {
       const SeqSpan& sp = spans[si];
-      const int lseq = seqs_[static_cast<size_t>(sp.seq)].layer_seqs[li];
-      pos0[si] = kv_->append_reserve(lseq, sp.n);
+      pos0[si] = kv_->append_reserve(
+          seqs_[static_cast<size_t>(sp.seq)].layer_seqs[li], sp.n);
     }
-    int64_t n_single = 0;
-    for (const SeqSpan& sp : spans) n_single += (sp.n == 1) ? 1 : 0;
-    run_sharded(
-        S,
-        [&](int s) {
-          const TpShard& sh = tp_plan_[static_cast<size_t>(s)];
-          const int qn = sh.qh1 - sh.qh0;
-          Tensor& ksl = ks[static_cast<size_t>(s)];
-          Tensor& vsl = vs[static_cast<size_t>(s)];
-          Tensor& qsl = qs[static_cast<size_t>(s)];
-          // Each shard writes its own KV head range of every span's reserved
-          // rows — disjoint byte ranges (INT4 head boundaries are
-          // byte-aligned via the even head_dim), written lock-free after a
-          // short locked destination resolution.
-          for (size_t si = 0; si < spans.size(); ++si) {
-            const SeqSpan& sp = spans[si];
-            const int lseq =
-                seqs_[static_cast<size_t>(sp.seq)].layer_seqs[li];
-            kv_->append_write_heads(lseq, pos0[si], ksl.row(sp.row0),
-                                    vsl.row(sp.row0), sp.n, sh.kh0, sh.kh1,
-                                    ksl.cols());
-          }
-          // No cross-shard barrier before attending: a shard reads only the
-          // KV heads it just wrote.
-          Tensor& attn_s = attns[static_cast<size_t>(s)];
-          attn_s = Tensor({n, int64_t(qn) * dim});
-          std::vector<DecodeAttentionItem> items;
-          std::vector<size_t> multi;
-          items.reserve(spans.size());
-          for (size_t si = 0; si < spans.size(); ++si) {
-            const SeqSpan& sp = spans[si];
-            const int lseq =
-                seqs_[static_cast<size_t>(sp.seq)].layer_seqs[li];
-            if (sp.n == 1) {
-              items.push_back(
-                  {lseq, qsl.row(sp.row0), attn_s.row(sp.row0)});
-            } else {
-              multi.push_back(si);
-            }
-          }
-          if (!items.empty())
-            batched_fused_decode_attention(*kv_, items, acfg, sh.qh0, qn);
-          if (!multi.empty()) {
-            // Multi-row spans (prefill chunks / verify spans): gather the
-            // shard's KV head range and attend with the slice config — the
-            // kernels are per-head, so the slice output is bitwise the
-            // matching columns of the unsharded call.
-            AttentionConfig scfg = acfg;
-            scfg.n_heads = qn;
-            scfg.n_kv_heads = sh.kh1 - sh.kh0;
-            for (size_t mi : multi) {
-              const SeqSpan& sp = spans[mi];
-              const auto& st = seqs_[static_cast<size_t>(sp.seq)];
-              const int lseq = st.layer_seqs[li];
-              Tensor qspan({sp.n, attn_s.cols()});
-              std::copy(qsl.row(sp.row0),
-                        qsl.row(sp.row0) + sp.n * qspan.cols(),
-                        qspan.data());
-              const Tensor a = span_attention(
-                  lseq, st, qspan,
-                  int64_t(positions[static_cast<size_t>(sp.row0)]) + sp.n,
-                  scfg, sh.kh0, sh.kh1);
-              std::copy(a.data(), a.data() + a.numel(),
-                        attn_s.row(sp.row0));
-            }
-          }
-        },
-        times.data());
-    note_shard_times(times);
-    attention_seconds_ += dur(attn_t0);
+    run_shards([&](int s) {
+      const size_t i = static_cast<size_t>(s);
+      attns[i] =
+          shard_attention(li, s, spans, pos0, positions, qs[i], ks[i], vs[i]);
+    });
+    accumulate(attention_seconds_, seconds_since(attn_t0));
     if (n_single > 0) {
-      batched_attention_calls_ += S;  // one head-ranged dispatch per shard
+      batched_attention_calls_ += tp_;  // one head-ranged dispatch per shard
       decode_attention_items_ += n_single;
     }
+    // Separate quant node before the output projection (Fig. 11).
+    add_inplace(x, row_parallel(layer.wo,
+                                layer.wo.quantize(concat_shards(attns))));
 
-    // Reduction boundary 1 (comm): concat the column-parallel attention
-    // slices back into full rows for the central o_proj quantization.
-    const auto cat_t0 = std::chrono::steady_clock::now();
-    Tensor attn({n, int64_t(cfg_.n_heads) * dim});
-    for (int s = 0; s < S; ++s) {
-      const TpShard& sh = tp_plan_[static_cast<size_t>(s)];
-      const int64_t w = int64_t(sh.qh1 - sh.qh0) * dim;
-      const Tensor& attn_s = attns[static_cast<size_t>(s)];
-      for (int64_t t = 0; t < n; ++t)
-        std::copy(attn_s.row(t), attn_s.row(t) + w,
-                  attn.row(t) + int64_t(sh.qh0) * dim);
-    }
-    tp_comm_seconds_ += dur(cat_t0);
-
-    // Row-parallel o_proj: central full-row quantization, per-shard k-slice
-    // partial accumulators, then the all-reduce + shared epilogue.
-    const QuantizedActs aq = quantize_acts_per_token(attn);
-    run_sharded(
-        S,
-        [&](int s) {
-          const TpShard& sh = tp_plan_[static_cast<size_t>(s)];
-          accs[static_cast<size_t>(s)] =
-              layer.wo.acc_shard(slice_acts_cols(aq, sh.ko0, sh.ko1), s);
-        },
-        times.data());
-    note_shard_times(times);
-    // Reduction boundary 2 (comm): fixed pairwise-tree all-reduce of the
-    // exact INT32 partials + the identical post-reduction epilogue.
-    const auto red_t0 = std::chrono::steady_clock::now();
-    Tensor attn_proj = gemm_blocked_epilogue(
-        reduce_partials(accs), aq, layer.wo.epilogue_scale(),
-        layer.wo.epilogue_zp_term());
-    tp_comm_seconds_ += dur(red_t0);
-    add_inplace(x, attn_proj);
-
-    // FFN block: column-parallel gate/up + SwiGLU on slices, concat, then
-    // row-parallel down with the same reduce + epilogue shape.
-    const QuantizedActs h2q =
-        quantize_acts_per_token(rms_norm(x, layer.ln_ffn));
-    run_sharded(
-        S,
-        [&](int s) {
-          const TpShard& sh = tp_plan_[static_cast<size_t>(s)];
-          const Tensor gate = layer.w_gate.apply_shard(h2q, s);
-          const Tensor up = layer.w_up.apply_shard(h2q, s);
-          const int64_t w = sh.f1 - sh.f0;
-          Tensor& act_s = acts[static_cast<size_t>(s)];
-          act_s = Tensor({n, w});
-          for (int64_t t = 0; t < n; ++t)
-            for (int64_t c = 0; c < w; ++c) {
-              const float g = gate.at2(t, c);
-              act_s.at2(t, c) = (g / (1.0f + std::exp(-g))) * up.at2(t, c);
-            }
-        },
-        times.data());
-    note_shard_times(times);
-    const auto cat2_t0 = std::chrono::steady_clock::now();
-    Tensor act({n, cfg_.ffn_dim});
-    for (int s = 0; s < S; ++s) {
-      const TpShard& sh = tp_plan_[static_cast<size_t>(s)];
-      const int64_t w = sh.f1 - sh.f0;
-      const Tensor& act_s = acts[static_cast<size_t>(s)];
-      for (int64_t t = 0; t < n; ++t)
-        std::copy(act_s.row(t), act_s.row(t) + w, act.row(t) + sh.f0);
-    }
-    tp_comm_seconds_ += dur(cat2_t0);
-    const QuantizedActs actq = quantize_acts_per_token(act);
-    run_sharded(
-        S,
-        [&](int s) {
-          const TpShard& sh = tp_plan_[static_cast<size_t>(s)];
-          accs[static_cast<size_t>(s)] =
-              layer.w_down.acc_shard(slice_acts_cols(actq, sh.f0, sh.f1), s);
-        },
-        times.data());
-    note_shard_times(times);
-    const auto red2_t0 = std::chrono::steady_clock::now();
-    Tensor down = gemm_blocked_epilogue(
-        reduce_partials(accs), actq, layer.w_down.epilogue_scale(),
-        layer.w_down.epilogue_zp_term());
-    tp_comm_seconds_ += dur(red2_t0);
-    add_inplace(x, down);
+    // FFN block: column-parallel gate/up + SwiGLU on slices, then the
+    // row-parallel down projection.
+    const LinearInput h2 = layer.w_gate.quantize(rms_norm(x, layer.ln_ffn));
+    run_shards([&](int s) {
+      const Tensor gate = layer.w_gate.apply(h2, s);
+      const Tensor up = layer.w_up.apply(h2, s);
+      acts[static_cast<size_t>(s)] = swiglu(gate, up);
+    });
+    add_inplace(x, row_parallel(layer.w_down,
+                                layer.w_down.quantize(concat_shards(acts))));
   }
   return x;
+}
+
+Tensor QuantizedModel::shard_attention(size_t li, int s,
+                                       const std::vector<SeqSpan>& spans,
+                                       const std::vector<int64_t>& pos0,
+                                       const std::vector<int>& positions,
+                                       const Tensor& q, const Tensor& k,
+                                       const Tensor& v) {
+  const TpShard& sh = tp_plan_[static_cast<size_t>(s)];
+  const auto lseq = [&](const SeqSpan& sp) {
+    return seqs_[static_cast<size_t>(sp.seq)].layer_seqs[li];
+  };
+  // KV writes: this shard's KV head range of every span's reserved rows —
+  // byte ranges disjoint from every other shard's (INT4 head boundaries are
+  // byte-aligned via the even head_dim) — with distinct spans scattering
+  // concurrently. No cross-shard barrier before attending: a shard reads
+  // only the KV heads it just wrote.
+  parallel_for(0, static_cast<int64_t>(spans.size()), 1,
+               [&](int64_t lo, int64_t hi) {
+                 for (int64_t si = lo; si < hi; ++si) {
+                   const SeqSpan& sp = spans[static_cast<size_t>(si)];
+                   kv_->append_write_heads(
+                       lseq(sp), pos0[static_cast<size_t>(si)],
+                       k.row(sp.row0), v.row(sp.row0), sp.n, sh.kh0, sh.kh1,
+                       k.cols());
+                 }
+               });
+  // Multi-row spans attend with the shard's head-sliced config — the
+  // kernels are per-head, so the slice output is bitwise the matching
+  // columns of the one-shard call.
+  AttentionConfig scfg = attn_cfg_;
+  scfg.n_heads = sh.qh1 - sh.qh0;
+  scfg.n_kv_heads = sh.kh1 - sh.kh0;
+  const auto attend_span = [&](const SeqSpan& sp, const Tensor& qspan) {
+    return span_attention(
+        lseq(sp), seqs_[static_cast<size_t>(sp.seq)], qspan,
+        int64_t(positions[static_cast<size_t>(sp.row0)]) + sp.n, scfg,
+        sh.kh0, sh.kh1);
+  };
+  // A lone multi-row span (a plain prefill chunk): q already is exactly this
+  // span's rows, so attend on it directly — no scratch copies.
+  if (spans.size() == 1 && spans[0].n > 1) return attend_span(spans[0], q);
+
+  // One batched decode-attention dispatch for every single-row span (decode
+  // and token-wise verify rows) that walks all sequences × the shard's heads
+  // in a single parallel_for, dequantizing page data inline in the
+  // ISA-dispatched microkernels (§5.3)...
+  Tensor out({q.rows(), q.cols()});
+  std::vector<DecodeAttentionItem> items;
+  std::vector<size_t> multi;
+  items.reserve(spans.size());
+  for (size_t si = 0; si < spans.size(); ++si) {
+    const SeqSpan& sp = spans[si];
+    if (sp.n == 1) {
+      items.push_back({lseq(sp), q.row(sp.row0), out.row(sp.row0)});
+    } else {
+      multi.push_back(si);
+    }
+  }
+  if (!items.empty())
+    batched_fused_decode_attention(*kv_, items, attn_cfg_, sh.qh0,
+                                   scfg.n_heads);
+  // ...and the gather path for the (rare) multi-row spans sharing the step
+  // with decodes. Both paths share the kernel arithmetic, so the step is
+  // bitwise identical to a per-sequence fan-out at any thread count and ISA.
+  parallel_for(0, static_cast<int64_t>(multi.size()), 1,
+               [&](int64_t lo, int64_t hi) {
+                 for (int64_t mi = lo; mi < hi; ++mi) {
+                   const SeqSpan& sp = spans[multi[static_cast<size_t>(mi)]];
+                   Tensor qspan({sp.n, q.cols()});
+                   std::copy(q.row(sp.row0),
+                             q.row(sp.row0) + sp.n * q.cols(), qspan.data());
+                   const Tensor a = attend_span(sp, qspan);
+                   std::copy(a.data(), a.data() + a.numel(),
+                             out.row(sp.row0));
+                 }
+               });
+  return out;
 }
 
 Tensor QuantizedModel::span_attention(int lseq, const SeqState& st,
@@ -790,48 +624,58 @@ Tensor QuantizedModel::span_attention(int lseq, const SeqState& st,
     return attention_prefill_windowed(qspan, kd, vd, acfg, s_total, st.sink,
                                       st.window, tail0);
   }
-  if (kh0 == 0 && kh1 == cfg_.n_kv_heads) {
-    kv_->gather(lseq, kd, vd);
-  } else {
-    kv_->gather_heads(lseq, kd, vd, kh0, kh1);
-  }
+  kv_->gather_heads(lseq, kd, vd, kh0, kh1);
   return attention_prefill(qspan, kd, vd, acfg);
 }
 
+void QuantizedModel::run_shards(const std::function<void(int)>& fn) {
+  std::vector<double> seconds(static_cast<size_t>(tp_));
+  run_sharded(tp_, fn, seconds.data());
+  if (tp_ == 1) return;  // one shard: nothing to balance
+  double mx = 0.0, sum = 0.0;
+  for (double v : seconds) {
+    mx = std::max(mx, v);
+    sum += v;
+  }
+  accumulate(tp_shard_max_seconds_, mx);
+  accumulate(tp_shard_mean_seconds_, sum / double(tp_));
+}
+
+Tensor QuantizedModel::concat_shards(std::vector<Tensor>& parts) {
+  if (parts.size() == 1) return std::move(parts[0]);
+  const auto t0 = std::chrono::steady_clock::now();
+  int64_t width = 0;
+  for (const Tensor& p : parts) width += p.cols();
+  Tensor out({parts[0].rows(), width});
+  int64_t c0 = 0;
+  for (const Tensor& p : parts) {
+    for (int64_t t = 0; t < p.rows(); ++t)
+      std::copy(p.row(t), p.row(t) + p.cols(), out.row(t) + c0);
+    c0 += p.cols();
+  }
+  accumulate(tp_comm_seconds_, seconds_since(t0));
+  return out;
+}
+
+Tensor QuantizedModel::row_parallel(const QuantizedLinear& w,
+                                    const LinearInput& x) {
+  if (tp_ == 1) return w.apply(x);
+  std::vector<I32Tensor> accs(static_cast<size_t>(tp_));
+  run_shards(
+      [&](int s) { accs[static_cast<size_t>(s)] = w.acc_shard(x.q, s); });
+  // Reduction boundary (comm): fixed pairwise-tree all-reduce of the exact
+  // INT32 partials + the one-shard epilogue.
+  const auto t0 = std::chrono::steady_clock::now();
+  Tensor out = w.epilogue(reduce_partials(accs), x.q);
+  accumulate(tp_comm_seconds_, seconds_since(t0));
+  return out;
+}
+
 Tensor QuantizedModel::logits_from_hidden(const Tensor& h) const {
-  return lm_head_.apply(rms_norm(h, ln_final_));
+  return lm_head_.apply(lm_head_.quantize(rms_norm(h, ln_final_)));
 }
 
-Tensor QuantizedModel::prefill(int seq, const std::vector<int>& tokens) {
-  return prefill_chunk(
-      seq, tokens,
-      static_cast<int>(seqs_[static_cast<size_t>(seq)].next_pos));
-}
-
-Tensor QuantizedModel::prefill_chunk(int seq, const std::vector<int>& tokens,
-                                     int pos0) {
-  QS_CHECK(!tokens.empty());
-  auto& state = seqs_[static_cast<size_t>(seq)];
-  QS_CHECK(state.live);
-  QS_CHECK_EQ(int64_t(pos0), state.next_pos);
-  // The chunk is stacked into one [n, hidden] activation matrix, so each
-  // projection below is a single blocked GEMM call and every packed weight
-  // tile is unpacked once and reused across all n tokens — this is what
-  // makes the pre-packed layout pay during prefill.
-  const int64_t n = static_cast<int64_t>(tokens.size());
-  Tensor x({n, cfg_.hidden});
-  for (int64_t t = 0; t < n; ++t)
-    for (int64_t c = 0; c < cfg_.hidden; ++c)
-      x.at2(t, c) = embedding_.at2(tokens[static_cast<size_t>(t)], c);
-  Tensor h = run_blocks(seq, x, pos0);
-  state.next_pos += n;
-
-  Tensor last({1, cfg_.hidden});
-  for (int64_t c = 0; c < cfg_.hidden; ++c)
-    last.at2(0, c) = h.at2(n - 1, c);
-  Tensor logits = logits_from_hidden(last);
-  return logits.reshaped({cfg_.vocab});
-}
+// --- entry points ------------------------------------------------------------
 
 Tensor QuantizedModel::forward_step(const BatchedStep& step) {
   QS_CHECK(!step.chunks.empty());
@@ -846,10 +690,7 @@ Tensor QuantizedModel::forward_step(const BatchedStep& step) {
   int64_t row0 = 0;
   for (const StepSeqChunk& c : step.chunks) {
     QS_CHECK(!c.tokens.empty());
-    QS_CHECK(c.seq >= 0 && c.seq < static_cast<int>(seqs_.size()));
-    const auto& state = seqs_[static_cast<size_t>(c.seq)];
-    QS_CHECK(state.live);
-    QS_CHECK_EQ(int64_t(c.pos0), state.next_pos);
+    QS_CHECK_EQ(int64_t(c.pos0), live_seq(c.seq).next_pos);
     QS_CHECK_MSG(c.logit_rows >= 0 &&
                      c.logit_rows <= static_cast<int>(c.tokens.size()),
                  "logit_rows must be in [0, |tokens|]");
@@ -884,7 +725,7 @@ Tensor QuantizedModel::forward_step(const BatchedStep& step) {
         }
       });
 
-  Tensor h = run_blocks_batched(spans, x, positions);
+  const Tensor h = run_layers(spans, std::move(x), positions);
   for (const StepSeqChunk& c : step.chunks)
     seqs_[static_cast<size_t>(c.seq)].next_pos +=
         static_cast<int64_t>(c.tokens.size());
@@ -907,73 +748,15 @@ Tensor QuantizedModel::forward_step(const BatchedStep& step) {
   return logits_from_hidden(last);
 }
 
-void QuantizedModel::truncate_sequence(int seq, int64_t new_len) {
-  auto& state = seqs_[static_cast<size_t>(seq)];
-  QS_CHECK(state.live);
-  QS_CHECK_MSG(new_len >= 0 && new_len <= state.next_pos,
-               "truncate target " << new_len << " outside [0, "
-                                  << state.next_pos << "]");
-  for (int ls : state.layer_seqs) kv_->truncate_sequence(ls, new_len);
-  state.next_pos = new_len;
+Tensor QuantizedModel::prefill(int seq, const std::vector<int>& tokens) {
+  return prefill_chunk(seq, tokens, static_cast<int>(seq_pos(seq)));
 }
 
-int QuantizedModel::fork_sequence(int src, int64_t upto_len) {
-  const auto& source = seqs_[static_cast<size_t>(src)];
-  QS_CHECK(source.live);
-  QS_CHECK_MSG(upto_len >= 0 && upto_len <= source.next_pos,
-               "fork upto_len " << upto_len << " outside [0, "
-                                << source.next_pos << "]");
-  int id = -1;
-  for (size_t i = 0; i < seqs_.size(); ++i) {
-    if (!seqs_[i].live) {
-      id = static_cast<int>(i);
-      break;
-    }
-  }
-  if (id < 0) {
-    id = static_cast<int>(seqs_.size());
-    seqs_.emplace_back();
-  }
-  auto& s = seqs_[static_cast<size_t>(id)];
-  // seqs_ may have reallocated; re-resolve the source.
-  const auto& sp = seqs_[static_cast<size_t>(src)];
-  s.layer_seqs.clear();
-  for (int ls : sp.layer_seqs)
-    s.layer_seqs.push_back(kv_->fork_sequence(ls, upto_len));
-  s.next_pos = upto_len;
-  // Forks start full-attention regardless of the source's policy (the cache
-  // enforces that only never-recycled pages were aliased); the caller
-  // installs its own window if it wants one.
-  s.sink = 0;
-  s.window = 0;
-  s.live = true;
-  return id;
-}
-
-int64_t QuantizedModel::seq_pos(int seq) const {
-  const auto& state = seqs_[static_cast<size_t>(seq)];
-  QS_CHECK(state.live);
-  return state.next_pos;
-}
-
-std::vector<uint32_t> QuantizedModel::sequence_page_generations(
-    int seq) const {
-  const auto& state = seqs_[static_cast<size_t>(seq)];
-  QS_CHECK(state.live);
-  std::vector<uint32_t> gens;
-  for (int ls : state.layer_seqs) {
-    const std::vector<uint32_t> layer = kv_->page_generations(ls);
-    gens.insert(gens.end(), layer.begin(), layer.end());
-  }
-  return gens;
-}
-
-int64_t QuantizedModel::sequence_shared_pages(int seq) const {
-  const auto& state = seqs_[static_cast<size_t>(seq)];
-  QS_CHECK(state.live);
-  int64_t n = 0;
-  for (int ls : state.layer_seqs) n += kv_->seq_shared_pages(ls);
-  return n;
+Tensor QuantizedModel::prefill_chunk(int seq, const std::vector<int>& tokens,
+                                     int pos0) {
+  BatchedStep step;
+  step.chunks.push_back({seq, tokens, pos0, 1});
+  return forward_step(step).reshaped({cfg_.vocab});
 }
 
 Tensor QuantizedModel::decode_step(int seq, int token) {
@@ -982,13 +765,15 @@ Tensor QuantizedModel::decode_step(int seq, int token) {
 
 Tensor QuantizedModel::forward(const std::vector<int>& tokens) {
   const int seq = begin_sequence();
-  const int64_t n = static_cast<int64_t>(tokens.size());
-  Tensor x({n, cfg_.hidden});
-  for (int64_t t = 0; t < n; ++t)
-    for (int64_t c = 0; c < cfg_.hidden; ++c)
-      x.at2(t, c) = embedding_.at2(tokens[static_cast<size_t>(t)], c);
-  Tensor h = run_blocks(seq, x, 0);
-  Tensor logits = logits_from_hidden(h);
+  BatchedStep step;
+  step.chunks.push_back({seq, tokens, 0, static_cast<int>(tokens.size())});
+  Tensor logits;
+  try {
+    logits = forward_step(step);
+  } catch (...) {
+    end_sequence(seq);
+    throw;
+  }
   end_sequence(seq);
   return logits;
 }

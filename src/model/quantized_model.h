@@ -4,7 +4,10 @@
 // node precedes o_proj, and the KV cache is paged + quantized per head.
 #pragma once
 
+#include <atomic>
+#include <functional>
 #include <memory>
+#include <vector>
 
 #include "kernels/attention.h"
 #include "kernels/weight_layout.h"
@@ -57,59 +60,55 @@ struct QuantSchemeConfig {
   static QuantSchemeConfig fp16();
 };
 
-// One quantized projection; holds exactly the representation `scheme` needs.
+// A projection's input activations, quantized once for every GEMM that reads
+// them — Fig. 11 fuses the quantizer into the producing node (RMSNorm,
+// SwiGLU, the quant node before o_proj), so Q/K/V share one quantization and
+// gate/up another. FP16 and W4A16 consume `fp`; the INT8-path schemes
+// (per-token INT8) and W4A4 (per-token INT4) consume `q`.
+struct LinearInput {
+  Tensor fp;
+  QuantizedActs q;
+};
+
+// One quantized projection, split into one or more shards; holds exactly the
+// representation `scheme` needs. INT8-path schemes (W8A8, per-channel and
+// per-group W4A8) keep one packed slice per shard: the full matrix is
+// quantized once, then each shard's rectangle is packed via
+// pack_gemm_b_slice (ISA-interleaved tiles, per-group weights pre-dequantized
+// to level-1 codes, epilogue constants inline) and the quantization-time
+// struct is dropped, so the weight is held exactly once at any shard count.
+// Column-parallel layers slice output rows, row-parallel layers slice input
+// columns; no slices means one shard over the full matrix. The other schemes
+// (FP16, W4A16, W4A4) are always a single full-matrix shard.
 class QuantizedLinear {
  public:
   QuantizedLinear() = default;
-  QuantizedLinear(const Tensor& w, const QuantSchemeConfig& cfg);
-  // Tensor-parallel construction (INT8-path schemes only): quantize the full
-  // matrix once, then pack one rectangular slice per shard via
-  // pack_gemm_b_slice — no full pack is ever built, so TP holds each weight
-  // exactly once. Column-parallel layers pass full-k row slices;
-  // row-parallel layers pass full-n column (k) slices.
   QuantizedLinear(const Tensor& w, const QuantSchemeConfig& cfg,
-                  const std::vector<PackSlice>& shard_slices);
+                  std::vector<PackSlice> slices = {});
 
-  // x is the FP activation; quantization (if any) happens inside, matching
-  // the fused quant nodes of Fig. 11.
-  Tensor apply(const Tensor& x) const;
-
-  // Column-parallel shard GEMM: the FP16 output slice for shard s's row
-  // range, from the centrally quantized full-k activations. Bitwise the
-  // corresponding output columns of the unsharded apply().
-  Tensor apply_shard(const QuantizedActs& x, int s) const;
-  // Row-parallel shard GEMM: shard s's exact INT32 partial accumulators over
-  // its k-slice. `x_slice` holds the shard's columns of the centrally
-  // quantized codes with the FULL-row per-token scale/token_sum; integer
-  // partials from disjoint k-slices sum exactly, so the all-reduced total
-  // fed to gemm_blocked_epilogue is bitwise the unsharded accumulator.
-  I32Tensor acc_shard(const QuantizedActs& x_slice, int s) const;
-  // Full-row epilogue constants for the post-reduction epilogue. Row-
+  // The activation quantizer this projection's scheme consumes.
+  LinearInput quantize(Tensor x) const;
+  // Shard s's FP16 output columns (its row slice of the weight). With one
+  // shard this is the whole projection, including the fused GEMM epilogue.
+  Tensor apply(const LinearInput& x, int s = 0) const;
+  // Row-parallel shard GEMM (INT8-path schemes): shard s's exact INT32
+  // partial accumulators over its k-slice of the centrally quantized codes,
+  // which keep their FULL-row per-token scale/token_sum. Integer partials
+  // from disjoint k-slices sum exactly, so the all-reduced total fed to
+  // gemm_blocked_epilogue is bitwise the one-shard accumulator.
+  I32Tensor acc_shard(const QuantizedActs& x, int s) const;
+  // gemm_blocked's epilogue over all-reduced partials `acc` of `x`. Row-
   // parallel slices span every output row, so every shard pack carries the
-  // identical vectors; shard 0's are returned.
-  const std::vector<float>& epilogue_scale() const;
-  const std::vector<float>& epilogue_zp_term() const;
-
-  int64_t out_features() const { return n_; }
+  // identical full-row epilogue constants; shard 0's are used.
+  Tensor epilogue(const I32Tensor& acc, const QuantizedActs& x) const;
 
  private:
   WeightScheme scheme_ = WeightScheme::kFp16;
-  ActScheme acts_ = ActScheme::kFp16;
-  int64_t n_ = 0;
   Tensor fp_;
   W4A16PerGroup w4a16_;
   W4A4PerGroup w4a4_;
-  // INT8-path schemes (W8A8, per-channel/per-group W4A8) keep only this
-  // packed form: ISA-interleaved tiles, per-group weights pre-dequantized to
-  // level-1 codes, epilogue constants inline. Every apply() — a decode step
-  // or a whole stacked prefill — reuses the tiles via the blocked GEMM
-  // driver instead of re-dequantizing weight rows per call, and the
-  // quantization-time structs are dropped after packing to avoid holding
-  // the weights twice.
-  PackedGemmB packed_;
-  // Tensor-parallel form: per-shard slice packs (and no packed_). Each
-  // shard's tiles were interleaved once at construction from its own slice.
-  std::vector<PackedGemmB> shard_packs_;
+  std::vector<PackSlice> slices_;
+  std::vector<PackedGemmB> packs_;  // INT8-path schemes: one per slice
 };
 
 // One sequence's slice of a batched engine step: `tokens` are appended to
@@ -155,30 +154,32 @@ class QuantizedModel {
   QuantizedModel(const ModelWeights& weights, const QuantSchemeConfig& cfg,
                  const TpConfig& tp);
 
-  // Stateless full-sequence forward (allocates a scratch KV sequence).
+  // Stateless full-sequence forward: logits of every position
+  // ([|tokens|, vocab]) through a scratch KV sequence, released on return
+  // and on a throw.
   Tensor forward(const std::vector<int>& tokens);
 
-  // Streaming interface for the serving engine.
+  // Streaming interface for the serving engine. Every call taking a `seq`
+  // handle throws CheckError unless it names a live sequence.
   int begin_sequence();                       // KV sequence handle
   void end_sequence(int seq);
-  // Prefill `tokens`, return logits of the last position ([vocab]).
+  // Single-chunk wrappers over forward_step(), validated the same way.
+  // prefill() appends `tokens` at the sequence's current position;
+  // prefill_chunk() additionally requires `pos0` to equal it (the engine
+  // tracks it per request) — a chunked prompt is bitwise identical to a
+  // monolithic prefill, since every GEMM row, norm, and attention score is
+  // per position and the causal mask offsets against the cached prefix.
+  // decode_step() appends one token. Each returns the logits of the last
+  // appended position ([vocab]).
   Tensor prefill(int seq, const std::vector<int>& tokens);
-  // Chunked prefill: run one slice of a prompt whose first `pos0` tokens are
-  // already in the cache. `pos0` must equal the sequence's current position
-  // (the engine tracks it per request). Per-token outputs are bitwise
-  // identical to a monolithic prefill of the whole prompt — every GEMM row,
-  // norm, and attention score is computed per position, and the causal mask
-  // offsets against the cached prefix. Returns logits of the chunk's last
-  // position ([vocab]); only the final chunk's logits are sampled.
   Tensor prefill_chunk(int seq, const std::vector<int>& tokens, int pos0);
-  // Decode one token given the previous one; returns logits [vocab].
   Tensor decode_step(int seq, int token);
-  // Batched step executor: run every chunk's rows through the block stack in
-  // ONE stacked forward — a single GEMM call per projection per layer covers
-  // all decode tokens and prefill-chunk tokens of the step (per-token
-  // activation quantization is row-wise, so stacking changes no numerics).
-  // Only attention fans out per-sequence against the paged KV cache, and KV
-  // appends use the cache's batched scatter. Returns
+  // The model's one forward: run every chunk's rows through the block stack
+  // in ONE stacked forward — a single GEMM call per projection, layer and
+  // shard covers all decode tokens and prefill-chunk tokens of the step
+  // (per-token activation quantization is row-wise, so stacking changes no
+  // numerics). Only KV appends and attention fan out per sequence against
+  // the paged KV cache. Returns
   // [total_logit_rows(), vocab] logits: chunks contribute their trailing
   // `logit_rows` positions, in chunk order, positions ascending within a
   // chunk (logit_rows = 0 chunks contribute nothing and skip the LM head).
@@ -232,23 +233,24 @@ class QuantizedModel {
   // block stack (KV append + QK/softmax/SV, both the batched decode executor
   // and the prefill gather path).
   double attention_seconds() const { return attention_seconds_; }
-  // How many batched_fused_decode_attention dispatches ran (one per layer
-  // per step that carries at least one single-row span; one per SHARD per
-  // layer under tensor parallelism, since each shard dispatches its own
-  // head range) and how many sequence-items they covered in total — a step
-  // with d decode rows adds d * n_layers items regardless of shard count,
-  // never a per-sequence fan-out.
+  // How many batched_fused_decode_attention dispatches ran (one per shard
+  // per layer of every step that carries at least one single-row span —
+  // each shard dispatches its own head range) and how many sequence-items
+  // they covered in total — a step with d decode rows adds d * n_layers
+  // items regardless of shard count, never a per-sequence fan-out.
   int64_t batched_attention_calls() const { return batched_attention_calls_; }
   int64_t decode_attention_items() const { return decode_attention_items_; }
 
-  // Tensor-parallel observability. tp_shards() is the resolved shard count
-  // (1 = single-shard execution, the classic path). tp_comm_seconds() is the
-  // cumulative wall time spent at the reduction boundaries — the concat of
-  // column-parallel output slices and the all-reduce + epilogue of
-  // row-parallel partials — i.e. the time a multi-device deployment would
-  // spend in collectives. tp_shard_max/mean_seconds() accumulate, per shard
-  // region, the slowest shard's wall time and the mean shard wall time;
-  // their ratio is the shard-imbalance factor EngineStats reports.
+  // Tensor-parallel observability. tp_shards() is the resolved shard count S
+  // the executor runs every layer at; S = 1 is its degenerate case, not a
+  // separate path. tp_comm_seconds() is the cumulative wall time spent at
+  // the reduction boundaries — the concat of column-parallel output slices
+  // and the all-reduce + epilogue of row-parallel partials — i.e. the time a
+  // multi-device deployment would spend in collectives.
+  // tp_shard_max/mean_seconds() accumulate, per shard region, the slowest
+  // shard's wall time and the mean shard wall time; their ratio is the
+  // shard-imbalance factor EngineStats reports. At S = 1 there are no
+  // boundaries and no shards to balance, so all three stay 0.
   int tp_shards() const { return tp_; }
   double tp_comm_seconds() const { return tp_comm_seconds_; }
   double tp_shard_max_seconds() const { return tp_shard_max_seconds_; }
@@ -268,45 +270,61 @@ class QuantizedModel {
     int64_t n;
   };
 
-  // Run the block stack over a chunk of tokens starting at `pos0`; returns
-  // hidden states [n, hidden]. Appends K/V to `seq`'s cache. Thin wrapper
-  // over the batched executor with a single span.
-  Tensor run_blocks(int seq, const Tensor& embedded, int pos0);
-  // The shared executor: `embedded` stacks every span's rows; positions[r]
-  // is row r's absolute position. GEMMs/norms/activations run on the whole
-  // stack; KV append + attention fan out per span.
-  Tensor run_blocks_batched(const std::vector<SeqSpan>& spans,
-                            const Tensor& embedded,
-                            const std::vector<int>& positions);
-  // Tensor-parallel executor (tp_ > 1): same contract, same bits. Each layer
-  // runs five run_sharded regions — QKV+RoPE slices, KV writes + sharded
-  // attention, o_proj partials, gate/up+SwiGLU slices, down partials — with
-  // centrally-timed concat / all-reduce boundaries between them.
-  Tensor run_blocks_batched_tp(const std::vector<SeqSpan>& spans,
-                               const Tensor& embedded,
-                               const std::vector<int>& positions);
   struct SeqState;  // defined below with the data members
-  // Multi-row span attention against the paged cache: full-attention spans
+  // The one layer loop: `x` stacks every span's embedded rows; positions[r]
+  // is row r's absolute position. Norms, activation quantization and the
+  // concat / all-reduce boundaries run on the whole stack; each layer's five
+  // shard regions — QKV + RoPE, KV write + attention, o_proj partials,
+  // gate/up + SwiGLU, down partials — run one body per shard, where KV
+  // append and attention fan out per span. At S = 1 the single region body
+  // runs inline on the caller's full pool, concats move, and row-parallel
+  // projections run the fused GEMM epilogue.
+  Tensor run_layers(const std::vector<SeqSpan>& spans, Tensor x,
+                    const std::vector<int>& positions);
+  // Shard s's attention region of layer `li`: writes its KV head range of
+  // every span's rows at the reserved positions pos0[i], then attends its
+  // query heads — single-row spans through one batched decode dispatch,
+  // multi-row spans through span_attention. Returns [rows, shard q width].
+  Tensor shard_attention(size_t li, int s, const std::vector<SeqSpan>& spans,
+                         const std::vector<int64_t>& pos0,
+                         const std::vector<int>& positions, const Tensor& q,
+                         const Tensor& k, const Tensor& v);
+  // Multi-row span attention against the paged cache over KV heads
+  // [kh0, kh1) with the matching head-sliced config: full-attention spans
   // gather every cached K/V row and run attention_prefill; windowed spans
   // gather only the visible rows (sinks + retained tail) and run
-  // attention_prefill_windowed. [kh0, kh1) selects the KV head range — TP
-  // shards pass their slice together with a head-sliced AttentionConfig;
-  // the single-shard path passes the full range. `s_total` is the sequence
-  // length after the span's rows were appended.
+  // attention_prefill_windowed. `s_total` is the sequence length after the
+  // span's rows were appended.
   Tensor span_attention(int lseq, const SeqState& st, const Tensor& qspan,
                         int64_t s_total, const AttentionConfig& acfg, int kh0,
                         int kh1) const;
+  // Run fn(s) for every shard (run_sharded); multi-shard regions fold their
+  // per-shard wall times into the imbalance accumulators.
+  void run_shards(const std::function<void(int)>& fn);
+  // Column-parallel boundary: the shards' column slices, in shard order,
+  // joined into full rows. One shard's slice already is the full matrix and
+  // moves; more are copied, timed as comm.
+  Tensor concat_shards(std::vector<Tensor>& parts);
+  // Row-parallel projection of `x`: one shard runs the full pack with the
+  // fused GEMM epilogue; S shards accumulate their k-slices' INT32 partials
+  // and the fixed-tree all-reduce (timed as comm) feeds the same epilogue.
+  Tensor row_parallel(const QuantizedLinear& w, const LinearInput& x);
   Tensor logits_from_hidden(const Tensor& h) const;
-  // Fold one shard region's per-shard wall times into the imbalance
-  // accumulators.
-  void note_shard_times(const std::vector<double>& seconds);
+  // The state of live sequence `seq`; CheckError for any other handle.
+  const SeqState& live_seq(int seq) const;
+  SeqState& live_seq(int seq);
+  // Install a full-attention sequence over the given per-layer cache
+  // sequences, next append at `next_pos`, in the first free slot (a dead
+  // one, else a new one); returns its handle.
+  int add_sequence(std::vector<int> layer_seqs, int64_t next_pos);
 
-  // One shard's slice of every per-layer dimension. KV head ranges are
-  // contiguous and near-even (feasibility caps shards at n_kv_heads); query
-  // head ranges are the KV range times the GQA group, so a KV head's whole
-  // query group lives on one shard; the FFN partition slices ffn_dim with
-  // granularity 1; the o_proj/down k-slices are the matching near-even input
-  // splits (head-layout-unaligned bounds are fine — pack_gemm_b_slice looks
+  // One shard's slice of every per-layer dimension; at S = 1 the one shard
+  // covers every dimension whole. KV head ranges are contiguous and
+  // near-even (feasibility caps shards at n_kv_heads); query head ranges are
+  // the KV range times the GQA group, so a KV head's whole query group lives
+  // on one shard; the FFN partition slices ffn_dim with granularity 1; the
+  // o_proj/down k-slices are the matching near-even input splits
+  // (head-layout-unaligned bounds are fine — pack_gemm_b_slice looks
   // metadata up at absolute indices).
   struct TpShard {
     int kh0 = 0, kh1 = 0;      // KV head range [kh0, kh1)
@@ -322,12 +340,14 @@ class QuantizedModel {
   AttentionConfig attn_cfg_;
   int tp_ = 1;
   std::vector<TpShard> tp_plan_;
-  double attention_seconds_ = 0.0;
-  double tp_comm_seconds_ = 0.0;
-  double tp_shard_max_seconds_ = 0.0;
-  double tp_shard_mean_seconds_ = 0.0;
-  int64_t batched_attention_calls_ = 0;
-  int64_t decode_attention_items_ = 0;
+  // Atomic: forwards of distinct sequences may run concurrently (the
+  // engine's per-request path fans them out over the thread pool).
+  std::atomic<double> attention_seconds_{0.0};
+  std::atomic<double> tp_comm_seconds_{0.0};
+  std::atomic<double> tp_shard_max_seconds_{0.0};
+  std::atomic<double> tp_shard_mean_seconds_{0.0};
+  std::atomic<int64_t> batched_attention_calls_{0};
+  std::atomic<int64_t> decode_attention_items_{0};
   Tensor embedding_;
   std::vector<QLayer> layers_;
   Tensor ln_final_;
@@ -338,7 +358,7 @@ class QuantizedModel {
     std::vector<int> layer_seqs;
     int64_t next_pos = 0;
     // Sliding-window attention parameters (0 = full attention); mirrors the
-    // per-layer cache state so the executors can route multi-row spans to
+    // per-layer cache state so the executor can route multi-row spans to
     // the windowed gather/prefill path without a cache query.
     int64_t sink = 0;
     int64_t window = 0;

@@ -260,6 +260,9 @@ const ModelWeights& toy_weights() {
 
 TEST(BatchedAttentionExecutor, OneDispatchPerLayerPerStep) {
   QuantizedModel m(toy_weights(), QuantSchemeConfig::qserve_w4a8kv4_g128());
+  // Each shard dispatches its own head range: one dispatch per shard per
+  // layer (QSERVE_TP_SHARDS picks the shard count).
+  const int n_dispatch = m.config().n_layers * m.tp_shards();
   const int n_layers = m.config().n_layers;
 
   std::vector<int> seqs;
@@ -272,18 +275,18 @@ TEST(BatchedAttentionExecutor, OneDispatchPerLayerPerStep) {
   EXPECT_EQ(0, m.batched_attention_calls());
   EXPECT_GT(m.attention_seconds(), 0.0);
 
-  // One step with 3 decode rows: exactly one batched dispatch per layer
-  // covering all 3 sequences — never a per-sequence fan-out.
+  // One step with 3 decode rows: exactly one batched dispatch per layer and
+  // shard covering all 3 sequences — never a per-sequence fan-out.
   BatchedStep step;
   for (const int s : seqs)
     step.chunks.push_back({s, {7}, static_cast<int>(m.seq_pos(s)), 1});
   m.forward_step(step);
-  EXPECT_EQ(n_layers, m.batched_attention_calls());
+  EXPECT_EQ(n_dispatch, m.batched_attention_calls());
   EXPECT_EQ(int64_t(3) * n_layers, m.decode_attention_items());
 
   // A lone decode_step still goes through the batched executor (1 item).
   m.decode_step(seqs[0], 9);
-  EXPECT_EQ(2 * n_layers, m.batched_attention_calls());
+  EXPECT_EQ(2 * n_dispatch, m.batched_attention_calls());
   EXPECT_EQ(int64_t(3 + 1) * n_layers, m.decode_attention_items());
 }
 

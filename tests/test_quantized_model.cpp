@@ -173,6 +173,52 @@ TEST(QuantizedModel, EndSequenceReleasesKvPages) {
   EXPECT_EQ(qm.kv_cache().pages_in_use(), 0);
 }
 
+TEST(QuantizedModel, SequenceHandlesAreChecked) {
+  // Every call taking a sequence handle rejects one that names no live
+  // sequence: below range, one past the last slot, or already ended.
+  const auto& f = fixture();
+  QuantizedModel qm(f.weights, QuantSchemeConfig::qserve_w4a8kv4_g128());
+  const int live = qm.begin_sequence();
+  const int ended = qm.begin_sequence();
+  qm.end_sequence(ended);
+  const int past_end = ended + 1;  // the model holds two sequence slots
+  for (const int bad : {-1, past_end, ended}) {
+    SCOPED_TRACE(bad);
+    EXPECT_THROW(qm.seq_pos(bad), CheckError);
+    EXPECT_THROW(qm.end_sequence(bad), CheckError);
+    EXPECT_THROW(qm.truncate_sequence(bad, 0), CheckError);
+    EXPECT_THROW(qm.fork_sequence(bad, 0), CheckError);
+    EXPECT_THROW(qm.set_sequence_window(bad, 0, 64, 16), CheckError);
+    EXPECT_THROW(qm.sequence_page_generations(bad), CheckError);
+    EXPECT_THROW(qm.sequence_shared_pages(bad), CheckError);
+    EXPECT_THROW(qm.prefill(bad, {1}), CheckError);
+    EXPECT_THROW(qm.prefill_chunk(bad, {1}, 0), CheckError);
+    EXPECT_THROW(qm.decode_step(bad, 1), CheckError);
+  }
+  EXPECT_EQ(qm.seq_pos(live), 0);
+  qm.end_sequence(live);
+  EXPECT_EQ(qm.kv_cache().pages_in_use(), 0);
+}
+
+TEST(QuantizedModel, EveryEntryPointRejectsOutOfVocabTokens) {
+  const auto& f = fixture();
+  QuantizedModel qm(f.weights, QuantSchemeConfig::qserve_w4a8kv4_g128());
+  const int vocab = static_cast<int>(qm.config().vocab);
+  const int seq = qm.begin_sequence();
+  for (const int bad : {vocab + 5, vocab, -1}) {
+    SCOPED_TRACE(bad);
+    EXPECT_THROW(qm.prefill(seq, {1, bad}), CheckError);
+    EXPECT_THROW(qm.prefill_chunk(seq, {bad}, 0), CheckError);
+    EXPECT_THROW(qm.decode_step(seq, bad), CheckError);
+    EXPECT_THROW(qm.forward({1, bad}), CheckError);
+    EXPECT_EQ(qm.seq_pos(seq), 0);
+    EXPECT_EQ(qm.kv_cache().pages_in_use(), 0);
+  }
+  // forward() released its scratch sequence on every throw, so the next
+  // handle reuses that slot instead of growing past leaked ones.
+  EXPECT_EQ(qm.begin_sequence(), seq + 1);
+}
+
 TEST(QuantizedModel, NaiveLevel1RangeDegradesVsProtective) {
   // Using the full [-127,127] level-1 range without saturation is exactly
   // the overflow hazard; our kernel clamps in debug but the codes degrade.

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <utility>
 
 #include "common/parallel.h"
 #include "common/rng.h"
@@ -60,48 +61,62 @@ std::vector<std::vector<int>> run_engine(const Workload& w,
 TEST(QuantizedModel, ForwardStepMatchesSequentialCallsBitwise) {
   // One batched step mixing two decode rows and two prefill chunks must
   // reproduce the logits AND the KV state of per-sequence prefill_chunk /
-  // decode_step calls exactly.
+  // decode_step calls exactly, under every weight/activation/KV scheme.
   const auto& f = fixture();
-  QuantizedModel seq_m(f.weights, QuantSchemeConfig::qserve_w4a8kv4_g128());
-  QuantizedModel bat_m(f.weights, QuantSchemeConfig::qserve_w4a8kv4_g128());
+  const std::pair<const char*, QuantSchemeConfig> schemes[] = {
+      {"qserve_w4a8kv4_g128", QuantSchemeConfig::qserve_w4a8kv4_g128()},
+      {"qserve_w4a8kv4_per_channel",
+       QuantSchemeConfig::qserve_w4a8kv4_per_channel()},
+      {"trt_w8a8", QuantSchemeConfig::trt_w8a8()},
+      {"trt_w4a16", QuantSchemeConfig::trt_w4a16()},
+      {"atom_w4a4", QuantSchemeConfig::atom_w4a4()},
+      {"fp16", QuantSchemeConfig::fp16()},
+  };
+  for (const auto& [name, scheme] : schemes) {
+    SCOPED_TRACE(name);
+    QuantizedModel seq_m(f.weights, scheme);
+    QuantizedModel bat_m(f.weights, scheme);
 
-  const std::vector<int> ctx_a = {3, 1, 4, 1, 5}, ctx_b = {9, 2, 6};
-  const std::vector<int> pre_c = {2, 7, 1, 8, 2, 8}, pre_d = {11, 13};
+    const std::vector<int> ctx_a = {3, 1, 4, 1, 5}, ctx_b = {9, 2, 6};
+    const std::vector<int> pre_c = {2, 7, 1, 8, 2, 8}, pre_d = {11, 13};
 
-  // Sequences a/b are mid-decode (context prefilled); c/d start prefilling.
-  int sa = seq_m.begin_sequence(), sb = seq_m.begin_sequence(),
-      sc = seq_m.begin_sequence(), sd = seq_m.begin_sequence();
-  int ba = bat_m.begin_sequence(), bb = bat_m.begin_sequence(),
-      bc = bat_m.begin_sequence(), bd = bat_m.begin_sequence();
-  seq_m.prefill(sa, ctx_a);
-  seq_m.prefill(sb, ctx_b);
-  bat_m.prefill(ba, ctx_a);
-  bat_m.prefill(bb, ctx_b);
+    // Sequences a/b are mid-decode (context prefilled); c/d start
+    // prefilling.
+    int sa = seq_m.begin_sequence(), sb = seq_m.begin_sequence(),
+        sc = seq_m.begin_sequence(), sd = seq_m.begin_sequence();
+    int ba = bat_m.begin_sequence(), bb = bat_m.begin_sequence(),
+        bc = bat_m.begin_sequence(), bd = bat_m.begin_sequence();
+    seq_m.prefill(sa, ctx_a);
+    seq_m.prefill(sb, ctx_b);
+    bat_m.prefill(ba, ctx_a);
+    bat_m.prefill(bb, ctx_b);
 
-  const Tensor la = seq_m.decode_step(sa, 42);
-  const Tensor lb = seq_m.decode_step(sb, 17);
-  const Tensor lc = seq_m.prefill_chunk(sc, pre_c, 0);
-  const Tensor ld = seq_m.prefill_chunk(sd, pre_d, 0);
+    const Tensor la = seq_m.decode_step(sa, 42);
+    const Tensor lb = seq_m.decode_step(sb, 17);
+    const Tensor lc = seq_m.prefill_chunk(sc, pre_c, 0);
+    const Tensor ld = seq_m.prefill_chunk(sd, pre_d, 0);
 
-  BatchedStep step;
-  step.chunks.push_back({ba, {42}, 5});
-  step.chunks.push_back({bb, {17}, 3});
-  step.chunks.push_back({bc, pre_c, 0});
-  step.chunks.push_back({bd, pre_d, 0});
-  const Tensor batched = bat_m.forward_step(step);
+    BatchedStep step;
+    step.chunks.push_back({ba, {42}, 5});
+    step.chunks.push_back({bb, {17}, 3});
+    step.chunks.push_back({bc, pre_c, 0});
+    step.chunks.push_back({bd, pre_d, 0});
+    const Tensor batched = bat_m.forward_step(step);
 
-  ASSERT_EQ(batched.rows(), 4);
-  const Tensor* expect[] = {&la, &lb, &lc, &ld};
-  for (int i = 0; i < 4; ++i)
-    for (int64_t v = 0; v < batched.cols(); ++v)
-      ASSERT_EQ(batched.at2(i, v), (*expect[i])[v]) << "chunk " << i;
+    ASSERT_EQ(batched.rows(), 4);
+    const Tensor* expect[] = {&la, &lb, &lc, &ld};
+    for (int i = 0; i < 4; ++i)
+      for (int64_t v = 0; v < batched.cols(); ++v)
+        ASSERT_EQ(batched.at2(i, v), (*expect[i])[v]) << "chunk " << i;
 
-  // The KV state written by the batched scatter must continue identically.
-  const Tensor na = seq_m.decode_step(sa, 100);
-  BatchedStep next;
-  next.chunks.push_back({ba, {100}, 6});
-  const Tensor nb = bat_m.forward_step(next);
-  for (int64_t v = 0; v < na.numel(); ++v) ASSERT_EQ(nb.at2(0, v), na[v]);
+    // The KV state written by the batched scatter must continue
+    // identically.
+    const Tensor na = seq_m.decode_step(sa, 100);
+    BatchedStep next;
+    next.chunks.push_back({ba, {100}, 6});
+    const Tensor nb = bat_m.forward_step(next);
+    for (int64_t v = 0; v < na.numel(); ++v) ASSERT_EQ(nb.at2(0, v), na[v]);
+  }
 }
 
 TEST(QuantizedModel, ForwardStepValidatesChunks) {

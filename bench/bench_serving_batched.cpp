@@ -1,10 +1,13 @@
 // Batched step executor vs per-request execution: decode throughput and
-// time-to-first-token at batch 1 / 4 / 16 on the real CPU engine.
+// time-to-first-token at batch 1 / 4 / 16.
 //
-// The sequential path runs one forward call per request — every decode GEMM
-// at m=1, the memory/unpack-bound regime. The batched path lowers the whole
-// StepPlan into one forward_step, so each projection GEMM sees all the step's
-// rows at once and reuses every unpacked weight tile across them.
+// The sequential side is a model-level per-request loop: one prefill() per
+// request, then rounds of one decode_step() per request — every decode GEMM
+// at m=1, the memory/unpack-bound regime. The batched side is the serving
+// engine, which lowers the whole StepPlan into one forward_step, so each
+// projection GEMM sees all the step's rows at once and reuses every unpacked
+// weight tile across them. Both sides decode greedily, and the bench fails
+// unless their token streams are identical.
 //
 // Invoked with `--json <path>` it writes regression records for
 // bench/check_regression.py. Serving rows reuse the GemmBenchRecord schema
@@ -51,32 +54,77 @@ struct RunResult {
   double decode_seconds = 0;
   double ttft_ms = 0;  // mean wall-clock first-token latency
   int64_t decode_tokens = 0;
-  int64_t peak_batch_tokens = 0;
+  std::vector<std::vector<int>> streams;
 };
 
-RunResult run(const ModelWeights& weights, int batch, bool batched_step) {
+std::vector<int> prompt_for(int request) {
+  std::vector<int> prompt;
+  for (int t = 0; t < kPromptLen; ++t)
+    prompt.push_back((31 * t + request) % 512);
+  return prompt;
+}
+
+int argmax(const float* logits, int64_t vocab) {
+  int64_t best = 0;
+  for (int64_t v = 1; v < vocab; ++v)
+    if (logits[v] > logits[best]) best = v;
+  return static_cast<int>(best);
+}
+
+double ms_since(std::chrono::steady_clock::time_point t0) {
+  return std::chrono::duration<double, std::milli>(
+             std::chrono::steady_clock::now() - t0)
+      .count();
+}
+
+// Per-request model-level loop. A round of prefills (every request's first
+// token lands when the round ends, like the engine's one prefill step), then
+// kMaxNew - 1 rounds of one decode_step per request.
+RunResult run_sequential(const ModelWeights& weights, int batch) {
+  QuantizedModel model(weights, QuantSchemeConfig::qserve_w4a8kv4_g128());
+  const int64_t vocab = model.config().vocab;
+  std::vector<int> seqs;
+  RunResult r;
+  r.streams.resize(static_cast<size_t>(batch));
+  const auto t0 = std::chrono::steady_clock::now();
+  for (int i = 0; i < batch; ++i) {
+    seqs.push_back(model.begin_sequence());
+    const Tensor logits = model.prefill(seqs.back(), prompt_for(i));
+    r.streams[size_t(i)].push_back(argmax(logits.data(), vocab));
+  }
+  r.ttft_ms = ms_since(t0);
+  const auto td = std::chrono::steady_clock::now();
+  for (int step = 1; step < kMaxNew; ++step) {
+    for (int i = 0; i < batch; ++i) {
+      std::vector<int>& stream = r.streams[size_t(i)];
+      const Tensor logits = model.decode_step(seqs[size_t(i)], stream.back());
+      stream.push_back(argmax(logits.data(), vocab));
+    }
+  }
+  r.decode_seconds = ms_since(td) / 1e3;
+  r.decode_tokens = int64_t(batch) * (kMaxNew - 1);
+  r.decode_tokens_per_second = double(r.decode_tokens) / r.decode_seconds;
+  for (int seq : seqs) model.end_sequence(seq);
+  return r;
+}
+
+RunResult run_batched(const ModelWeights& weights, int batch) {
   QuantizedModel model(weights, QuantSchemeConfig::qserve_w4a8kv4_g128());
   EngineConfig cfg;
   cfg.scheduler.max_batch = batch;
   // One chunk covers every prompt: step 1 is pure prefill (TTFT), the rest
   // are pure decode steps, so the decode split is uncontaminated.
   cfg.scheduler.prefill_chunk = 1 << 12;
-  cfg.batched_step = batched_step;
   ServingEngine engine(&model, cfg);
 
   std::vector<int> ids;
-  for (int i = 0; i < batch; ++i) {
-    std::vector<int> prompt;
-    for (int t = 0; t < kPromptLen; ++t) prompt.push_back((31 * t + i) % 512);
-    ids.push_back(engine.submit(prompt, kMaxNew));
-  }
+  for (int i = 0; i < batch; ++i)
+    ids.push_back(engine.submit(prompt_for(i), kMaxNew));
 
   std::vector<double> first_ms(ids.size(), -1);
   const auto t0 = std::chrono::steady_clock::now();
   while (engine.step()) {
-    const double ms = std::chrono::duration<double, std::milli>(
-                          std::chrono::steady_clock::now() - t0)
-                          .count();
+    const double ms = ms_since(t0);
     for (size_t i = 0; i < ids.size(); ++i)
       if (first_ms[i] < 0 && engine.request(ids[i]).first_token_step >= 0)
         first_ms[i] = ms;
@@ -87,8 +135,8 @@ RunResult run(const ModelWeights& weights, int batch, bool batched_step) {
   r.decode_tokens = stats.decode_tokens;
   r.decode_seconds = stats.decode_seconds;
   r.decode_tokens_per_second = stats.decode_tokens_per_second;
-  r.peak_batch_tokens = stats.peak_batch_tokens;
   for (double ms : first_ms) r.ttft_ms += ms / double(first_ms.size());
+  for (int id : ids) r.streams.push_back(engine.request(id).generated);
   return r;
 }
 
@@ -111,8 +159,15 @@ int run_suite(const std::string& json_path) {
       RunResult seq, bat;
       // Best-of-3: engine runs are deterministic, wall clock is not.
       for (int rep = 0; rep < 3; ++rep) {
-        const RunResult s = run(weights, batch, /*batched_step=*/false);
-        const RunResult b = run(weights, batch, /*batched_step=*/true);
+        const RunResult s = run_sequential(weights, batch);
+        const RunResult b = run_batched(weights, batch);
+        if (s.streams != b.streams) {
+          std::fprintf(stderr,
+                       "FAIL: engine streams differ from the per-request "
+                       "model-level loop (isa=%s batch=%d)\n",
+                       cpu::isa_name(isa), batch);
+          return 1;
+        }
         if (s.decode_tokens_per_second > seq.decode_tokens_per_second)
           seq = s;
         if (b.decode_tokens_per_second > bat.decode_tokens_per_second)

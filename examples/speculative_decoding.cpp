@@ -70,7 +70,7 @@ int main() {
   std::printf("speculative engine: %lld steps (%lld verify steps), "
               "decode %.1f tok/s\n",
               static_cast<long long>(spec_stats.steps),
-              static_cast<long long>(spec_stats.speculative_steps),
+              static_cast<long long>(spec_stats.verify_steps),
               spec_stats.decode_tokens_per_second);
   std::printf("  proposed %lld draft tokens, accepted %lld "
               "(acceptance %.0f%%)\n",

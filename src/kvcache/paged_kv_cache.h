@@ -6,13 +6,21 @@
 // updates them on the fly — the requirement for KV4 accuracy. This module is
 // the storage substrate; the fused attention numerics (FP16 accumulation)
 // live in kernels/attention.h and consume the dequantized gather.
-// Threading contract: the serving engine fans out prefill/decode across
-// requests, so append/read/gather on *distinct* sequences may run
-// concurrently — pool bookkeeping (page allocation, free lists, usage
-// counters) is guarded by an internal mutex, and page/sequence storage is
-// reference-stable (std::deque). Operations on the *same* sequence, and the
-// sequence lifecycle (alloc_sequence/free_sequence) relative to uses of that
-// sequence, must still be serialized by the caller.
+// Threading contract: one batched forward touches many sequences at once —
+// pool workers write each span's reserved slots and gather/attend over
+// distinct sequences, tensor-parallel shards write disjoint head ranges of
+// the same reserved slots (append_write_heads) and take their own views from
+// their own threads, and batched decode attention reads every sequence's
+// pages in one region. So append/read/gather on *distinct* sequences may run
+// concurrently: pool bookkeeping (page allocation, free lists, refcounts,
+// usage counters) is guarded by an internal mutex — which also orders the
+// structural mutations (copy-on-write, ring recycling, and the
+// truncate_sequence of a speculative rollback) against other sequences'
+// views — and page/sequence storage is reference-stable (std::deque).
+// Operations on the *same* sequence (other than disjoint-head writes of
+// already-reserved slots), and the sequence lifecycle (alloc_sequence/
+// free_sequence) relative to uses of that sequence, must still be
+// serialized by the caller.
 #pragma once
 
 #include <atomic>

@@ -340,8 +340,10 @@ class QuantizedModel {
   AttentionConfig attn_cfg_;
   int tp_ = 1;
   std::vector<TpShard> tp_plan_;
-  // Atomic: forwards of distinct sequences may run concurrently (the
-  // engine's per-request path fans them out over the thread pool).
+  // Atomic, so the model keeps the KV cache's distinct-sequence contract:
+  // forwards of distinct sequences may run concurrently on one model. The
+  // serving engine issues one batched forward per step, and within a forward
+  // these are written on the calling thread, outside the shard regions.
   std::atomic<double> attention_seconds_{0.0};
   std::atomic<double> tp_comm_seconds_{0.0};
   std::atomic<double> tp_shard_max_seconds_{0.0};

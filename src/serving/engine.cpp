@@ -7,7 +7,6 @@
 
 #include "common/fault_injection.h"
 #include "common/math_util.h"
-#include "common/parallel.h"
 
 namespace qserve {
 
@@ -37,14 +36,6 @@ const EngineConfig& validated(const QuantizedModel* model,
   return cfg;
 }
 
-// The scheduler must reserve the verify forward's full k+1-token peak per
-// decoding request, not the post-rollback footprint.
-SchedulerConfig scheduler_config(const EngineConfig& cfg, bool speculative) {
-  SchedulerConfig s = cfg.scheduler;
-  if (speculative) s.decode_tokens_per_step = cfg.speculative.lookahead_k + 1;
-  return s;
-}
-
 // Context token at absolute position p: the prompt, then the generated
 // stream (what a resumed or draft-catch-up chunk replays).
 int context_token(const Request& r, int64_t p) {
@@ -55,15 +46,13 @@ int context_token(const Request& r, int64_t p) {
 
 }  // namespace
 
-// One request's prefill share for this step: its materialized token slice
-// and, once the forward ran, the logits of the chunk's last position (null
-// for a mid-prompt chunk that samples nothing).
+// One request's prefill share for this step: its materialized token slice,
+// and whether it completes the request's prefill (and so samples a token
+// from the logits of its last position).
 struct ServingEngine::ChunkJob {
   Request* req = nullptr;
   std::vector<int> tokens;
   bool completes_prefill = false;
-  Tensor logits;               // per-request path: owned storage
-  const float* out = nullptr;  // logits of the chunk's last position
 };
 
 ServingEngine::ServingEngine(QuantizedModel* model, const EngineConfig& cfg)
@@ -72,13 +61,12 @@ ServingEngine::ServingEngine(QuantizedModel* model, const EngineConfig& cfg)
 ServingEngine::ServingEngine(QuantizedModel* model, QuantizedModel* draft,
                              const EngineConfig& cfg)
     : model_(model), draft_(draft), cfg_(validated(model, draft, cfg)),
-      scheduler_(scheduler_config(cfg, draft != nullptr),
-                 model->kv_cache().config().page_size,
-                 model->config().n_layers),
+      verify_span_(draft != nullptr ? cfg.speculative.lookahead_k + 1 : 1),
+      window_slack_(std::max<int64_t>(cfg.scheduler.prefill_chunk,
+                                      verify_span_)),
+      scheduler_(cfg.scheduler, model->kv_cache().config().page_size,
+                 model->config().n_layers, verify_span_),
       rng_(cfg.sample_seed) {
-  const SchedulerConfig sc = scheduler_config(cfg, draft != nullptr);
-  window_slack_ = std::max<int64_t>(sc.prefill_chunk,
-                                    sc.decode_tokens_per_step);
   if (cfg_.prefix_caching) {
     QS_CHECK_MSG(cfg_.prefix_cache_max_entries >= 1,
                  "prefix_cache_max_entries must be >= 1 when caching is on");
@@ -116,8 +104,12 @@ int ServingEngine::submit_impl(std::vector<int> prompt,
   // caps so an unservable request is reported as kRejected, not shed.
   const KvCacheConfig& kv = model_->kv_cache().config();
   const char* reject = nullptr;
+  const int64_t vocab = model_->config().vocab;
   if (prompt.empty()) {
     reject = "empty prompt";
+  } else if (std::any_of(prompt.begin(), prompt.end(),
+                         [vocab](int t) { return t < 0 || t >= vocab; })) {
+    reject = "prompt token id outside the vocabulary";
   } else if (opts.max_new_tokens <= 0) {
     reject = "max_new_tokens must be >= 1";
   } else if (opts.n < 1) {
@@ -433,14 +425,13 @@ void ServingEngine::unpin_prefix(Request& r) {
 void ServingEngine::prefix_pressure_evict() {
   if (prefix_index_.size() == 0) return;
   const int64_t page = model_->kv_cache().config().page_size;
-  const int64_t decode_tokens =
-      speculative() ? cfg_.speculative.lookahead_k + 1
-                    : cfg_.scheduler.decode_tokens_per_step;
   // Conservative per-step need: every running request's peak decode append
-  // (+1 page for boundary crossing), a full prefill chunk, and one admission
-  // hold — if the pool can cover that, the cache is not in the way.
+  // (its verify span, +1 page for boundary crossing), a full prefill chunk,
+  // and one admission hold — if the pool can cover that, the cache is not in
+  // the way.
   const int64_t watermark =
-      (static_cast<int64_t>(running_.size()) * (ceil_div(decode_tokens, page) + 1) +
+      (static_cast<int64_t>(running_.size()) *
+           (ceil_div(static_cast<int64_t>(verify_span_), page) + 1) +
        ceil_div(static_cast<int64_t>(cfg_.scheduler.prefill_chunk), page) + 2) *
       model_->config().n_layers;
   while (model_->kv_cache().free_pages() < watermark) {
@@ -522,28 +513,8 @@ void ServingEngine::fault_preempt(const std::vector<Request*>& decodes,
                  running_.end());
 }
 
-void ServingEngine::lower_prefill_chunks(
-    BatchedStep& bstep, const std::vector<ChunkJob>& chunks,
-    int64_t next_logit_row, std::vector<int64_t>& chunk_logit_row) {
-  chunk_logit_row.assign(chunks.size(), -1);
-  for (size_t i = 0; i < chunks.size(); ++i) {
-    const ChunkJob& c = chunks[i];
-    bstep.chunks.push_back({c.req->seq_handle, c.tokens,
-                            static_cast<int>(c.req->prefill_pos),
-                            c.completes_prefill ? 1 : 0});
-    if (c.completes_prefill) chunk_logit_row[i] = next_logit_row++;
-  }
-}
-
-void ServingEngine::bind_chunk_logits(
-    std::vector<ChunkJob>& chunks, const std::vector<int64_t>& chunk_logit_row,
-    const Tensor& step_logits) {
-  for (size_t i = 0; i < chunks.size(); ++i)
-    if (chunk_logit_row[i] >= 0)
-      chunks[i].out = step_logits.row(chunk_logit_row[i]);
-}
-
-void ServingEngine::handle_prefill_result(Request& r, ChunkJob& c) {
+void ServingEngine::handle_prefill_result(Request& r, const ChunkJob& c,
+                                          const float* logits) {
   r.prefill_pos += static_cast<int64_t>(c.tokens.size());
   stats_.prefill_tokens += static_cast<int64_t>(c.tokens.size());
   if (r.prefill_pos < r.context_len()) return;  // more chunks to go
@@ -556,10 +527,10 @@ void ServingEngine::handle_prefill_result(Request& r, ChunkJob& c) {
   maybe_insert_prefix(r);
   const bool spawn = r.n_samples > 1 && r.sample_index == 0 &&
                      !r.forks_spawned && r.generated.empty();
-  deliver(r, sample(c.out, model_->config().vocab));
+  deliver(r, sample(logits, model_->config().vocab));
   if (spawn) {
     r.forks_spawned = true;
-    spawn_siblings(r, c.out);
+    spawn_siblings(r, logits);
   }
 }
 
@@ -602,74 +573,82 @@ std::vector<std::vector<int>> ServingEngine::propose_draft_tokens(
   return proposals;
 }
 
-void ServingEngine::run_speculative_step(const std::vector<Request*>& decodes,
-                                         std::vector<ChunkJob>& chunks) {
-  const int k = cfg_.speculative.lookahead_k;
+void ServingEngine::run_step(const std::vector<Request*>& decodes,
+                             const std::vector<ChunkJob>& chunks,
+                             int64_t decode_rows, int64_t prefill_rows) {
+  const int k = verify_span_ - 1;
   const int64_t vocab = model_->config().vocab;
 
-  // 1. Draft proposals. The draft is decode work: its wall time joins the
-  // decode split so speculative decode tok/s pays for the draft honestly.
-  std::vector<std::vector<int>> proposals;
-  if (!decodes.empty()) {
+  // 1. Draft proposals (speculative engines only; k = 0 proposes nothing).
+  // The draft is decode work: its wall time joins the decode split so
+  // speculative decode tok/s pays for the draft honestly.
+  std::vector<std::vector<int>> proposals(decodes.size());
+  if (speculative() && !decodes.empty()) {
     const auto td = std::chrono::steady_clock::now();
     proposals = propose_draft_tokens(decodes);
     stats_.decode_seconds += seconds_since(td);
   }
 
-  // 2. One batched target forward: every request's verify span (pending
-  // token + k draft candidates, logits at all k+1 positions) stacked with
-  // every prefill chunk (logits only where a sample will happen).
+  // 2. One batched target forward over every row of the step: each decoding
+  // request's verify span (pending token + k draft candidates, logits at all
+  // k+1 positions) stacked with every prefill chunk. Verify span i owns
+  // logit rows [i*(k+1), (i+1)*(k+1)); a completing prefill chunk follows
+  // with one row (its last position), and a mid-prompt chunk skips the LM
+  // head entirely.
   BatchedStep bstep;
   bstep.chunks.reserve(decodes.size() + chunks.size());
-  int64_t prefill_rows = 0;
   for (size_t i = 0; i < decodes.size(); ++i) {
     Request* r = decodes[i];
     StepSeqChunk c;
     c.seq = r->seq_handle;
     c.pos0 = static_cast<int>(model_->seq_pos(r->seq_handle));
-    c.tokens.reserve(static_cast<size_t>(k) + 1);
+    c.tokens.reserve(static_cast<size_t>(verify_span_));
     c.tokens.push_back(r->generated.back());
     c.tokens.insert(c.tokens.end(), proposals[i].begin(), proposals[i].end());
-    c.logit_rows = k + 1;
+    c.logit_rows = verify_span_;
     bstep.chunks.push_back(std::move(c));
   }
-  // Map each chunk to its row in the logits tensor: verify span i owns rows
-  // [i*(k+1), (i+1)*(k+1)); completing prefill chunks follow, one row each.
-  std::vector<int64_t> chunk_logit_row;
-  lower_prefill_chunks(bstep, chunks,
-                       static_cast<int64_t>(decodes.size()) * (k + 1),
-                       chunk_logit_row);
-  for (const ChunkJob& c : chunks)
-    prefill_rows += static_cast<int64_t>(c.tokens.size());
+  std::vector<int64_t> chunk_logit_row(chunks.size(), -1);
+  int64_t next_logit_row = decode_rows;
+  for (size_t i = 0; i < chunks.size(); ++i) {
+    const ChunkJob& c = chunks[i];
+    bstep.chunks.push_back({c.req->seq_handle, c.tokens,
+                            static_cast<int>(c.req->prefill_pos),
+                            c.completes_prefill ? 1 : 0});
+    if (c.completes_prefill) chunk_logit_row[i] = next_logit_row++;
+  }
   if (bstep.chunks.empty()) return;
 
-  const int64_t verify_rows = static_cast<int64_t>(decodes.size()) * (k + 1);
   const auto tf = std::chrono::steady_clock::now();
   const Tensor step_logits = model_->forward_step(bstep);
+  // One forward covers both work types; apportion its wall time by row count
+  // so the prefill/decode throughput split stays meaningful.
   const double dt = seconds_since(tf);
-  stats_.decode_seconds +=
-      dt * double(verify_rows) / double(verify_rows + prefill_rows);
-  stats_.prefill_seconds +=
-      dt * double(prefill_rows) / double(verify_rows + prefill_rows);
-  if (!decodes.empty()) ++stats_.speculative_steps;
-  bind_chunk_logits(chunks, chunk_logit_row, step_logits);
+  const double step_rows = double(decode_rows + prefill_rows);
+  stats_.decode_seconds += dt * double(decode_rows) / step_rows;
+  stats_.prefill_seconds += dt * double(prefill_rows) / step_rows;
+  if (!decodes.empty()) ++stats_.verify_steps;
 
   std::unordered_map<const Request*, size_t> verify_index;
   for (size_t i = 0; i < decodes.size(); ++i) verify_index.emplace(decodes[i], i);
-  std::unordered_map<const Request*, ChunkJob*> chunk_out;
-  for (ChunkJob& c : chunks) chunk_out.emplace(c.req, &c);
+  std::unordered_map<const Request*, size_t> chunk_index;
+  for (size_t i = 0; i < chunks.size(); ++i) chunk_index.emplace(chunks[i].req, i);
 
-  // 3. Acceptance, emission, and rollback — serial, in admission order,
-  // like every sampling loop in this engine.
+  // 3. Acceptance, emission, and rollback stay serial, in admission
+  // (running_) order, so the generated streams — and the RNG consumption
+  // order under temperature > 0 — are identical across thread counts, ISAs
+  // and shard counts.
   for (Request* r : running_) {
-    if (auto it = chunk_out.find(r); it != chunk_out.end()) {
-      handle_prefill_result(*r, *it->second);
+    if (auto it = chunk_index.find(r); it != chunk_index.end()) {
+      const int64_t row = chunk_logit_row[it->second];
+      handle_prefill_result(*r, chunks[it->second],
+                            row >= 0 ? step_logits.row(row) : nullptr);
     } else if (auto vit = verify_index.find(r); vit != verify_index.end()) {
-      const int64_t base = static_cast<int64_t>(vit->second) * (k + 1);
+      const int64_t base = static_cast<int64_t>(vit->second) * verify_span_;
       const std::vector<int>& prop = proposals[vit->second];
       // Longest prefix of draft tokens matching the target's own greedy
-      // argmax. Row j scored position pos0+j, i.e. the logits the baseline
-      // engine would have decoded after consuming prop[0..j-1].
+      // argmax. Row j scored position pos0+j, i.e. the logits a plain engine
+      // would have decoded after consuming prop[0..j-1].
       int accepted = 0;
       while (accepted < k &&
              sample(step_logits.row(base + accepted), vocab) ==
@@ -682,19 +661,21 @@ void ServingEngine::run_speculative_step(const std::vector<Request*>& decodes,
       stats_.accepted_tokens += accepted;
       ++stats_.verify_forwards;
       const int64_t ctx_before = r->context_len();
-      // Emit the accepted prefix plus the target's correction/bonus token.
-      // Emission may hit max_new_tokens mid-prefix; finish() then frees both
-      // sequences and the rollback below is skipped.
+      // Emit the accepted prefix plus the target's correction/bonus token
+      // (the one sampled token of a k = 0 span). Emission may hit
+      // max_new_tokens mid-prefix; finish() then frees both sequences and
+      // the rollback below is skipped.
       for (int j = 0; j < accepted && !r->done(); ++j)
         deliver(*r, prop[static_cast<size_t>(j)]);
       if (!r->done())
         deliver(*r, sample(step_logits.row(base + accepted), vocab));
-      if (!r->done()) {
+      if (accepted < k && !r->done()) {
         // Truncate the rejected tail on both models. The target rolls back
-        // to context_len - 1 — exactly the baseline invariant (the newest
+        // to context_len - 1 — the plain-decode invariant (the newest
         // emitted token is appended by the NEXT verify span). The draft
         // rolls back to its provably-context-matching prefix; depth-0 of the
-        // next proposal replays whatever it is still missing.
+        // next proposal replays whatever it is still missing. A fully
+        // accepted span already sits at both lengths.
         model_->truncate_sequence(r->seq_handle, r->context_len() - 1);
         const int64_t draft_len = draft_->seq_pos(r->draft_seq_handle);
         draft_->truncate_sequence(
@@ -811,8 +792,7 @@ bool ServingEngine::step() {
     prefill_rows += static_cast<int64_t>(chunks[i].tokens.size());
   }
   const int64_t decode_rows =
-      static_cast<int64_t>(plan.decodes.size()) *
-      (speculative() ? cfg_.speculative.lookahead_k + 1 : 1);
+      static_cast<int64_t>(plan.decodes.size()) * verify_span_;
   const int64_t step_rows = decode_rows + prefill_rows;
 
   // Execute. Injected faults (fault::kEngineStep here; kv_alloc / kv_append
@@ -824,11 +804,7 @@ bool ServingEngine::step() {
   bool faulted = false;
   try {
     if (step_rows > 0) fault::maybe_fail(fault::kEngineStep);
-    if (speculative()) {
-      run_speculative_step(plan.decodes, chunks);
-    } else {
-      run_normal_step(plan.decodes, chunks, decode_rows, prefill_rows);
-    }
+    run_step(plan.decodes, chunks, decode_rows, prefill_rows);
   } catch (const FaultInjectedError&) {
     faulted = true;
   }
@@ -855,103 +831,6 @@ bool ServingEngine::step() {
   return !scheduler_.idle(static_cast<int>(running_.size()));
 }
 
-void ServingEngine::run_normal_step(const std::vector<Request*>& decodes,
-                                    std::vector<ChunkJob>& chunks,
-                                    int64_t decode_rows,
-                                    int64_t prefill_rows) {
-  const int64_t step_rows = decode_rows + prefill_rows;
-  std::unordered_map<const Request*, const float*> decode_out;
-  std::unordered_map<const Request*, ChunkJob*> chunk_out;
-  // Logits storage must outlive the sampling loop below: the batched path
-  // points rows into step_logits, the per-request path owns decode_logits
-  // and the ChunkJobs' logits tensors.
-  std::vector<Tensor> decode_logits;
-  Tensor step_logits;
-
-  if (cfg_.batched_step) {
-    // Lower the StepPlan to one BatchedStep — decode rows first, then the
-    // prefill chunks — and execute it as a single stacked forward: one GEMM
-    // call per projection per layer covers every row of the step.
-    // Per-row logit selection: decode rows and completing prefill chunks
-    // sample, mid-prompt chunks skip the LM head entirely.
-    BatchedStep bstep;
-    bstep.chunks.reserve(decodes.size() + chunks.size());
-    for (Request* r : decodes)
-      bstep.chunks.push_back(
-          {r->seq_handle,
-           {r->generated.back()},
-           static_cast<int>(model_->seq_pos(r->seq_handle)),
-           /*logit_rows=*/1});
-    std::vector<int64_t> chunk_logit_row;
-    lower_prefill_chunks(bstep, chunks,
-                         static_cast<int64_t>(decodes.size()),
-                         chunk_logit_row);
-    if (!bstep.chunks.empty()) {
-      const auto tf = std::chrono::steady_clock::now();
-      step_logits = model_->forward_step(bstep);
-      // One forward covers both work types; apportion its wall time by row
-      // count so the prefill/decode throughput split stays meaningful.
-      const double dt = seconds_since(tf);
-      stats_.decode_seconds += dt * double(decode_rows) / double(step_rows);
-      stats_.prefill_seconds += dt * double(prefill_rows) / double(step_rows);
-      for (size_t i = 0; i < decodes.size(); ++i)
-        decode_out.emplace(decodes[i],
-                           step_logits.row(static_cast<int64_t>(i)));
-      bind_chunk_logits(chunks, chunk_logit_row, step_logits);
-      for (ChunkJob& c : chunks) chunk_out.emplace(c.req, &c);
-    }
-  } else {
-    // Per-request reference path: forward passes fan out across requests;
-    // each touches only its own sequence (the KV pool bookkeeping is
-    // internally locked). Decode and prefill run as separate fan-outs so
-    // their wall time is split in stats.
-    decode_logits.resize(decodes.size());
-    const auto td = std::chrono::steady_clock::now();
-    parallel_for(0, static_cast<int64_t>(decodes.size()), 1,
-                 [&](int64_t lo, int64_t hi) {
-                   for (int64_t i = lo; i < hi; ++i) {
-                     Request* r = decodes[static_cast<size_t>(i)];
-                     decode_logits[static_cast<size_t>(i)] =
-                         model_->decode_step(r->seq_handle,
-                                             r->generated.back());
-                   }
-                 });
-    if (!decodes.empty()) stats_.decode_seconds += seconds_since(td);
-
-    const auto tp = std::chrono::steady_clock::now();
-    parallel_for(0, static_cast<int64_t>(chunks.size()), 1,
-                 [&](int64_t lo, int64_t hi) {
-                   for (int64_t i = lo; i < hi; ++i) {
-                     ChunkJob& c = chunks[static_cast<size_t>(i)];
-                     c.logits = model_->prefill_chunk(
-                         c.req->seq_handle, c.tokens,
-                         static_cast<int>(c.req->prefill_pos));
-                   }
-                 });
-    if (!chunks.empty()) stats_.prefill_seconds += seconds_since(tp);
-
-    for (size_t i = 0; i < decodes.size(); ++i)
-      decode_out.emplace(decodes[i], decode_logits[i].data());
-    for (ChunkJob& c : chunks) {
-      c.out = c.logits.data();
-      chunk_out.emplace(c.req, &c);
-    }
-  }
-
-  // Sampling, callbacks, and stats stay serial, in admission (running_)
-  // order, so the generated streams — and the RNG consumption order under
-  // temperature > 0 — are identical across execution modes and thread
-  // counts.
-  const int64_t vocab = model_->config().vocab;
-  for (Request* r : running_) {
-    if (auto it = chunk_out.find(r); it != chunk_out.end()) {
-      handle_prefill_result(*r, *it->second);
-    } else if (auto dit = decode_out.find(r); dit != decode_out.end()) {
-      deliver(*r, sample(dit->second, vocab));
-    }
-  }
-}
-
 void ServingEngine::refresh_derived_stats() {
   stats_.decode_tokens_per_second =
       stats_.decode_seconds > 0
@@ -972,8 +851,6 @@ void ServingEngine::refresh_derived_stats() {
       stats_.proposed_tokens > 0
           ? double(stats_.accepted_tokens) / double(stats_.proposed_tokens)
           : 0;
-  // Only meaningful for a speculative engine (0 otherwise): the baseline
-  // spends exactly 1.0 target forwards per decode token by construction.
   stats_.target_forwards_per_decode_token =
       stats_.decode_tokens > 0
           ? double(stats_.verify_forwards) / double(stats_.decode_tokens)

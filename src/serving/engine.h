@@ -7,14 +7,15 @@
 // preservation). Wall-clock throughput at GPU scale comes from src/simulator.
 //
 // Each step lowers the Scheduler's StepPlan into one BatchedStep — every
-// decode token plus every prefill-chunk token, stacked row-wise — and
-// executes it with a single QuantizedModel::forward_step() call, so the
-// pre-packed cache-blocked GEMMs see the whole step's rows in one call per
-// projection per layer instead of m=1 decode calls per request. The
-// per-request execution path (one forward call per request) is kept behind
-// EngineConfig::batched_step = false as the bitwise reference and benchmark
-// baseline; both paths produce identical token streams at any thread count
-// and ISA.
+// decoding request's verify span plus every prefill-chunk token, stacked
+// row-wise — and executes it with a single QuantizedModel::forward_step()
+// call, so the pre-packed cache-blocked GEMMs see the whole step's rows in
+// one call per projection per layer. There is one step path: a plain decode
+// row is a verify span of the pending token with k = 0 draft tokens, and a
+// speculative engine (see SpeculativeConfig) widens the same span to k + 1.
+// Token streams are identical at any thread count, ISA and shard count; the
+// model-level prefill / decode_step calls are the per-request reference the
+// tests compare against.
 //
 // Callers can stream results instead of polling run_to_completion():
 // submit(prompt, opts, on_token, on_finish) registers per-token/finish
@@ -42,30 +43,27 @@ namespace qserve {
 // Draft/verify speculative decoding, active when the engine is constructed
 // with a draft model. Each decode step proposes `lookahead_k` tokens with the
 // draft (a small quantized model with its own KV cache), scores all k+1
-// positions with ONE batched target verify forward, accepts the longest
-// prefix of draft tokens that match the target's greedy argmax, and
-// truncates the rejected tail from both caches. Greedy acceptance makes the
-// output streams bitwise identical to the non-speculative engine — every
-// emitted token is the target's own argmax over logits computed against
-// exactly the KV state the baseline would hold. Requires temperature == 0.
+// positions of every request's verify span in the step's one batched target
+// forward, accepts the longest prefix of draft tokens that match the
+// target's greedy argmax, and truncates the rejected tail from both caches.
+// An engine without a draft runs the same path with k = 0: a one-token span,
+// no proposals, one sampled token, no rollback. Greedy acceptance makes the
+// output streams bitwise identical to the k = 0 engine — every emitted token
+// is the target's own argmax over logits computed against exactly the KV
+// state the k = 0 engine would hold. Requires temperature == 0.
 struct SpeculativeConfig {
-  // Draft tokens proposed per verify step; the target scores k+1 positions
-  // per request per step and the scheduler reserves k+1 tokens' pages per
-  // decoding request.
+  // Draft tokens proposed per verify span (read only when a draft model is
+  // given); the target scores k+1 positions per request per step and the
+  // scheduler reserves k+1 tokens' pages per decoding request.
   int lookahead_k = 4;
 };
 
 struct EngineConfig {
   SchedulerConfig scheduler;
-  // Sampling: 0 = greedy argmax.
+  // Sampling: 0 = greedy argmax. Tokens are sampled serially in admission
+  // order, so a seeded run's streams do not depend on threads or ISA.
   float temperature = 0.0f;
   uint64_t sample_seed = 7;
-  // Execute each step as one stacked forward_step (batched GEMMs across all
-  // requests' rows). false = per-request forward calls; same token streams,
-  // kept for A/B benchmarking and as the identity-test reference. A
-  // speculative engine always uses the batched executor (the verify span IS
-  // a batched multi-row chunk); the flag is ignored there.
-  bool batched_step = true;
   SpeculativeConfig speculative;
   // Bounded admission (0 = unlimited). When a new submission would push the
   // scheduler queue past either cap, submit() finishes it immediately with
@@ -115,8 +113,7 @@ struct EngineStats {
   // wall_seconds — the observable this PR's SIMD attention kernels move.
   double attention_seconds = 0;
   double attention_share = 0;
-  // Tensor-parallel observables, maintained identically by the plain and
-  // speculative engines (draft-model deltas included, like
+  // Tensor-parallel observables (draft-model deltas included, like
   // attention_seconds). comm_seconds is wall time at the shard reduction
   // boundaries — column-parallel concats and row-parallel all-reduce +
   // epilogue. shard_imbalance is cumulative slowest-shard wall time over
@@ -138,27 +135,27 @@ struct EngineStats {
   // Per-request latency in engine steps.
   double mean_first_token_steps = 0;
   double mean_completion_steps = 0;
-  // --- speculative decoding ---------------------------------------------
-  // Engine steps that ran a target verify forward (>= 1 decoding request).
-  // Their draft + verify wall time lands in decode_seconds and every token
-  // they emit counts once in decode_tokens, so a step that lands 1 + a
-  // accepted tokens raises decode tok/s honestly instead of inflating it —
-  // the same discipline that keeps first tokens out of the decode split.
-  int64_t speculative_steps = 0;
+  // --- verify spans (decode; speculative when a draft model is given) ----
+  // Engine steps that ran >= 1 verify span (>= 1 decoding request). Their
+  // draft + verify wall time lands in decode_seconds and every token they
+  // emit counts once in decode_tokens, so a step that lands 1 + a accepted
+  // tokens raises decode tok/s honestly instead of inflating it — the same
+  // discipline that keeps first tokens out of the decode split.
+  int64_t verify_steps = 0;
   // Per-request verify executions: how many times a request's k+1-token span
-  // went through a target forward. The baseline spends exactly one target
-  // forward per decode token; speculation spends verify_forwards for
-  // (accepted + verify_forwards) tokens, so the ratio below dropping under
-  // 1.0 is the "fewer target forwards than tokens" win.
+  // went through a target forward. A k = 0 engine spends exactly one target
+  // forward per decode token (ratio below == 1.0 when no request was
+  // preempted); speculation spends verify_forwards for (accepted +
+  // verify_forwards) tokens, so the ratio dropping under 1.0 is the "fewer
+  // target forwards than tokens" win.
   int64_t verify_forwards = 0;
-  int64_t proposed_tokens = 0;  // lookahead_k per request per verify step
+  int64_t proposed_tokens = 0;  // k per request per verify span (0 plain)
   int64_t accepted_tokens = 0;  // accepted draft prefix lengths, summed
-  double acceptance_rate = 0;   // accepted_tokens / proposed_tokens
+  double acceptance_rate = 0;   // accepted_tokens / proposed_tokens (0 plain)
   double target_forwards_per_decode_token = 0;
   // --- request lifecycle --------------------------------------------------
   // Finished-request counts by FinishReason; their sum is the number of
-  // on_finish callbacks fired. Maintained identically by the plain and
-  // speculative engines.
+  // on_finish callbacks fired.
   int64_t completed = 0;         // kLength
   int64_t cancelled = 0;         // kCancelled
   int64_t deadline_expired = 0;  // kDeadline
@@ -252,7 +249,7 @@ class ServingEngine {
   bool cancel(int id);
 
   // One engine iteration: plan (admit/evict), execute the step's rows (one
-  // batched forward by default), sample per finished row, fire callbacks.
+  // batched forward), sample per finished row, fire callbacks.
   // Returns false when fully idle.
   bool step();
 
@@ -280,23 +277,12 @@ class ServingEngine {
   struct ChunkJob;  // one prefill share's materialized tokens (engine.cpp)
 
   int sample(const float* logits, int64_t vocab);
-  // Shared between the speculative and non-speculative batched paths, so
-  // the prefill bookkeeping cannot drift between them:
-  // Append the step's prefill chunks to `bstep` (a completing chunk asks
-  // for one logit row, a mid-prompt chunk for none) and record each chunk's
-  // logits-row index (-1 for mid-prompt), numbering from next_logit_row.
-  void lower_prefill_chunks(BatchedStep& bstep,
-                            const std::vector<ChunkJob>& chunks,
-                            int64_t next_logit_row,
-                            std::vector<int64_t>& chunk_logit_row);
-  // Point every completing chunk's `out` at its row of the step's logits.
-  static void bind_chunk_logits(std::vector<ChunkJob>& chunks,
-                                const std::vector<int64_t>& chunk_logit_row,
-                                const Tensor& step_logits);
   // The prefill half of the sampling loop: advance chunk bookkeeping and,
   // when the chunk completes the request's prefill, transition it to
-  // decoding and sample its first token from c.out.
-  void handle_prefill_result(Request& r, ChunkJob& c);
+  // decoding and sample its first token from `logits` (the chunk's last
+  // position; null for a mid-prompt chunk).
+  void handle_prefill_result(Request& r, const ChunkJob& c,
+                             const float* logits);
   // Record a sampled token: append, fire on_token, finish if complete.
   void deliver(Request& r, int token);
   // The single finish path: set the reason, free both KV sequences, bump the
@@ -346,18 +332,15 @@ class ServingEngine {
   // context it has not seen). Returns proposals[i] for plan.decodes[i].
   std::vector<std::vector<int>> propose_draft_tokens(
       const std::vector<Request*>& decodes);
-  // Speculative execution of one planned step: draft proposals, one batched
-  // target verify forward (verify spans + the step's prefill chunks),
-  // greedy longest-prefix acceptance in admission order, KV rollback on both
-  // models. Fills the same per-request sampling bookkeeping as the normal
-  // paths.
-  void run_speculative_step(const std::vector<Request*>& decodes,
-                            std::vector<ChunkJob>& chunks);
-  // Non-speculative execution of one planned step (batched or per-request
-  // forwards per cfg_.batched_step) plus the serial sampling loop.
-  void run_normal_step(const std::vector<Request*>& decodes,
-                       std::vector<ChunkJob>& chunks, int64_t decode_rows,
-                       int64_t prefill_rows);
+  // Execute one planned step, for draft and no-draft engines alike: draft
+  // proposals (draft only), one batched target forward over every verify
+  // span (k+1 rows each) and prefill chunk, then greedy longest-prefix
+  // acceptance and emission in admission order, and KV rollback on both
+  // models when a span is only partly accepted. With k = 0 each span emits
+  // exactly one sampled token and never rolls back.
+  void run_step(const std::vector<Request*>& decodes,
+                const std::vector<ChunkJob>& chunks, int64_t decode_rows,
+                int64_t prefill_rows);
   // Recompute the derived stats (throughputs, per-step/request means) from
   // the running counters; called at the end of every step().
   void refresh_derived_stats();
@@ -365,14 +348,18 @@ class ServingEngine {
   QuantizedModel* model_;
   QuantizedModel* draft_ = nullptr;  // speculative decoding draft model
   EngineConfig cfg_;
+  // KV tokens a decoding request's verify span appends per step: the
+  // pending token plus k draft tokens (k = lookahead_k with a draft model,
+  // 0 without). The scheduler reserves pages for it, and it is also the
+  // deepest rollback.
+  int verify_span_;
   // Ring slack passed to PagedKvCache::set_window for every windowed
   // request: the largest single append span the engine can produce — a full
-  // prefill chunk or a speculative verify span (k+1 tokens, which is also
-  // the deepest rollback) — so the ring never recycles a page a pending
-  // span or rollback still needs. Fixed at construction; identical across
-  // preemption round trips, which keeps recompute-on-resume ring geometry
-  // (and therefore the token streams) bitwise stable.
-  int64_t window_slack_ = 0;
+  // prefill chunk or a verify span — so the ring never recycles a page a
+  // pending span or rollback still needs. Fixed at construction; identical
+  // across preemption round trips, which keeps recompute-on-resume ring
+  // geometry (and therefore the token streams) bitwise stable.
+  int64_t window_slack_;
   Scheduler scheduler_;
   PrefixIndex prefix_index_;
   std::vector<std::unique_ptr<Request>> requests_;

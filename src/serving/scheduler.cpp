@@ -8,16 +8,17 @@
 
 namespace qserve {
 
-Scheduler::Scheduler(const SchedulerConfig& cfg, int page_size, int n_layers)
-    : cfg_(cfg), page_size_(page_size), n_layers_(n_layers) {
+Scheduler::Scheduler(const SchedulerConfig& cfg, int page_size, int n_layers,
+                     int decode_span)
+    : cfg_(cfg), page_size_(page_size), n_layers_(n_layers),
+      decode_span_(decode_span) {
   // Loud construction-time validation: a zero/negative chunk or batch would
   // otherwise plan empty steps forever, and a bad pool geometry would
   // corrupt the page-cost arithmetic downstream.
   QS_CHECK_MSG(cfg_.max_batch > 0, "SchedulerConfig.max_batch must be >= 1");
   QS_CHECK_MSG(cfg_.prefill_chunk > 0,
                "SchedulerConfig.prefill_chunk must be >= 1");
-  QS_CHECK_MSG(cfg_.decode_tokens_per_step > 0,
-               "SchedulerConfig.decode_tokens_per_step must be >= 1");
+  QS_CHECK_MSG(decode_span_ > 0, "decode_span must be >= 1");
   QS_CHECK_MSG(page_size_ > 0, "KV page_size must be >= 1");
   QS_CHECK_MSG(n_layers_ > 0, "model must have >= 1 layer");
 }
@@ -127,15 +128,15 @@ StepPlan Scheduler::plan(const std::vector<Request*>& running,
 
   // 1. Decode-priority page reservation. Evict the youngest running request
   // (prefilling or decoding) until every decode's step fits — a step appends
-  // decode_tokens_per_step tokens at peak (1 classic, k+1 for a speculative
-  // verify forward before its rollback). If a *lone* decode still cannot
-  // fit, the pool can never serve it: move it to `stalled` instead of
-  // spinning (the engine finishes it with kError).
+  // decode_span_ tokens at peak (1 plain, k+1 for a speculative verify span
+  // before its rollback). If a *lone* decode still cannot fit, the pool can
+  // never serve it: move it to `stalled` instead of spinning (the engine
+  // finishes it with kError).
   const auto decode_need = [&live, this]() {
     int64_t need = 0;
     for (Request* r : live)
       if (r->state == RequestState::kDecoding)
-        need += grow_pages(*r, cfg_.decode_tokens_per_step);
+        need += grow_pages(*r, decode_span_);
     return need;
   };
   int64_t need = decode_need();

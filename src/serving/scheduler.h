@@ -7,7 +7,8 @@
 //   1. Requests past their deadline (deadline_steps / ttft_deadline_steps)
 //      are expired first — running or queued — so their pages are free
 //      before any reservation or admission decision this step.
-//   2. Every decoding request decodes one token. Their page needs are
+//   2. Every decoding request runs one decode span (one token, or the
+//      k+1-token verify span of a speculative engine). Their page needs are
 //      reserved *first*; if the pool cannot serve them, the youngest running
 //      request is evicted back to the *front* of the queue (its pages free
 //      immediately, it re-prefills prompt + generated-so-far on re-admission)
@@ -41,13 +42,6 @@ struct SchedulerConfig {
   int max_batch = 8;
   // Maximum prompt tokens prefilled per engine step, shared across requests.
   int prefill_chunk = 128;
-  // KV tokens one decode step may append per decoding request before its
-  // rollback (if any). 1 for classic decode; a speculative engine sets this
-  // to lookahead_k + 1, because a verify forward appends the pending token
-  // plus k draft candidates before truncating the rejected tail. plan()
-  // reserves pages for the full peak, so admission and preemption stay sound
-  // even though the post-rollback footprint is usually smaller.
-  int decode_tokens_per_step = 1;
 };
 
 // One request's slice of this step's prefill chunk budget.
@@ -80,8 +74,13 @@ class Scheduler {
  public:
   // `page_size` / `n_layers` give the KV pool geometry: appending one token
   // to a request costs one page per layer whenever its length crosses a
-  // page boundary.
-  Scheduler(const SchedulerConfig& cfg, int page_size, int n_layers);
+  // page boundary. `decode_span` is the KV tokens one step appends per
+  // decoding request before its rollback (if any): the engine's verify span
+  // of the pending token plus k draft tokens (k = 0 without a draft model).
+  // plan() reserves pages for that full peak, so admission and preemption
+  // stay sound even though the post-rollback footprint is usually smaller.
+  Scheduler(const SchedulerConfig& cfg, int page_size, int n_layers,
+            int decode_span = 1);
 
   void enqueue(Request* r) {
     queue_.push_back(r);
@@ -150,6 +149,7 @@ class Scheduler {
   SchedulerConfig cfg_;
   int page_size_;
   int n_layers_;
+  int decode_span_;
   std::deque<Request*> queue_;
   int64_t queued_prompt_tokens_ = 0;
   std::function<void(Request&)> admission_hook_;

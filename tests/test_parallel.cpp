@@ -304,7 +304,7 @@ TEST(ParallelKernels, W8A8BitwiseIdenticalAcrossThreadCounts) {
     ASSERT_EQ(serial[i], parallel[i]) << i;
 }
 
-// --- the serving engine's fan-out is deterministic -------------------------------
+// --- the serving engine's streams do not depend on the thread count -------------
 
 std::vector<std::vector<int>> run_engine(int threads) {
   set_num_threads(threads);

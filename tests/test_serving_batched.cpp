@@ -1,7 +1,9 @@
-// Batched step executor: bitwise identity between the batched engine path
-// (one forward_step per engine step across all requests) and the per-request
-// reference path, across ISAs and thread counts; streaming-callback ordering;
-// loud construction-time config validation; batched-GEMM occupancy stats.
+// Batched step executor: the engine's streams (one forward_step per engine
+// step across all requests) equal a per-request model-level reference
+// bitwise, across ISAs, thread counts and preemption churn; sampled streams
+// are identical across ISAs and thread counts; streaming-callback ordering;
+// loud construction-time config validation; batched-GEMM occupancy and k = 0
+// verify-span stats.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -41,18 +43,45 @@ Workload random_workload(Rng& rng, int n_requests) {
   return w;
 }
 
-std::vector<std::vector<int>> run_engine(const Workload& w,
-                                         const EngineConfig& cfg) {
-  QuantizedModel model(fixture().weights,
-                       QuantSchemeConfig::qserve_w4a8kv4_g128());
+std::vector<std::vector<int>> run_engine(
+    const Workload& w, const EngineConfig& cfg,
+    QuantSchemeConfig scheme = QuantSchemeConfig::qserve_w4a8kv4_g128(),
+    EngineStats* stats = nullptr) {
+  QuantizedModel model(fixture().weights, scheme);
   ServingEngine engine(&model, cfg);
   std::vector<int> ids;
   for (size_t i = 0; i < w.prompts.size(); ++i)
     ids.push_back(engine.submit(w.prompts[i], w.max_new[i]));
-  engine.run_to_completion();
+  const EngineStats st = engine.run_to_completion();
+  if (stats != nullptr) *stats = st;
   std::vector<std::vector<int>> out;
   for (int id : ids) out.push_back(engine.request(id).generated);
   EXPECT_EQ(model.kv_cache().pages_in_use(), 0);
+  return out;
+}
+
+int argmax(const Tensor& logits) {
+  int64_t best = 0;
+  for (int64_t v = 1; v < logits.numel(); ++v)
+    if (logits[v] > logits[best]) best = v;
+  return static_cast<int>(best);
+}
+
+// Per-request model-level reference: one prefill of the whole prompt, then
+// greedy decode_step rounds, each request alone on the model — no engine,
+// no batching, no chunking, no scheduler.
+std::vector<std::vector<int>> reference_streams(const Workload& w) {
+  QuantizedModel model(fixture().weights,
+                       QuantSchemeConfig::qserve_w4a8kv4_g128());
+  std::vector<std::vector<int>> out;
+  for (size_t i = 0; i < w.prompts.size(); ++i) {
+    const int seq = model.begin_sequence();
+    std::vector<int> gen = {argmax(model.prefill(seq, w.prompts[i]))};
+    while (static_cast<int>(gen.size()) < w.max_new[i])
+      gen.push_back(argmax(model.decode_step(seq, gen.back())));
+    model.end_sequence(seq);
+    out.push_back(std::move(gen));
+  }
   return out;
 }
 
@@ -139,13 +168,12 @@ TEST(QuantizedModel, ForwardStepValidatesChunks) {
 
 // --- engine-level identity across ISAs and thread counts ---------------------
 
-TEST(ServingEngineBatched, MatchesPerRequestBitwiseAcrossIsasAndThreads) {
+TEST(ServingEngineBatched, GreedyMatchesModelLevelReferenceAcrossIsasAndThreads) {
   // Randomized mixed decode+prefill batches: with a small prefill chunk and
   // staggered lengths, most steps stack decode rows from some requests with
-  // prefill chunks from others. The batched executor's streams must equal
-  // the per-request path's bitwise — greedy and sampled — for every ISA the
-  // host can run (requests above detected_isa() clamp down, so the pair
-  // stays self-consistent) and at 1 and 8 threads.
+  // prefill chunks from others. The engine's greedy streams must equal the
+  // per-request model-level reference bitwise for every ISA the host can
+  // run (requests above detected_isa() clamp down) and at 1 and 8 threads.
   Rng rng(1234);
   const Workload w = random_workload(rng, 6);
   for (const cpu::Isa isa :
@@ -153,53 +181,64 @@ TEST(ServingEngineBatched, MatchesPerRequestBitwiseAcrossIsasAndThreads) {
     cpu::set_isa(isa);
     for (const int threads : {1, 8}) {
       set_num_threads(threads);
-      for (const float temperature : {0.0f, 0.8f}) {
-        EngineConfig cfg;
-        cfg.scheduler.max_batch = 4;
-        cfg.scheduler.prefill_chunk = 8;
-        cfg.temperature = temperature;
-        cfg.batched_step = false;
-        const auto sequential = run_engine(w, cfg);
-        cfg.batched_step = true;
-        const auto batched = run_engine(w, cfg);
-        EXPECT_EQ(sequential, batched)
-            << "isa=" << cpu::isa_name(isa) << " threads=" << threads
-            << " temperature=" << temperature;
-      }
+      EngineConfig cfg;
+      cfg.scheduler.max_batch = 4;
+      cfg.scheduler.prefill_chunk = 8;
+      EXPECT_EQ(run_engine(w, cfg), reference_streams(w))
+          << "isa=" << cpu::isa_name(isa) << " threads=" << threads;
     }
   }
   set_num_threads(0);
   cpu::clear_isa_override();
 }
 
-TEST(ServingEngineBatched, PreemptionChurnMatchesPerRequestPath) {
-  // A 3-page pool forces eviction + re-prefill; the batched path must take
-  // the same scheduling decisions and produce the same streams.
-  Rng rng(99);
+TEST(ServingEngineBatched, SampledStreamsIdenticalAcrossIsasAndThreads) {
+  // Temperature sampling draws from one engine RNG serially in admission
+  // order, so a seeded run's streams must not depend on ISA or threads.
+  Rng rng(1234);
+  const Workload w = random_workload(rng, 6);
+  EngineConfig cfg;
+  cfg.scheduler.max_batch = 4;
+  cfg.scheduler.prefill_chunk = 8;
+  cfg.temperature = 0.8f;
+  cpu::set_isa(cpu::Isa::kScalar);
+  set_num_threads(1);
+  const auto anchor = run_engine(w, cfg);
+  for (const cpu::Isa isa :
+       {cpu::Isa::kScalar, cpu::Isa::kAvx2, cpu::Isa::kAvx512}) {
+    cpu::set_isa(isa);
+    for (const int threads : {1, 8}) {
+      set_num_threads(threads);
+      EXPECT_EQ(run_engine(w, cfg), anchor)
+          << "isa=" << cpu::isa_name(isa) << " threads=" << threads;
+    }
+  }
+  set_num_threads(0);
+  cpu::clear_isa_override();
+}
+
+TEST(ServingEngineBatched, PreemptionChurnMatchesModelLevelReference) {
+  // A 3-page pool forces eviction + re-prefill of prompt + generated tokens;
+  // recompute-on-resume must leave every greedy stream equal to the
+  // reference, at 1 and 8 threads.
   Workload w;
   for (int i = 0; i < 3; ++i) {
-    std::vector<int> prompt(8, 2 + i);
-    w.prompts.push_back(prompt);
+    w.prompts.push_back(std::vector<int>(8, 2 + i));
     w.max_new.push_back(18 + 4 * i);
   }
-  auto run = [&](bool batched) {
-    QuantSchemeConfig scheme = QuantSchemeConfig::qserve_w4a8kv4_g128();
-    scheme.kv_max_pages = 3;
-    QuantizedModel model(fixture().weights, scheme);
-    EngineConfig cfg;
-    cfg.scheduler.max_batch = 4;
-    cfg.batched_step = batched;
-    ServingEngine engine(&model, cfg);
-    std::vector<int> ids;
-    for (size_t i = 0; i < w.prompts.size(); ++i)
-      ids.push_back(engine.submit(w.prompts[i], w.max_new[i]));
-    const EngineStats stats = engine.run_to_completion();
+  QuantSchemeConfig scheme = QuantSchemeConfig::qserve_w4a8kv4_g128();
+  scheme.kv_max_pages = 3;
+  EngineConfig cfg;
+  cfg.scheduler.max_batch = 4;
+  const auto expect = reference_streams(w);
+  for (const int threads : {1, 8}) {
+    set_num_threads(threads);
+    EngineStats stats;
+    EXPECT_EQ(run_engine(w, cfg, scheme, &stats), expect)
+        << "threads=" << threads;
     EXPECT_GE(stats.preemptions, 1);
-    std::vector<std::vector<int>> out;
-    for (int id : ids) out.push_back(engine.request(id).generated);
-    return out;
-  };
-  EXPECT_EQ(run(false), run(true));
+  }
+  set_num_threads(0);
 }
 
 // --- streaming API -----------------------------------------------------------
@@ -339,6 +378,15 @@ TEST(ServingEngineBatched, BatchTokenStatsCountRowsNotRequests) {
   EXPECT_EQ(stats.steps, 4);
   EXPECT_EQ(stats.step_tokens, 24 + 9);
   EXPECT_DOUBLE_EQ(stats.mean_tokens_per_step, 33.0 / 4.0);
+  // Without a draft every decode row is a k = 0 verify span: 3 steps x 3
+  // spans, no proposals, one target forward per decode token.
+  EXPECT_EQ(stats.verify_steps, 3);
+  EXPECT_EQ(stats.verify_forwards, 9);
+  EXPECT_EQ(stats.decode_tokens, 9);
+  EXPECT_EQ(stats.proposed_tokens, 0);
+  EXPECT_EQ(stats.accepted_tokens, 0);
+  EXPECT_DOUBLE_EQ(stats.acceptance_rate, 0.0);
+  EXPECT_DOUBLE_EQ(stats.target_forwards_per_decode_token, 1.0);
 }
 
 }  // namespace

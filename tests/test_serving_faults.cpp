@@ -262,9 +262,14 @@ TEST(Lifecycle, UnservableSubmissionsRejectNotAbort) {
   // Larger than the entire pool (4 pages * 16 tokens = 64-token pool).
   const int c = engine.submit(std::vector<int>(200, 7), RequestOptions{},
                               nullptr, on_finish);
-  ASSERT_EQ(seen.size(), 3u) << "on_finish fires during submit()";
+  // Token ids outside [0, vocab): the forward would throw mid-step and take
+  // every co-scheduled request down with it.
+  const int vocab = static_cast<int>(model.config().vocab);
+  const int d = engine.submit({1, vocab}, RequestOptions{}, nullptr, on_finish);
+  const int e = engine.submit({-1, 2}, RequestOptions{}, nullptr, on_finish);
+  ASSERT_EQ(seen.size(), 5u) << "on_finish fires during submit()";
   for (FinishReason r : seen) EXPECT_EQ(r, FinishReason::kRejected);
-  for (int id : {a, b, c}) {
+  for (int id : {a, b, c, d, e}) {
     EXPECT_TRUE(engine.request(id).done());
     EXPECT_FALSE(engine.request(id).error.empty());
     EXPECT_TRUE(engine.request(id).generated.empty());
@@ -274,7 +279,7 @@ TEST(Lifecycle, UnservableSubmissionsRejectNotAbort) {
   engine.run_to_completion();
   EXPECT_EQ(engine.request(good).finish_reason, FinishReason::kLength);
   EXPECT_EQ(engine.request(good).generated.size(), 4u);
-  EXPECT_EQ(engine.stats().rejected, 3);
+  EXPECT_EQ(engine.stats().rejected, 5);
   EXPECT_EQ(engine.stats().completed, 1);
   EXPECT_EQ(model.kv_cache().pages_in_use(), 0);
 }

@@ -269,7 +269,7 @@ TEST(ServingEngineSpec, StatsCountMultiTokenStepsHonestly) {
   // multi-token verify steps must not double- or under-count.
   EXPECT_EQ(spec.stats.first_tokens, 2);
   EXPECT_EQ(spec.stats.decode_tokens, generated - 2);
-  EXPECT_GT(spec.stats.speculative_steps, 0);
+  EXPECT_GT(spec.stats.verify_steps, 0);
   EXPECT_EQ(spec.stats.proposed_tokens, 3 * spec.stats.verify_forwards);
   EXPECT_LE(spec.stats.accepted_tokens, spec.stats.proposed_tokens);
   // Acceptance working means fewer target verify forwards than decode

@@ -1,9 +1,10 @@
 // Decode-attention microbenchmark over the quantized paged KV cache: one
-// fused_decode_attention call (all heads, whole context) per measurement, at
-// context 128 / 1k / 4k for INT4 and INT8 KV, on the scalar baseline and the
-// best ISA the host supports. Reports per-call latency, decode tok/s
-// (1 / latency — one call serves one token of one sequence), and the
-// effective GB/s of quantized KV traffic the kernels sustain.
+// batched_fused_decode_attention call over a one-item batch (all heads,
+// whole context) per measurement, at context 128 / 1k / 4k for INT4 and
+// INT8 KV, on the scalar baseline and the best ISA the host supports.
+// Reports per-call latency, decode tok/s (1 / latency — one call serves one
+// token of one sequence), and the effective GB/s of quantized KV traffic the
+// kernels sustain.
 //
 //   ./bench_attention [--json out.json]
 //
@@ -32,6 +33,7 @@ struct Setup {
   std::unique_ptr<PagedKvCache> cache;
   int seq = -1;
   std::vector<float> q, out;
+  std::vector<DecodeAttentionItem> items;  // the one sequence's decode row
 
   Setup(KvPrecision p, int ctx, uint64_t seed) {
     ccfg.n_kv_heads = 8;
@@ -49,12 +51,13 @@ struct Setup {
       for (auto& x : k) x = rng.normal();
       for (auto& x : v) x = rng.normal();
       k[0] = 9.0f;
-      cache->append(seq, k.data(), v.data());
+      cache->append_batch(seq, k.data(), v.data(), 1);
     }
     const size_t hd = static_cast<size_t>(acfg.n_heads) * acfg.head_dim;
     q.resize(hd);
     out.resize(hd);
     for (auto& x : q) x = rng.normal();
+    items = {{seq, q.data(), out.data()}};
   }
 
   // Quantized page bytes one call touches: K and V codes for every (token,
@@ -100,10 +103,7 @@ int main(int argc, char** argv) {
       for (const Isa isa : isas) {
         cpu::set_isa(isa);
         const double secs = benchutil::time_best_of(
-            [&] {
-              fused_decode_attention(*s.cache, s.seq, s.q.data(), s.acfg,
-                                     s.out.data());
-            },
+            [&] { batched_fused_decode_attention(*s.cache, s.items, s.acfg); },
             reps);
         cpu::clear_isa_override();
         if (isa == Isa::kScalar) scalar_secs = secs;

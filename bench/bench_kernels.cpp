@@ -71,7 +71,8 @@ void BM_PagedCacheAppendGather(benchmark::State& state) {
   for (auto _ : state) {
     PagedKvCache cache(cfg);
     const int seq = cache.alloc_sequence();
-    for (int t = 0; t < 64; ++t) cache.append(seq, kv.data(), kv.data());
+    for (int t = 0; t < 64; ++t)
+      cache.append_batch(seq, kv.data(), kv.data(), 1);
     Tensor k, v;
     cache.gather(seq, k, v);
     benchmark::DoNotOptimize(k.data());

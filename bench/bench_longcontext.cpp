@@ -2,7 +2,9 @@
 // tok/s and KV bytes/token at context 4k / 16k / 32k, full attention vs a
 // 4k sliding window with 64 attention sinks, for the MHA head layout
 // (8 KV heads x 64) and the GQA g=4 layout (8 query heads sharing 2 KV
-// heads), on the scalar baseline and the best ISA the host supports.
+// heads), on the scalar baseline and the best ISA the host supports. Each
+// measurement is one batched_fused_decode_attention call over the one
+// sequence; the page-ring sequence is filled through the one append path.
 //
 //   ./bench_longcontext [--json out.json]
 //
@@ -48,6 +50,7 @@ struct Setup {
   int seq = -1;
   bool windowed = false;
   std::vector<float> q, out;
+  std::vector<DecodeAttentionItem> items;  // the one sequence's decode row
 
   Setup(const Layout& lay, int ctx, bool window, uint64_t seed) {
     ccfg.n_kv_heads = lay.n_kv_heads;
@@ -67,12 +70,13 @@ struct Setup {
       for (auto& x : k) x = rng.normal();
       for (auto& x : v) x = rng.normal();
       k[0] = 9.0f;
-      cache->append(seq, k.data(), v.data());
+      cache->append_batch(seq, k.data(), v.data(), 1);
     }
     const size_t hd = static_cast<size_t>(acfg.n_heads) * acfg.head_dim;
     q.resize(hd);
     out.resize(hd);
     for (auto& x : q) x = rng.normal();
+    items = {{seq, q.data(), out.data()}};
   }
 
   // KV tokens one decode call actually visits.
@@ -146,8 +150,7 @@ int main(int argc, char** argv) {
           cpu::set_isa(isa);
           const double secs = benchutil::time_best_of(
               [&] {
-                fused_decode_attention(*s.cache, s.seq, s.q.data(), s.acfg,
-                                       s.out.data());
+                batched_fused_decode_attention(*s.cache, s.items, s.acfg);
               },
               reps);
           cpu::clear_isa_override();

@@ -35,11 +35,11 @@ int main() {
   };
   for (int t = 0; t < 40; ++t) {
     fill(12.0f);
-    cache.append(a, k.data(), v.data());
+    cache.append_batch(a, k.data(), v.data(), 1);
   }
   for (int t = 0; t < 10; ++t) {
     fill(12.0f);
-    cache.append(b, k.data(), v.data());
+    cache.append_batch(b, k.data(), v.data(), 1);
   }
   std::printf("seq A: %lld tokens, seq B: %lld tokens -> %lld pages in use "
               "(%lld free)\n",
@@ -67,7 +67,7 @@ int main() {
       std::vector<float> kk(static_cast<size_t>(span));
       for (auto& x : kk) x = r2.normal();
       kk[3] = 12.0f;
-      c2.append(s, kk.data(), kk.data());
+      c2.append_batch(s, kk.data(), kk.data(), 1);
       kept.push_back(std::move(kk));
     }
     Tensor kd, vd;

@@ -1,58 +1,14 @@
 #include "kvcache/fused_attention.h"
 
-#include <cmath>
 #include <vector>
 
-#include "common/half.h"
-#include "common/math_util.h"
+#include "common/check.h"
 #include "common/parallel.h"
-#include "kernels/cpu/attention_kernel.h"
 #include "kernels/cpu/isa.h"
 
 namespace qserve {
 
 namespace {
-
-// One head of one sequence's decode attention, driven by the page-run API:
-// QK scores and SV accumulation chain across the sequence's page runs with
-// inline dequantization inside the microkernels — no per-(token, head)
-// scratch copies. The scale/softmax/rounding sequence between the two kernel
-// calls is written exactly like attention.cpp's head_attention so the fused
-// and gather paths stay bitwise identical.
-//
-// Scores are indexed by the view's compact score offsets (`run_score0`), not
-// logical positions: a sliding-window view exposes only the sink + window
-// runs, so the score buffer holds `visible_tokens()` entries. For a
-// full-attention view run_score0 == run_token0 and visible_tokens() ==
-// length(), making this byte-for-byte the pre-window code path.
-void view_head_attention(const PagedKvCache::SeqView& kv,
-                         const cpu::AttentionKernels& ker,
-                         const AttentionConfig& cfg, int kv_head,
-                         const float* qh, float* scores, float* oh) {
-  const float scale = 1.0f / std::sqrt(float(cfg.head_dim));
-  const int64_t s_vis = kv.visible_tokens();
-  const int n_runs = kv.num_page_runs();
-
-  // Pass 1: QK scores with inline K dequantization, page run by page run.
-  for (int r = 0; r < n_runs; ++r)
-    ker.qk_dot(qh, kv.k_run(r, kv_head), cfg.head_dim,
-               scores + kv.run_score0(r));
-  for (int64_t t = 0; t < s_vis; ++t) {
-    // QServe converts the QK product to FP16 (§5.3); the baseline keeps FP32.
-    const float dot = scores[t] * scale;
-    scores[t] = cfg.fp16_accum ? to_half_precision(dot) : dot;
-  }
-  softmax_inplace(scores, static_cast<int>(s_vis));
-
-  // Pass 2: SV accumulation with inline V dequantization.
-  for (int d = 0; d < cfg.head_dim; ++d) oh[d] = 0.0f;
-  for (int r = 0; r < n_runs; ++r)
-    ker.sv_accum(scores + kv.run_score0(r), kv.v_run(r, kv_head),
-                 cfg.head_dim, oh);
-  if (cfg.fp16_accum) {
-    for (int d = 0; d < cfg.head_dim; ++d) oh[d] = to_half_precision(oh[d]);
-  }
-}
 
 void check_against_cache(const PagedKvCache& cache,
                          const AttentionConfig& cfg) {
@@ -62,33 +18,6 @@ void check_against_cache(const PagedKvCache& cache,
 }
 
 }  // namespace
-
-void fused_decode_attention(const PagedKvCache& cache, int seq,
-                            const float* q, const AttentionConfig& cfg,
-                            float* out) {
-  check_against_cache(cache, cfg);
-  // One locked page-table resolution for the whole kernel; the page-run
-  // walks below are lock-free, as a fused kernel's gathers must be.
-  const PagedKvCache::SeqView kv = cache.view(seq);
-  const int64_t s_len = kv.length();
-  QS_CHECK_GT(s_len, 0);
-  const int group = cfg.n_heads / cfg.n_kv_heads;
-  const cpu::AttentionKernels& ker =
-      cpu::attention_kernel_for(cpu::active_isa());
-
-  // Parallel over heads; each head reads its own KV slices and writes its
-  // own slice of `out`, so the result matches the serial loop bitwise.
-  parallel_for(0, cfg.n_heads, 1, [&](int64_t h0, int64_t h1) {
-    // Reused per pool thread to keep per-head heap traffic off the hot path.
-    thread_local std::vector<float> scores;
-    scores.resize(static_cast<size_t>(kv.visible_tokens()));
-    for (int64_t h = h0; h < h1; ++h) {
-      view_head_attention(kv, ker, cfg, static_cast<int>(h) / group,
-                          q + h * cfg.head_dim, scores.data(),
-                          out + h * cfg.head_dim);
-    }
-  });
-}
 
 void batched_fused_decode_attention(
     const PagedKvCache& cache, const std::vector<DecodeAttentionItem>& items,
@@ -122,18 +51,40 @@ void batched_fused_decode_attention(
   // Each (item, head) pair owns its output slice exclusively, so scheduling
   // order and thread count cannot change the result. Local head l maps to
   // global query head q_head0 + l; items' q/out are slice-relative.
+  //
+  // Each (item, head) hands the view's page runs for its KV head — in-page
+  // codes and scales, dequantized inline by the microkernels, no
+  // per-(token, head) scratch copies — to the shared attend_head routine.
+  // Work items of one GQA group are adjacent, so a chunk resolves each
+  // (item, KV head)'s runs once for the whole group. Scores are indexed by
+  // the view's compact score offsets: a sliding-window view exposes only the
+  // sink + window runs, so the buffer holds visible_tokens() entries.
   const int64_t n_work = int64_t(items.size()) * n_q_heads;
   parallel_for(0, n_work, 1, [&](int64_t w0, int64_t w1) {
+    // Reused per pool thread to keep per-head heap traffic off the hot path.
     thread_local std::vector<float> scores;
+    thread_local std::vector<AttentionRun> runs;
+    size_t runs_item = items.size();
+    int runs_kv_head = -1;
     for (int64_t w = w0; w < w1; ++w) {
       const size_t i = static_cast<size_t>(w / n_q_heads);
       const int l = static_cast<int>(w % n_q_heads);
       const PagedKvCache::SeqView& kv = views[i];
+      const int kv_head = (q_head0 + l) / group;
+      if (i != runs_item || kv_head != runs_kv_head) {
+        runs.resize(static_cast<size_t>(kv.num_page_runs()));
+        for (int r = 0; r < kv.num_page_runs(); ++r)
+          runs[static_cast<size_t>(r)] = {kv.k_run(r, kv_head),
+                                          kv.v_run(r, kv_head),
+                                          kv.run_score0(r)};
+        runs_item = i;
+        runs_kv_head = kv_head;
+      }
       scores.resize(static_cast<size_t>(kv.visible_tokens()));
-      view_head_attention(kv, ker, cfg, (q_head0 + l) / group,
-                          items[i].q + int64_t(l) * cfg.head_dim,
-                          scores.data(),
-                          items[i].out + int64_t(l) * cfg.head_dim);
+      attend_head(ker, items[i].q + int64_t(l) * cfg.head_dim, runs.data(),
+                  kv.num_page_runs(), kv.visible_tokens(), cfg.head_dim,
+                  cfg.fp16_accum, scores.data(),
+                  items[i].out + int64_t(l) * cfg.head_dim);
     }
   });
 }

@@ -2,13 +2,13 @@
 //
 // The QServe CUDA kernel never materializes a dequantized K/V matrix: it
 // walks the pages, dequantizes each head-vector inline (2-op bit tricks),
-// and accumulates QK / SV products in FP16. This is the CPU counterpart:
-// the ISA-dispatched attention microkernels (kernels/cpu/attention_kernel.h)
-// walk the PagedKvCache's pages directly via the SeqView page-run API —
-// per-head codes + in-page scales/zeros, dequantized inline in SIMD
-// registers — and accumulate at the configured precision. Numerically it
-// must match the gather-then-attend reference path exactly — a property the
-// tests pin down — while avoiding the O(S * kv_dim) temporary.
+// and accumulates QK / SV products in FP16. This is the CPU counterpart: the
+// SeqView page-run API hands each head's in-page codes + scales/zeros to
+// attend_head (kernels/attention.h), whose ISA-dispatched microkernels
+// dequantize inline in SIMD registers. attend_head is also the routine the
+// gather-then-attend prefill path runs over float rows, so the two match
+// exactly — a property the tests pin down — while this path avoids the
+// O(S * kv_dim) temporary.
 #pragma once
 
 #include <vector>
@@ -18,13 +18,6 @@
 
 namespace qserve {
 
-// One decode step for one sequence: q is [n_heads * head_dim] (post-RoPE),
-// out receives [n_heads * head_dim]. `fp16_accum` mirrors QServe's FP16
-// QK/SV arithmetic.
-void fused_decode_attention(const PagedKvCache& cache, int seq,
-                            const float* q, const AttentionConfig& cfg,
-                            float* out);
-
 // One engine step's worth of single-row decode attention: every sequence
 // that decodes (or verifies token-by-token) this step contributes one item.
 struct DecodeAttentionItem {
@@ -33,12 +26,13 @@ struct DecodeAttentionItem {
   float* out = nullptr;      // [n_heads * head_dim]
 };
 
-// Batched executor: resolves each sequence's page table once (one lock
+// The decode executor: resolves each sequence's page table once (one lock
 // round per sequence), then walks all items × heads in a single
 // parallel_for — one kernel dispatch per engine step instead of a
-// per-sequence fan-out. Each (item, head) writes only its own output slice,
-// so the result is bitwise identical to calling fused_decode_attention on
-// each item in any order, at any thread count, on any ISA.
+// per-sequence fan-out. A single sequence is the one-item case. Each
+// (item, head) writes only its own output slice, so the result is bitwise
+// identical to one call per item in any order, at any thread count, on any
+// ISA.
 void batched_fused_decode_attention(const PagedKvCache& cache,
                                     const std::vector<DecodeAttentionItem>& items,
                                     const AttentionConfig& cfg);

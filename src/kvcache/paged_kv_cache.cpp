@@ -130,7 +130,11 @@ void PagedKvCache::set_window(int seq, int64_t sink_tokens,
                               << " must be a non-negative multiple of the KV "
                                  "page size "
                               << p);
-  QS_CHECK_GE(slack_tokens, 0);
+  QS_CHECK_MSG(slack_tokens >= 1,
+               "window slack " << slack_tokens
+                               << " must be at least 1 token: it bounds every "
+                                  "append span, and the smallest span is one "
+                                  "token");
   QS_CHECK_MSG(s.window == 0,
                "sequence already has a window installed");
   const int64_t ring_pages =
@@ -437,31 +441,68 @@ bool PagedKvCache::can_grow(int seq, int64_t tokens) const {
   return grow_need_locked(s, tokens) <= free_pages();
 }
 
-void PagedKvCache::append(int seq, const float* k, const float* v) {
-  // Single-token fast path: no destination buffer, one lock round, zero heap
-  // traffic — this is the per-layer decode hot path.
-  Page* page_ptr;
-  int64_t slot;
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    QS_CHECK(is_live_locked(seq));
-    auto& s = seqs_[static_cast<size_t>(seq)];
-    if (s.length % cfg_.page_size == 0) {
-      page_ptr = &pages_[static_cast<size_t>(
-          ring_advance_locked(s, s.length / cfg_.page_size))];
-    } else {
-      // Writing into the existing tail page: if it is shared (this sequence
-      // was forked mid-page), copy it on write first.
-      page_ptr = &ensure_private_locked(
-          s, page_slot(s, s.length / cfg_.page_size));
+void PagedKvCache::audit() const {
+  std::lock_guard<std::mutex> lk(mu_);
+  // Recount every page's references from the live page tables.
+  std::vector<int32_t> refs(pages_.size(), 0);
+  for (const Sequence& s : seqs_) {
+    if (!s.live) {
+      QS_CHECK_MSG(s.page_table.empty(), "audit: dead sequence holds pages");
+      continue;
     }
-    slot = s.length % cfg_.page_size;
-    ++s.length;
+    const int64_t n_pages = ceil_div(s.length, int64_t(cfg_.page_size));
+    if (s.window == 0) {
+      QS_CHECK_MSG(static_cast<int64_t>(s.page_table.size()) == n_pages,
+                   "audit: plain sequence of " << s.length << " tokens has "
+                                               << s.page_table.size()
+                                               << " pages");
+    } else {
+      QS_CHECK_MSG(static_cast<int64_t>(s.page_table.size()) <=
+                       window_page_cap(cfg_, s.sink, s.window, s.slack),
+                   "audit: windowed sequence holds "
+                       << s.page_table.size() << " pages, over its cap");
+    }
+    for (const int pid : s.page_table) {
+      if (pid < 0) {
+        QS_CHECK_MSG(s.window > 0, "audit: hole in a plain page table");
+        continue;
+      }
+      QS_CHECK_LT(static_cast<size_t>(pid), pages_.size());
+      ++refs[static_cast<size_t>(pid)];
+    }
   }
-  write_token(*page_ptr, slot, k, v);
+  int64_t used = 0, shared = 0;
+  for (size_t pid = 0; pid < pages_.size(); ++pid) {
+    QS_CHECK_MSG(pages_[pid].refcount == refs[pid],
+                 "audit: page " << pid << " refcount "
+                                << pages_[pid].refcount << " but "
+                                << refs[pid] << " page-table references");
+    used += refs[pid] > 0;
+    shared += refs[pid] > 1;
+  }
+  // Free pages are unreferenced and listed once.
+  std::vector<bool> listed(pages_.size(), false);
+  for (const int pid : free_page_ids_) {
+    QS_CHECK_MSG(refs[static_cast<size_t>(pid)] == 0,
+                 "audit: free page " << pid << " is still referenced");
+    QS_CHECK_MSG(!listed[static_cast<size_t>(pid)],
+                 "audit: page " << pid << " is on the free list twice");
+    listed[static_cast<size_t>(pid)] = true;
+  }
+  QS_CHECK_EQ(used, used_pages_.load(std::memory_order_relaxed));
+  QS_CHECK_EQ(shared, shared_pages_.load(std::memory_order_relaxed));
+  QS_CHECK_EQ(used + static_cast<int64_t>(free_page_ids_.size()),
+              static_cast<int64_t>(pages_.size()));
 }
 
-int64_t PagedKvCache::append_reserve_locked(int seq, int64_t n) {
+int64_t PagedKvCache::append_reserve(int seq, int64_t n) {
+  QS_CHECK_GT(n, 0);
+  // Fault site at the append entry: one kv_append draw per reserved span
+  // (decode rows and prefill chunks alike), before any state mutates — so TP
+  // and single-shard runs see identical fault schedules.
+  fault::maybe_fail(fault::kKvAppend);
+  std::lock_guard<std::mutex> lk(mu_);
+  QS_CHECK(is_live_locked(seq));
   auto& s = seqs_[static_cast<size_t>(seq)];
   // The ring's dry-run capacity simulation (and its recycling) assumes a
   // span stays inside one ring revolution — the slack the window was
@@ -487,17 +528,6 @@ int64_t PagedKvCache::append_reserve_locked(int seq, int64_t n) {
   return pos0;
 }
 
-int64_t PagedKvCache::append_reserve(int seq, int64_t n) {
-  QS_CHECK_GT(n, 0);
-  // Same fault-site draw as append_batch's entry: one kv_append draw per
-  // reserved span, so TP and single-shard runs see identical fault
-  // schedules.
-  fault::maybe_fail(fault::kKvAppend);
-  std::lock_guard<std::mutex> lk(mu_);
-  QS_CHECK(is_live_locked(seq));
-  return append_reserve_locked(seq, n);
-}
-
 void PagedKvCache::append_write_heads(int seq, int64_t pos0, const float* k,
                                       const float* v, int64_t n, int head0,
                                       int head1, int64_t row_stride) {
@@ -506,8 +536,8 @@ void PagedKvCache::append_write_heads(int seq, int64_t pos0, const float* k,
   if (n <= 0 || head0 == head1) return;
   // One short locked pass resolves the (page, slot) destinations — the
   // reserve already made every page private — then the quantize writes run
-  // unlocked, concurrently with other shards filling other head ranges of
-  // the same slots.
+  // unlocked, concurrently with other sequences' appends and with other
+  // shards filling other head ranges of the same slots.
   struct Dest {
     Page* page;
     int64_t slot;
@@ -535,44 +565,8 @@ void PagedKvCache::append_write_heads(int seq, int64_t pos0, const float* k,
 
 void PagedKvCache::append_batch(int seq, const float* k, const float* v,
                                 int64_t n) {
-  QS_CHECK_GT(n, 0);
-  // Fault site at the batch-append entry: every engine-driven append (decode
-  // rows and prefill chunks alike go through append_batch) draws here, before
-  // any state mutates.
-  fault::maybe_fail(fault::kKvAppend);
-  if (n == 1) return append(seq, k, v);
-  // Bookkeeping under the lock: allocate every page the n tokens need and
-  // resolve each token's (page, slot) destination. The quantize-into-page
-  // writes below touch slots owned exclusively by this sequence, so they run
-  // unlocked — and concurrently with other sequences' appends.
-  struct Dest {
-    Page* page;
-    int64_t slot;
-  };
-  std::vector<Dest> dests(static_cast<size_t>(n));
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    QS_CHECK(is_live_locked(seq));
-    const int64_t pos0 = append_reserve_locked(seq, n);
-    auto& s = seqs_[static_cast<size_t>(seq)];
-    for (int64_t t = 0; t < n; ++t) {
-      const int64_t tok = pos0 + t;
-      dests[static_cast<size_t>(t)] = {
-          &pages_[static_cast<size_t>(s.page_table[static_cast<size_t>(
-              page_slot(s, tok / cfg_.page_size))])],
-          tok % cfg_.page_size};
-    }
-  }
-  const int64_t span = head_span();
-  for (int64_t t = 0; t < n; ++t) {
-    const Dest& d = dests[static_cast<size_t>(t)];
-    write_token(*d.page, d.slot, k + t * span, v + t * span);
-  }
-}
-
-void PagedKvCache::write_token(Page& page, int64_t slot, const float* k,
-                               const float* v) {
-  write_token_heads(page, slot, k, v, 0, cfg_.n_kv_heads);
+  append_write_heads(seq, append_reserve(seq, n), k, v, n, 0, cfg_.n_kv_heads,
+                     head_span());
 }
 
 void PagedKvCache::write_token_heads(Page& page, int64_t slot, const float* k,
@@ -831,23 +825,18 @@ cpu::KvHeadRun PagedKvCache::SeqView::v_run(int run, int head) const {
   return head_run(run, head, /*is_k=*/false);
 }
 
-void PagedKvCache::gather(int seq, Tensor& k_out, Tensor& v_out) const {
-  gather_heads(seq, k_out, v_out, 0, cfg_.n_kv_heads);
+int64_t PagedKvCache::gather(int seq, Tensor& k_out, Tensor& v_out) const {
+  return gather_heads(seq, k_out, v_out, 0, cfg_.n_kv_heads);
 }
 
-int64_t PagedKvCache::gather_visible(int seq, Tensor& k_out,
-                                     Tensor& v_out) const {
-  return gather_visible_heads(seq, k_out, v_out, 0, cfg_.n_kv_heads);
-}
-
-int64_t PagedKvCache::gather_visible_heads(int seq, Tensor& k_out,
-                                           Tensor& v_out, int head0,
-                                           int head1) const {
+int64_t PagedKvCache::gather_heads(int seq, Tensor& k_out, Tensor& v_out,
+                                   int head0, int head1) const {
   QS_CHECK(head0 >= 0 && head0 <= head1 && head1 <= cfg_.n_kv_heads);
   // One locked pass resolves (page, slot) for every resident token — the
   // sinks and the retained tail, NOT just the last query's window, so a
   // prefill span's earliest row still finds its whole trailing window — then
-  // the dequantization runs unlocked (same arithmetic as gather()).
+  // the dequantization runs unlocked (the arithmetic of read_k/read_v). A
+  // plain sequence is the sink = tail0 = 0 case: every row, in order.
   struct Src {
     const Page* page;
     int64_t slot;
@@ -858,8 +847,6 @@ int64_t PagedKvCache::gather_visible_heads(int seq, Tensor& k_out,
     std::lock_guard<std::mutex> lk(mu_);
     QS_CHECK(is_live_locked(seq));
     const auto& s = seqs_[static_cast<size_t>(seq)];
-    QS_CHECK_MSG(s.window > 0,
-                 "gather_visible on a full-attention sequence");
     const int64_t sink_eff = std::min(s.sink, s.length);
     tail0 = std::min(std::max(s.tail0, sink_eff), s.length);
     srcs.reserve(static_cast<size_t>(sink_eff + s.length - tail0));
@@ -889,25 +876,6 @@ int64_t PagedKvCache::gather_visible_heads(int seq, Tensor& k_out,
     }
   }
   return tail0;
-}
-
-void PagedKvCache::gather_heads(int seq, Tensor& k_out, Tensor& v_out,
-                                int head0, int head1) const {
-  QS_CHECK(head0 >= 0 && head0 <= head1 && head1 <= cfg_.n_kv_heads);
-  // One locked page-table snapshot, then unlocked per-head dequantization —
-  // the same arithmetic as read_k/read_v, head by head.
-  const SeqView v = view(seq);
-  const int64_t span = int64_t(head1 - head0) * cfg_.head_dim;
-  k_out = Tensor({v.length(), span});
-  v_out = Tensor({v.length(), span});
-  for (int64_t t = 0; t < v.length(); ++t) {
-    float* kr = k_out.row(t);
-    float* vr = v_out.row(t);
-    for (int h = head0; h < head1; ++h) {
-      v.read_k(t, h, kr + int64_t(h - head0) * cfg_.head_dim);
-      v.read_v(t, h, vr + int64_t(h - head0) * cfg_.head_dim);
-    }
-  }
 }
 
 }  // namespace qserve

@@ -4,8 +4,18 @@
 // per-tensor *static* INT8 scales, QServe stores FP16 scale + zero point per
 // (token, head) immediately after the quantized features in each page and
 // updates them on the fly — the requirement for KV4 accuracy. This module is
-// the storage substrate; the fused attention numerics (FP16 accumulation)
-// live in kernels/attention.h and consume the dequantized gather.
+// the storage substrate; the attention numerics (FP16 accumulation) live in
+// kernels/attention.h and walk either the pages (SeqView runs) or the
+// dequantized gather.
+//
+// One write path and one gather. Every write is append_reserve (locked
+// bookkeeping) followed by append_write_heads (unlocked quantize-into-page);
+// append_batch is the full-head composition of the two, and a single token is
+// the n = 1 span. Every dequantized read of a whole sequence is gather_heads,
+// which returns the resident rows — all of them for a plain sequence, the
+// sinks plus the retained tail for a windowed one; gather is its full-head
+// case.
+//
 // Threading contract: one batched forward touches many sequences at once —
 // pool workers write each span's reserved slots and gather/attend over
 // distinct sequences, tensor-parallel shards write disjoint head ranges of
@@ -81,7 +91,7 @@ class PagedKvCache {
   // covering [0, upto_len) — including a partially-covered boundary page —
   // is SHARED (refcount++), not copied, so forking allocates zero pages and
   // cannot fail for capacity. Shared pages are immutable: the first writer
-  // (append/append_batch filling the shared tail page, or truncate_sequence
+  // (an append filling the shared tail page, or truncate_sequence
   // cutting into one) copies the page privately first (copy-on-write) and
   // only then writes — the other owners' data, and their SeqViews, stay
   // valid (a CoW copy does NOT bump the shared page's generation; only a
@@ -111,7 +121,8 @@ class PagedKvCache {
   // the largest single append span (prefill chunk / verify span), because a
   // span's earliest row still attends to its own trailing window and a
   // rollback re-exposes up to slack tokens of it. Appends of more than
-  // slack_tokens tokens, and truncations deeper than slack_tokens, QS_CHECK.
+  // slack_tokens tokens, and truncations deeper than slack_tokens, QS_CHECK;
+  // since every append is a span of at least one token, slack_tokens >= 1.
   //
   // Constraints (all QS_CHECKed loudly): window_tokens > 0 and a multiple of
   // page_size, sink_tokens >= 0 and a multiple of page_size (partial pages
@@ -153,36 +164,29 @@ class PagedKvCache {
   // mismatch means a page was reclaimed under the entry).
   std::vector<uint32_t> page_generations(int seq) const;
 
-  // Append one token's K and V ([n_kv_heads * head_dim] floats each).
-  // Quantizes per (token, head) with dynamic scales (or static, per config).
-  void append(int seq, const float* k, const float* v);
-
-  // Batched scatter: append `n` consecutive tokens in one call. k/v point at
-  // row 0 of [n, n_kv_heads * head_dim] row-major matrices. Page allocation
-  // and length bookkeeping happen once under the lock; the per-token
-  // quantize-into-page writes then run unlocked (the slots belong exclusively
-  // to this sequence). Bitwise identical to n single append() calls — the
-  // batched step executor appends a whole prefill chunk (or all of a step's
-  // rows for one sequence) through this path.
-  void append_batch(int seq, const float* k, const float* v, int64_t n);
-
-  // Two-phase append for tensor-parallel shards: append_reserve performs ALL
-  // of append_batch's locked bookkeeping — capacity check, page allocation,
-  // copy-on-write of a shared tail page, length growth — and returns the
-  // position of the first reserved token; the reserved slots' bytes are then
-  // filled by append_write_heads calls covering disjoint KV-head ranges
-  // (shards write their own heads concurrently, lock-free: head vectors
-  // occupy disjoint byte ranges — INT4 nibble packing keeps head boundaries
-  // byte-aligned because head_dim is even). k/v point at row 0 of
+  // The write path, in two phases. append_reserve performs all locked
+  // bookkeeping for an n-token span (n >= 1) — one kv_append fault draw,
+  // capacity check, page allocation and ring recycling, copy-on-write of a
+  // shared tail page, length growth — and returns the position of the first
+  // reserved token. append_write_heads then quantizes (per (token, head),
+  // dynamic scales or static per config) the K/V of heads [head0, head1)
+  // into those reserved slots: k/v point at row 0 of
   // [n, (head1 - head0) * head_dim] row-major slices whose rows are
-  // `row_stride` floats apart. reserve + write_heads over a covering
-  // partition of [0, n_kv_heads) is bitwise identical to one append_batch
-  // (same per-head kv_quantize, same page layout, same fault-site draw
-  // sequence: one kv_append draw per reserve, like append_batch).
+  // `row_stride` floats apart. The writes run unlocked — the slots belong to
+  // this sequence — so tensor-parallel shards fill disjoint head ranges of
+  // the same slots concurrently (head vectors occupy disjoint bytes; INT4
+  // nibble packing keeps head boundaries byte-aligned because head_dim is
+  // even). Any covering partition of [0, n_kv_heads) stores the same bytes.
   int64_t append_reserve(int seq, int64_t n);
   void append_write_heads(int seq, int64_t pos0, const float* k,
                           const float* v, int64_t n, int head0, int head1,
                           int64_t row_stride);
+
+  // Full-head append of `n` consecutive tokens: append_reserve followed by
+  // one append_write_heads over [0, n_kv_heads). k/v point at row 0 of
+  // [n, n_kv_heads * head_dim] row-major matrices. Splitting a span into
+  // several calls (down to n = 1 each) stores byte-identical pages.
+  void append_batch(int seq, const float* k, const float* v, int64_t n);
 
   // Roll the sequence back to `new_len` tokens (0 <= new_len <= seq_len).
   // Pages that become empty drop one reference and return to the free pool
@@ -196,7 +200,7 @@ class PagedKvCache {
   // (no bump: the other owners' views must stay valid, and its bytes are
   // immutable — the next append to this sequence copies it on write), so a
   // rollback can never corrupt another sequence forked from the same
-  // prefix. Composes with append/append_batch: truncate-then-append stores
+  // prefix. Composes with the append path: truncate-then-append stores
   // byte-identical pages to a sequence that never held the rejected tail.
   // This is the speculative-decoding rollback primitive: a verify step
   // appends k+1 tokens and then truncates the rejected suffix.
@@ -215,33 +219,25 @@ class PagedKvCache {
   // Would appending `tokens` more tokens to `seq` fit in the pool?
   bool can_grow(int seq, int64_t tokens) const;
 
-  // Dequantize the whole sequence into [s, n_kv_heads*head_dim] matrices
-  // (the gather a fused attention kernel performs page by page).
-  void gather(int seq, Tensor& k_out, Tensor& v_out) const;
-
-  // Head-ranged gather for tensor-parallel shards: dequantize only heads
-  // [head0, head1) into [s, (head1-head0)*head_dim] matrices. Bitwise the
-  // corresponding columns of the full gather.
-  void gather_heads(int seq, Tensor& k_out, Tensor& v_out, int head0,
-                    int head1) const;
-
-  // Windowed gather: dequantize every RESIDENT token of a windowed sequence —
-  // the sinks [0, min(sink, len)) followed by the retained tail [tail0, len)
-  // — into [sink_eff + len - tail0, span] matrices, and return tail0 (the
-  // oldest post-sink logical position whose page has not been recycled;
-  // equals the sink boundary while nothing has been recycled yet). The
-  // retained tail is a superset of any row's attention window, including
-  // every row of an append span up to slack tokens, so a windowed prefill
-  // kernel can mask per row against logical positions: gathered row of
-  // logical t is t for t < sink_eff and sink_eff + (t - tail0) for
-  // t >= tail0. QS_CHECKs that the sequence actually has a window.
-  int64_t gather_visible(int seq, Tensor& k_out, Tensor& v_out) const;
-  int64_t gather_visible_heads(int seq, Tensor& k_out, Tensor& v_out,
-                               int head0, int head1) const;
+  // The gather: dequantize every RESIDENT token's heads [head0, head1) —
+  // the sinks [0, sink_eff) followed by the retained tail [tail0, len), with
+  // sink_eff = min(sink, len) — into [sink_eff + len - tail0,
+  // (head1 - head0) * head_dim] matrices, and return tail0 (the oldest
+  // post-sink logical position whose page has not been recycled). A plain
+  // sequence has sink = tail0 = 0: every row, in position order. A windowed
+  // one's retained tail is a superset of any row's attention window,
+  // including every row of an append span up to slack tokens, so a windowed
+  // prefill kernel can mask per row against logical positions: gathered row
+  // of logical t is t for t < sink_eff and sink_eff + (t - tail0) for
+  // t >= tail0. A head range is bitwise the matching columns of the
+  // full-head gather.
+  int64_t gather_heads(int seq, Tensor& k_out, Tensor& v_out, int head0,
+                       int head1) const;
+  int64_t gather(int seq, Tensor& k_out, Tensor& v_out) const;
 
   // Dequantize a single (token, head) K or V vector into out[head_dim] —
   // the inline access pattern of the fused attention kernel (§5.3). Exactly
-  // the same arithmetic as gather().
+  // the same arithmetic as gather(). Reading a recycled position QS_CHECKs.
   void read_k(int seq, int64_t token, int head, float* out) const;
   void read_v(int seq, int64_t token, int head, float* out) const;
 
@@ -304,6 +300,14 @@ class PagedKvCache {
   SeqView view(int seq) const;
 
   const KvCacheConfig& config() const { return cfg_; }
+
+  // Pool invariant check, QS_CHECKed: every page's refcount equals the
+  // number of page-table references to it; the free list holds each
+  // unreferenced page exactly once and no referenced one; pages_in_use() and
+  // shared_pages() equal recounts; a plain sequence holds ceil(len / page)
+  // pages and no holes; a windowed one at most window_page_cap() slots.
+  // Takes the lock; O(pages + page-table entries).
+  void audit() const;
 
  private:
   struct Page {
@@ -376,17 +380,10 @@ class PagedKvCache {
   // Returns the (possibly new) page. May allocate — the only way append
   // paths consume an extra page beyond the length-growth arithmetic.
   Page& ensure_private_locked(Sequence& s, int64_t page_index);
-  // Locked core of append_reserve/append_batch: grow the sequence by n
-  // tokens (allocating pages, CoW-copying a shared tail) and return the
-  // first reserved position. Caller holds mu_.
-  int64_t append_reserve_locked(int seq, int64_t n);
-  // Quantize one token's K/V into `page` at `slot` (no locking; the slot is
-  // owned exclusively by the appending sequence). Shared by append() and
-  // append_batch() so the two paths are bitwise identical by construction.
-  void write_token(Page& page, int64_t slot, const float* k, const float* v);
-  // Head-ranged variant: heads [head0, head1), k/v pointing at the slice's
-  // own head 0 (head h reads k + (h - head0) * head_dim). write_token is
-  // the full-range case, so the two are bitwise identical by construction.
+  // Quantize one token's heads [head0, head1) into `page` at `slot`, k/v
+  // pointing at the slice's own head 0 (head h reads k + (h - head0) *
+  // head_dim). No locking: the slot is owned exclusively by the appending
+  // sequence.
   void write_token_heads(Page& page, int64_t slot, const float* k,
                          const float* v, int head0, int head1);
   // Resolve the page holding (seq, token) under mu_, with bounds checks.

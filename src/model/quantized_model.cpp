@@ -619,13 +619,9 @@ Tensor QuantizedModel::span_attention(int lseq, const SeqState& st,
                                       const AttentionConfig& acfg, int kh0,
                                       int kh1) const {
   Tensor kd, vd;
-  if (st.window > 0) {
-    const int64_t tail0 = kv_->gather_visible_heads(lseq, kd, vd, kh0, kh1);
-    return attention_prefill_windowed(qspan, kd, vd, acfg, s_total, st.sink,
-                                      st.window, tail0);
-  }
-  kv_->gather_heads(lseq, kd, vd, kh0, kh1);
-  return attention_prefill(qspan, kd, vd, acfg);
+  const int64_t tail0 = kv_->gather_heads(lseq, kd, vd, kh0, kh1);
+  return attention_prefill(qspan, kd, vd, acfg, s_total, st.sink, st.window,
+                           tail0);
 }
 
 void QuantizedModel::run_shards(const std::function<void(int)>& fn) {

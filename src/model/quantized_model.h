@@ -206,7 +206,7 @@ class QuantizedModel {
   // Install a sliding window with attention sinks on `seq` across every
   // layer's KV sequence (PagedKvCache::set_window). From then on the
   // sequence's attention — decode rows via the paged SeqView, prefill chunks
-  // via gather_visible + attention_prefill_windowed — walks only the sink
+  // via gather_heads + attention_prefill — walks only the sink
   // runs plus each row's trailing window, and the cache recycles the oldest
   // non-sink page in place once the ring fills, so a 32k generation holds a
   // constant page footprint. Must be called before the sequence grows past
@@ -290,10 +290,10 @@ class QuantizedModel {
                          const std::vector<int>& positions, const Tensor& q,
                          const Tensor& k, const Tensor& v);
   // Multi-row span attention against the paged cache over KV heads
-  // [kh0, kh1) with the matching head-sliced config: full-attention spans
-  // gather every cached K/V row and run attention_prefill; windowed spans
-  // gather only the visible rows (sinks + retained tail) and run
-  // attention_prefill_windowed. `s_total` is the sequence length after the
+  // [kh0, kh1) with the matching head-sliced config: gather the resident
+  // rows (every row of a full-attention sequence; sinks + retained tail of a
+  // windowed one) and run attention_prefill with the sequence's sink and
+  // window (0 = unwindowed). `s_total` is the sequence length after the
   // span's rows were appended.
   Tensor span_attention(int lseq, const SeqState& st, const Tensor& qspan,
                         int64_t s_total, const AttentionConfig& acfg, int kh0,
@@ -360,8 +360,8 @@ class QuantizedModel {
     std::vector<int> layer_seqs;
     int64_t next_pos = 0;
     // Sliding-window attention parameters (0 = full attention); mirrors the
-    // per-layer cache state so the executor can route multi-row spans to
-    // the windowed gather/prefill path without a cache query.
+    // per-layer cache state so span attention masks multi-row spans by it
+    // without a cache query.
     int64_t sink = 0;
     int64_t window = 0;
     bool live = false;

@@ -71,7 +71,7 @@ struct CacheFixture {
       for (auto& x : k) x = rng.normal();
       for (auto& x : v) x = rng.normal();
       k[0] = 9.0f;  // persistent outlier channel, like real Keys
-      cache.append(seq, k.data(), v.data());
+      cache.append_batch(seq, k.data(), v.data(), 1);
     }
     q.resize(static_cast<size_t>(n_heads) * head_dim);
     for (auto& x : q) x = rng.normal();
@@ -79,7 +79,7 @@ struct CacheFixture {
 
   std::vector<float> fused() const {
     std::vector<float> out(q.size());
-    fused_decode_attention(cache, seq, q.data(), acfg, out.data());
+    batched_fused_decode_attention(cache, {{seq, q.data(), out.data()}}, acfg);
     return out;
   }
 
@@ -191,8 +191,8 @@ TEST(AttentionIsaEquivalence, PrefillGatherPathAcrossIsas) {
 TEST(AttentionIsaEquivalence, BatchedMatchesPerSequenceUnderChurn) {
   // Several sequences of different odd lengths, with free/realloc churn so
   // later sequences land on recycled pages out of allocation order — the
-  // preemption pattern. The batched executor must reproduce per-sequence
-  // fused_decode_attention bitwise on every ISA.
+  // preemption pattern. The batched executor must reproduce one-item
+  // (per-sequence) calls bitwise on every ISA.
   for (const KvForm& f : kKvForms) {
     KvCacheConfig ccfg{2, 32, 8, f.precision, f.static_scales,
                        0.25f, 0.5f, 4096};
@@ -205,7 +205,7 @@ TEST(AttentionIsaEquivalence, BatchedMatchesPerSequenceUnderChurn) {
       for (int t = 0; t < tokens; ++t) {
         for (auto& x : kb) x = rng.normal();
         for (auto& x : vb) x = rng.normal();
-        cache.append(seq, kb.data(), vb.data());
+        cache.append_batch(seq, kb.data(), vb.data(), 1);
       }
     };
     // Churn: a and b claim pages, a is preempted, c/d/e reuse its pages.
@@ -234,8 +234,8 @@ TEST(AttentionIsaEquivalence, BatchedMatchesPerSequenceUnderChurn) {
       IsaGuard guard(Isa::kScalar);
       ref.resize(hd * live.size());
       for (size_t i = 0; i < live.size(); ++i)
-        fused_decode_attention(cache, live[i], qs[i].data(), acfg,
-                               ref.data() + i * hd);
+        batched_fused_decode_attention(
+            cache, {{live[i], qs[i].data(), ref.data() + i * hd}}, acfg);
     }
     for (Isa isa : supported_isas()) {
       IsaGuard guard(isa);

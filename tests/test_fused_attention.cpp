@@ -30,7 +30,7 @@ struct FusedFixture {
       for (auto& x : k) x = rng.normal();
       for (auto& x : v) x = rng.normal();
       k[0] = 9.0f;  // persistent outlier channel, like real Keys
-      cache.append(seq, k.data(), v.data());
+      cache.append_batch(seq, k.data(), v.data(), 1);
     }
     q.resize(static_cast<size_t>(n_heads) * 32);
     for (auto& x : q) x = rng.normal();
@@ -38,7 +38,8 @@ struct FusedFixture {
 
   std::vector<float> fused() const {
     std::vector<float> out(q.size());
-    fused_decode_attention(cache, seq, q.data(), attn_cfg, out.data());
+    batched_fused_decode_attention(cache, {{seq, q.data(), out.data()}},
+                                   attn_cfg);
     return out;
   }
 
@@ -104,7 +105,8 @@ TEST(FusedAttention, RejectsEmptySequence) {
   const int seq = cache.alloc_sequence();
   AttentionConfig acfg{2, 2, 32, false};
   std::vector<float> q(64), out(64);
-  EXPECT_THROW(fused_decode_attention(cache, seq, q.data(), acfg, out.data()),
+  EXPECT_THROW(batched_fused_decode_attention(
+                   cache, {{seq, q.data(), out.data()}}, acfg),
                CheckError);
 }
 
@@ -114,7 +116,8 @@ TEST(FusedAttention, RejectsMismatchedHeadDim) {
   bad.head_dim = 64;
   std::vector<float> out(256);
   EXPECT_THROW(
-      fused_decode_attention(s.cache, s.seq, s.q.data(), bad, out.data()),
+      batched_fused_decode_attention(
+          s.cache, {{s.seq, s.q.data(), out.data()}}, bad),
       CheckError);
 }
 

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "common/parallel.h"
 #include "common/rng.h"
 #include "quant/kv_quant.h"
@@ -77,7 +79,7 @@ TEST(PagedKvCache, AppendGatherRoundTripFp16) {
   for (int t = 0; t < 10; ++t) {
     ks.push_back(random_vec(rng, 16));
     vs.push_back(random_vec(rng, 16));
-    cache.append(seq, ks.back().data(), vs.back().data());
+    cache.append_batch(seq, ks.back().data(), vs.back().data(), 1);
   }
   Tensor k, v;
   cache.gather(seq, k, v);
@@ -97,7 +99,7 @@ TEST_P(KvCacheRoundTrip, ErrorBoundedByHeadScale) {
   const int seq = cache.alloc_sequence();
   const auto k0 = random_vec(rng, 16, 8.0f);  // outlier in head 0
   const auto v0 = random_vec(rng, 16);
-  cache.append(seq, k0.data(), v0.data());
+  cache.append_batch(seq, k0.data(), v0.data(), 1);
   Tensor k, v;
   cache.gather(seq, k, v);
   const int bits = static_cast<int>(GetParam());
@@ -120,7 +122,7 @@ TEST(PagedKvCache, PerHeadScalesIsolateOutliers) {
   std::vector<float> kvec = random_vec(rng, 16);
   kvec[0] = 50.0f;  // head 0 outlier
   const auto vvec = random_vec(rng, 16);
-  cache.append(seq, kvec.data(), vvec.data());
+  cache.append_batch(seq, kvec.data(), vvec.data(), 1);
   Tensor k, v;
   cache.gather(seq, k, v);
   for (int i = 8; i < 16; ++i)  // head 1 channels
@@ -133,7 +135,7 @@ TEST(PagedKvCache, PageAllocationGrowsByPageSize) {
   EXPECT_EQ(cache.pages_in_use(), 0);
   Rng rng(7);
   const auto k = random_vec(rng, 16);
-  for (int t = 0; t < 9; ++t) cache.append(seq, k.data(), k.data());
+  for (int t = 0; t < 9; ++t) cache.append_batch(seq, k.data(), k.data(), 1);
   // page_size=4: 9 tokens -> 3 pages.
   EXPECT_EQ(cache.pages_in_use(), 3);
   EXPECT_EQ(cache.seq_len(seq), 9);
@@ -144,14 +146,14 @@ TEST(PagedKvCache, FreeSequenceReleasesPages) {
   Rng rng(8);
   const auto k = random_vec(rng, 16);
   const int a = cache.alloc_sequence();
-  for (int t = 0; t < 8; ++t) cache.append(a, k.data(), k.data());
+  for (int t = 0; t < 8; ++t) cache.append_batch(a, k.data(), k.data(), 1);
   EXPECT_EQ(cache.free_pages(), 6);
   cache.free_sequence(a);
   EXPECT_EQ(cache.free_pages(), 8);
   EXPECT_FALSE(cache.is_live(a));
   // Freed pages are reusable by a new sequence.
   const int b = cache.alloc_sequence();
-  for (int t = 0; t < 32; ++t) cache.append(b, k.data(), k.data());
+  for (int t = 0; t < 32; ++t) cache.append_batch(b, k.data(), k.data(), 1);
   EXPECT_EQ(cache.pages_in_use(), 8);
 }
 
@@ -160,8 +162,8 @@ TEST(PagedKvCache, PoolExhaustionThrows) {
   Rng rng(9);
   const auto k = random_vec(rng, 16);
   const int seq = cache.alloc_sequence();
-  for (int t = 0; t < 8; ++t) cache.append(seq, k.data(), k.data());
-  EXPECT_THROW(cache.append(seq, k.data(), k.data()), CheckError);
+  for (int t = 0; t < 8; ++t) cache.append_batch(seq, k.data(), k.data(), 1);
+  EXPECT_THROW(cache.append_batch(seq, k.data(), k.data(), 1), CheckError);
 }
 
 TEST(PagedKvCache, CanGrowAccountsForPartialPages) {
@@ -169,7 +171,8 @@ TEST(PagedKvCache, CanGrowAccountsForPartialPages) {
   Rng rng(10);
   const auto k = random_vec(rng, 16);
   const int seq = cache.alloc_sequence();
-  cache.append(seq, k.data(), k.data());  // 1 token, 1 page (3 slots spare)
+  // 1 token, 1 page (3 slots spare).
+  cache.append_batch(seq, k.data(), k.data(), 1);
   EXPECT_TRUE(cache.can_grow(seq, 7));    // 3 spare + 4 in the last free page
   EXPECT_FALSE(cache.can_grow(seq, 8));
 }
@@ -181,8 +184,8 @@ TEST(PagedKvCache, MultipleSequencesIsolated) {
   const int b = cache.alloc_sequence();
   const auto ka = random_vec(rng, 16, 3.0f);
   const auto kb = random_vec(rng, 16, -5.0f);
-  cache.append(a, ka.data(), ka.data());
-  cache.append(b, kb.data(), kb.data());
+  cache.append_batch(a, ka.data(), ka.data(), 1);
+  cache.append_batch(b, kb.data(), kb.data(), 1);
   Tensor k, v;
   cache.gather(a, k, v);
   EXPECT_NEAR(k.at2(0, 0), 3.0f, 0.1f);
@@ -248,7 +251,7 @@ TEST(PagedKvCache, StaleSeqViewDetectedAfterFree) {
   Rng rng(13);
   const int a = cache.alloc_sequence();
   const auto k = random_vec(rng, 16);
-  cache.append(a, k.data(), k.data());
+  cache.append_batch(a, k.data(), k.data(), 1);
   const PagedKvCache::SeqView view = cache.view(a);
   std::vector<float> out(8);
   view.read_k(0, 0, out.data());  // live view reads fine
@@ -258,7 +261,7 @@ TEST(PagedKvCache, StaleSeqViewDetectedAfterFree) {
   // The page may since have been recycled into another sequence; the stale
   // view must still trip even though the page is live again.
   const int b = cache.alloc_sequence();
-  cache.append(b, k.data(), k.data());
+  cache.append_batch(b, k.data(), k.data(), 1);
   EXPECT_THROW(view.read_v(0, 0, out.data()), CheckError);
 #else
   GTEST_SKIP() << "generation checks are QS_DCHECK (compiled out in NDEBUG)";
@@ -273,22 +276,23 @@ TEST(PagedKvCache, StaticKv8MatchesStaticQuantizer) {
   PagedKvCache cache(cfg);
   const int seq = cache.alloc_sequence();
   std::vector<float> kvec(16, 1.0f), vvec(16, -2.0f);
-  cache.append(seq, kvec.data(), vvec.data());
+  cache.append_batch(seq, kvec.data(), vvec.data(), 1);
   Tensor k, v;
   cache.gather(seq, k, v);
   EXPECT_NEAR(k.at2(0, 0), 1.0f, 0.05f);
   EXPECT_NEAR(v.at2(0, 0), -2.0f, 0.05f);
   // Static scale clips out-of-range values (the KV8 baseline's weakness).
   std::vector<float> big(16, 100.0f);
-  cache.append(seq, big.data(), big.data());
+  cache.append_batch(seq, big.data(), big.data(), 1);
   cache.gather(seq, k, v);
   EXPECT_NEAR(k.at2(1, 0), 12.7f, 0.1f);  // clamped at 127 * 0.1
 }
 
 TEST(PagedKvCache, AppendBatchMatchesSingleAppendsBitwise) {
-  // The batched scatter the step executor uses must store byte-identical
-  // pages to token-by-token appends, across every precision and across page
-  // boundaries (page_size=4, 13 tokens => 4 pages, last partially filled).
+  // Batch-split invariance of the one write path: one-token append_batch
+  // calls must store byte-identical pages to a 5 + 1 + 7 split of the same
+  // tokens, across every precision and across page boundaries
+  // (page_size=4, 13 tokens => 4 pages, last partially filled).
   for (const KvPrecision p :
        {KvPrecision::kFp16, KvPrecision::kInt8, KvPrecision::kInt4}) {
     PagedKvCache one(small_cfg(p)), batch(small_cfg(p));
@@ -303,7 +307,7 @@ TEST(PagedKvCache, AppendBatchMatchesSingleAppendsBitwise) {
       const auto vt = random_vec(rng, span);
       k.insert(k.end(), kt.begin(), kt.end());
       v.insert(v.end(), vt.begin(), vt.end());
-      one.append(sa, kt.data(), vt.data());
+      one.append_batch(sa, kt.data(), vt.data(), 1);
     }
     // Mixed batch sizes: 5 + 1 + 7 tokens.
     batch.append_batch(sb, k.data(), v.data(), 5);
@@ -397,7 +401,7 @@ TEST(PagedKvCache, TruncateFreesPagesAndComposesWithAppend) {
   for (int t = 0; t < 13; ++t) {
     ks.push_back(random_vec(rng, span, t % 4 ? 0.f : 6.f));
     vs.push_back(random_vec(rng, span));
-    cache.append(seq, ks.back().data(), vs.back().data());
+    cache.append_batch(seq, ks.back().data(), vs.back().data(), 1);
   }
   EXPECT_EQ(cache.seq_len(seq), 13);
   EXPECT_EQ(cache.pages_in_use(), 4);
@@ -423,7 +427,7 @@ TEST(PagedKvCache, TruncateFreesPagesAndComposesWithAppend) {
   EXPECT_EQ(cache.seq_len(seq), 13);
 
   for (int t = 0; t < 8; ++t)
-    replay.append(rep, ks[size_t(t)].data(), vs[size_t(t)].data());
+    replay.append_batch(rep, ks[size_t(t)].data(), vs[size_t(t)].data(), 1);
   replay.append_batch(rep, k2.data(), v2.data(), 5);
   Tensor ka, va, kb, vb;
   cache.gather(seq, ka, va);
@@ -441,7 +445,7 @@ TEST(PagedKvCache, TruncateValidatesLength) {
   const int seq = cache.alloc_sequence();
   Rng rng(3);
   const auto k = random_vec(rng, 16);
-  cache.append(seq, k.data(), k.data());
+  cache.append_batch(seq, k.data(), k.data(), 1);
   EXPECT_THROW(cache.truncate_sequence(seq, 2), CheckError);   // > length
   EXPECT_THROW(cache.truncate_sequence(seq, -1), CheckError);  // negative
   cache.truncate_sequence(seq, 0);  // to empty is legal
@@ -508,6 +512,7 @@ TEST(PagedKvCache, TruncateFuzzInterleavedInvariants) {
         s.v.clear();
       }
       check_accounting();
+      cache.audit();
 
       if (op % 16 == 15) {
         const Mirror& probe = seqs[static_cast<size_t>(rng.uniform_int(0, 3))];
@@ -618,7 +623,7 @@ TEST(PagedKvCache, ForkZeroAndFullLength) {
   Rng rng(42);
   const int src = cache.alloc_sequence();
   const auto x = random_vec(rng, 16);
-  cache.append(src, x.data(), x.data());
+  cache.append_batch(src, x.data(), x.data(), 1);
   const int empty = cache.fork_sequence(src, 0);
   EXPECT_EQ(cache.seq_len(empty), 0);
   EXPECT_EQ(cache.shared_pages(), 0);
@@ -658,7 +663,8 @@ TEST(PagedKvCache, CowWriterGetsPrivateCopySourceUnchanged) {
   cache.gather(src, ks0, vs0);
   const auto kx = random_vec(rng, 16);
   const auto vx = random_vec(rng, 16);
-  cache.append(fork, kx.data(), vx.data());  // writes slot 2 of the tail page
+  // Writes slot 2 of the tail page.
+  cache.append_batch(fork, kx.data(), vx.data(), 1);
   EXPECT_EQ(cache.cow_page_copies(), 1);
   EXPECT_EQ(cache.pages_in_use(), 3);   // the private copy
   EXPECT_EQ(cache.shared_pages(), 1);   // only the full page stays shared
@@ -677,7 +683,7 @@ TEST(PagedKvCache, CowWriterGetsPrivateCopySourceUnchanged) {
   // Fork content == replay without sharing.
   const int rep = replay.alloc_sequence();
   replay.append_batch(rep, k.data(), v.data(), 6);
-  replay.append(rep, kx.data(), vx.data());
+  replay.append_batch(rep, kx.data(), vx.data(), 1);
   Tensor ka, va, kb, vb;
   cache.gather(fork, ka, va);
   replay.gather(rep, kb, vb);
@@ -685,7 +691,7 @@ TEST(PagedKvCache, CowWriterGetsPrivateCopySourceUnchanged) {
   EXPECT_EQ(max_abs_diff(va, vb), 0.0f);
 
   // The fork's tail is now private: further appends copy nothing more.
-  cache.append(fork, kx.data(), vx.data());
+  cache.append_batch(fork, kx.data(), vx.data(), 1);
   EXPECT_EQ(cache.cow_page_copies(), 1);
   cache.free_sequence(src);
   cache.free_sequence(fork);
@@ -710,7 +716,7 @@ TEST(PagedKvCache, SourceAppendAfterForkCopiesOnWrite) {
   cache.gather(fork, kf0, vf0);
 
   const auto kx = random_vec(rng, 16);
-  cache.append(src, kx.data(), kx.data());
+  cache.append_batch(src, kx.data(), kx.data(), 1);
   EXPECT_EQ(cache.cow_page_copies(), 1);
   EXPECT_EQ(cache.seq_len(src), 6);
   EXPECT_EQ(cache.seq_len(fork), 5);
@@ -753,7 +759,7 @@ TEST(PagedKvCache, TruncateNeverTouchesSharedBoundaryPage) {
   Tensor kf0, vf0;
   cache.gather(fork, kf0, vf0);
   const auto kx = random_vec(rng, 16);
-  cache.append(src, kx.data(), kx.data());
+  cache.append_batch(src, kx.data(), kx.data(), 1);
   EXPECT_EQ(cache.cow_page_copies(), 1);
   Tensor kf1, vf1;
   cache.gather(fork, kf1, vf1);
@@ -874,6 +880,7 @@ TEST(PagedKvCache, ForkCowFuzzInterleavedInvariants) {
         seqs.pop_back();
       }
       check();
+      cache.audit();
 
       if (op % 16 == 15) {
         const Shadow& probe = seqs[static_cast<size_t>(
@@ -892,6 +899,117 @@ TEST(PagedKvCache, ForkCowFuzzInterleavedInvariants) {
     for (const auto& s : seqs) cache.free_sequence(s.id);
     ASSERT_EQ(cache.pages_in_use(), 0);
     ASSERT_EQ(cache.shared_pages(), 0);
+  }
+}
+
+TEST(PagedKvCache, WindowedFuzzGatherMatchesFullAttentionShadow) {
+  // Seeded interleaving over a mix of windowed and plain sequences:
+  // append_batch of 1..slack tokens, truncation to at most slack below the
+  // sequence's high-water mark, a fork of a windowed sequence's sinks (or a
+  // plain sequence's prefix), and free + realloc. A plain shadow cache
+  // replays every op. After each op, audit() passes and every sequence's
+  // gather returns exactly the shadow's rows [0, sink) and [tail0, len),
+  // with the next query's window [len - window, len) resident.
+  for (const KvPrecision p :
+       {KvPrecision::kInt4, KvPrecision::kInt8, KvPrecision::kFp16}) {
+    PagedKvCache cache(small_cfg(p, /*max_pages=*/512));
+    PagedKvCache shadow(small_cfg(p, /*max_pages=*/1024));
+    Rng rng(static_cast<uint64_t>(91 + static_cast<int>(p)));
+    const int span = 16;
+    const int64_t page = cache.config().page_size;
+    struct Slot {
+      int id = -1, ref = -1;  // cache / shadow handles
+      int64_t sink = 0, window = 0, slack = 0;  // window 0 = plain
+      int64_t hwm = 0;                          // longest length reached
+    };
+    const auto open = [&](Slot& s) {
+      s = Slot{};
+      s.id = cache.alloc_sequence();
+      s.ref = shadow.alloc_sequence();
+      if (rng.uniform_int(0, 2) > 0) {  // two in three are windowed
+        s.sink = page * rng.uniform_int(0, 2);
+        s.window = page * rng.uniform_int(1, 3);
+        s.slack = rng.uniform_int(1, 6);
+        cache.set_window(s.id, s.sink, s.window, s.slack);
+      }
+    };
+    const auto check = [&](const Slot& s) {
+      const int64_t len = cache.seq_len(s.id);
+      ASSERT_EQ(len, shadow.seq_len(s.ref));
+      Tensor kw, vw, kf, vf;
+      const int64_t tail0 = cache.gather(s.id, kw, vw);
+      ASSERT_EQ(shadow.gather(s.ref, kf, vf), 0);
+      const int64_t sink_eff = std::min(s.sink, len);
+      ASSERT_GE(tail0, sink_eff);
+      ASSERT_LE(tail0, s.window == 0 ? 0 : std::max(sink_eff, len - s.window));
+      ASSERT_EQ(kw.rows(), sink_eff + len - tail0);
+      for (int64_t r = 0; r < kw.rows(); ++r) {
+        const int64_t t = r < sink_eff ? r : tail0 + (r - sink_eff);
+        for (int i = 0; i < span; ++i) {
+          ASSERT_EQ(kw.at2(r, i), kf.at2(t, i)) << "row " << r;
+          ASSERT_EQ(vw.at2(r, i), vf.at2(t, i)) << "row " << r;
+        }
+      }
+    };
+
+    std::vector<Slot> slots(3);
+    for (auto& s : slots) open(s);
+    for (int op = 0; op < 1000; ++op) {
+      Slot& s = slots[static_cast<size_t>(rng.uniform_int(0, 2))];
+      const int64_t len = cache.seq_len(s.id);
+      // Appends dominate so the rings wrap many times between resets.
+      const int action = rng.uniform_int(0, 19);
+      if (action <= 14) {  // append_batch of 1..slack tokens
+        const int n =
+            rng.uniform_int(1, s.window > 0 ? static_cast<int>(s.slack) : 6);
+        std::vector<float> k, v;
+        for (int t = 0; t < n; ++t) {
+          const auto kt = random_vec(rng, span, t % 3 ? 0.f : 5.f);
+          const auto vt = random_vec(rng, span);
+          k.insert(k.end(), kt.begin(), kt.end());
+          v.insert(v.end(), vt.begin(), vt.end());
+        }
+        cache.append_batch(s.id, k.data(), v.data(), n);
+        shadow.append_batch(s.ref, k.data(), v.data(), n);
+        s.hwm = std::max(s.hwm, len + n);
+      } else if (action <= 17) {  // rollback within the slack
+        const int64_t lo =
+            s.window > 0 ? std::max<int64_t>(0, s.hwm - s.slack) : 0;
+        if (len > lo) {
+          const int64_t new_len =
+              rng.uniform_int(static_cast<int>(lo), static_cast<int>(len));
+          cache.truncate_sequence(s.id, new_len);
+          shadow.truncate_sequence(s.ref, new_len);
+        }
+      } else if (action == 18) {  // fork the sinks into another slot
+        Slot& dst = slots[static_cast<size_t>(rng.uniform_int(0, 2))];
+        if (&dst != &s) {
+          const int64_t upto = rng.uniform_int(
+              0, static_cast<int>(s.window > 0 ? std::min(s.sink, len) : len));
+          cache.free_sequence(dst.id);
+          shadow.free_sequence(dst.ref);
+          dst = Slot{};
+          dst.id = cache.fork_sequence(s.id, upto);
+          dst.ref = shadow.fork_sequence(s.ref, upto);
+          dst.hwm = upto;
+        }
+      } else {  // free and realloc
+        cache.free_sequence(s.id);
+        shadow.free_sequence(s.ref);
+        open(s);
+      }
+      cache.audit();
+      shadow.audit();
+      for (const Slot& t : slots) ASSERT_NO_FATAL_FAILURE(check(t));
+    }
+    for (const Slot& s : slots) {
+      cache.free_sequence(s.id);
+      shadow.free_sequence(s.ref);
+    }
+    cache.audit();
+    EXPECT_EQ(cache.pages_in_use(), 0);
+    EXPECT_EQ(cache.shared_pages(), 0);
+    EXPECT_GT(cache.recycled_pages(), 0);  // the rings did wrap
   }
 }
 

@@ -66,6 +66,7 @@ TEST(KvWindow, PageCapArithmeticAndValidation) {
   EXPECT_THROW(cache.set_window(seq, 0, 6, 4), CheckError);   // window % page
   EXPECT_THROW(cache.set_window(seq, 2, 8, 4), CheckError);   // sink % page
   EXPECT_THROW(cache.set_window(seq, 0, 0, 4), CheckError);   // no window
+  EXPECT_THROW(cache.set_window(seq, 0, 8, 0), CheckError);   // no slack
   cache.set_window(seq, 4, 8, 4);
   EXPECT_THROW(cache.set_window(seq, 4, 8, 4), CheckError);   // double install
   cache.free_sequence(seq);
@@ -73,7 +74,7 @@ TEST(KvWindow, PageCapArithmeticAndValidation) {
   const int late = cache.alloc_sequence();
   Rng rng(11);
   const auto k = random_vec(rng, 16), v = random_vec(rng, 16);
-  for (int t = 0; t < 40; ++t) cache.append(late, k.data(), v.data());
+  for (int t = 0; t < 40; ++t) cache.append_batch(late, k.data(), v.data(), 1);
   EXPECT_THROW(cache.set_window(late, 0, 8, 4), CheckError);
   cache.free_sequence(late);
   EXPECT_EQ(cache.pages_in_use(), 0);
@@ -96,8 +97,8 @@ TEST(KvWindow, RingRecyclesInPlaceWithFlatFootprint) {
   int64_t peak = 0;
   for (int t = 0; t < 200; ++t) {
     const auto k = random_vec(rng, 16), v = random_vec(rng, 16);
-    cache.append(seq, k.data(), v.data());
-    shadow.append(ref, k.data(), v.data());
+    cache.append_batch(seq, k.data(), v.data(), 1);
+    shadow.append_batch(ref, k.data(), v.data(), 1);
     peak = std::max(peak, cache.pages_in_use());
   }
   EXPECT_EQ(cache.seq_len(seq), 200);
@@ -107,14 +108,16 @@ TEST(KvWindow, RingRecyclesInPlaceWithFlatFootprint) {
   EXPECT_EQ(cache.pages_in_use(), peak);
 
   Tensor k_vis, v_vis;
-  const int64_t tail0 = cache.gather_visible(seq, k_vis, v_vis);
+  const int64_t tail0 = cache.gather(seq, k_vis, v_vis);
   // Retained tail: at least the window, at most the whole ring (window +
   // slack rounded up to whole pages + the boundary page).
   EXPECT_GE(tail0, 200 - window - slack - cfg.page_size);
   EXPECT_LE(tail0, 200 - window);
   ASSERT_EQ(k_vis.rows(), sink + (200 - tail0));
   Tensor k_ref, v_ref;
-  shadow.gather(ref, k_ref, v_ref);
+  // A plain sequence gathers every row: no sinks, tail at position 0.
+  EXPECT_EQ(shadow.gather(ref, k_ref, v_ref), 0);
+  ASSERT_EQ(k_ref.rows(), shadow.seq_len(ref));
   for (int64_t r = 0; r < k_vis.rows(); ++r) {
     const int64_t logical = r < sink ? r : tail0 + (r - sink);
     for (int i = 0; i < 16; ++i) {
@@ -147,20 +150,20 @@ TEST(KvWindow, TruncateAcrossRingMatchesNeverAppended) {
   a.set_window(sa, sink, window, slack);
   b.set_window(sb, sink, window, slack);
   for (int t = 0; t < 40; ++t) {
-    a.append(sa, hist_k[size_t(t)].data(), hist_v[size_t(t)].data());
-    b.append(sb, hist_k[size_t(t)].data(), hist_v[size_t(t)].data());
+    a.append_batch(sa, hist_k[size_t(t)].data(), hist_v[size_t(t)].data(), 1);
+    b.append_batch(sb, hist_k[size_t(t)].data(), hist_v[size_t(t)].data(), 1);
   }
   // Rejected tail on `a` only, then rollback.
   for (int t = 0; t < 3; ++t)
-    a.append(sa, next_v[size_t(t)].data(), next_k[size_t(t)].data());
+    a.append_batch(sa, next_v[size_t(t)].data(), next_k[size_t(t)].data(), 1);
   a.truncate_sequence(sa, 40);
   for (int t = 0; t < 3; ++t) {
-    a.append(sa, next_k[size_t(t)].data(), next_v[size_t(t)].data());
-    b.append(sb, next_k[size_t(t)].data(), next_v[size_t(t)].data());
+    a.append_batch(sa, next_k[size_t(t)].data(), next_v[size_t(t)].data(), 1);
+    b.append_batch(sb, next_k[size_t(t)].data(), next_v[size_t(t)].data(), 1);
   }
   Tensor ka, va, kb, vb;
-  const int64_t ta = a.gather_visible(sa, ka, va);
-  const int64_t tb = b.gather_visible(sb, kb, vb);
+  const int64_t ta = a.gather(sa, ka, va);
+  const int64_t tb = b.gather(sb, kb, vb);
   EXPECT_EQ(ta, tb);
   ASSERT_EQ(ka.rows(), kb.rows());
   for (int64_t r = 0; r < ka.rows(); ++r)
@@ -182,14 +185,14 @@ TEST(KvWindow, ForkRestrictedToNeverRecycledPages) {
   // While nothing has been recycled yet, any prefix is forkable.
   for (int t = 0; t < 10; ++t) {
     const auto k = random_vec(rng, 16), v = random_vec(rng, 16);
-    cache.append(seq, k.data(), v.data());
+    cache.append_batch(seq, k.data(), v.data(), 1);
   }
   const int early = cache.fork_sequence(seq, 8);
   cache.free_sequence(early);
   // Grow past the ring: only the sink prefix stays forkable.
   for (int t = 10; t < 60; ++t) {
     const auto k = random_vec(rng, 16), v = random_vec(rng, 16);
-    cache.append(seq, k.data(), v.data());
+    cache.append_batch(seq, k.data(), v.data(), 1);
   }
   ASSERT_GT(cache.recycled_pages(), 0);
   const int sinks = cache.fork_sequence(seq, sink);

@@ -24,9 +24,8 @@ void BM_AttentionDecodeFp32(benchmark::State& state) {
   const Tensor q = random_tensor(1, 512, 1);
   const Tensor k = random_tensor(s, 512, 2);
   const Tensor v = random_tensor(s, 512, 3);
-  std::vector<float> out(512);
   for (auto _ : state) {
-    attention_decode_token(q.row(0), k, v, cfg, out.data());
+    const Tensor out = attention_prefill(q, k, v, cfg);
     benchmark::DoNotOptimize(out.data());
   }
 }
@@ -38,9 +37,8 @@ void BM_AttentionDecodeFp16(benchmark::State& state) {
   const Tensor q = random_tensor(1, 512, 1);
   const Tensor k = random_tensor(s, 512, 2);
   const Tensor v = random_tensor(s, 512, 3);
-  std::vector<float> out(512);
   for (auto _ : state) {
-    attention_decode_token(q.row(0), k, v, cfg, out.data());
+    const Tensor out = attention_prefill(q, k, v, cfg);
     benchmark::DoNotOptimize(out.data());
   }
 }

@@ -12,6 +12,10 @@
 #include <cstring>
 #include <limits>
 
+#if defined(__F16C__)
+#include <immintrin.h>
+#endif
+
 namespace qserve {
 
 namespace detail {
@@ -109,7 +113,20 @@ class Half {
   uint16_t bits_ = 0;
 };
 
-// Round a float through FP16 precision (the common use in kernels).
-inline float to_half_precision(float f) { return float(Half(f)); }
+// Round a float through FP16 precision (the common use in kernels). Where
+// the compiler targets F16C, the round trip is two conversion instructions
+// (round-to-nearest-even, subnormals and overflow as IEEE specifies), which
+// give Half's bits for every non-NaN input; a NaN becomes Half's one quiet
+// NaN of the same sign. Either way the result is float(Half(f)) bit for bit.
+inline float to_half_precision(float f) {
+#if defined(__F16C__)
+  if (__builtin_expect(f != f, 0))
+    return detail::bit_cast<float>(
+        (detail::bit_cast<uint32_t>(f) & 0x80000000u) | 0x7FC00000u);
+  return _cvtsh_ss(_cvtss_sh(f, _MM_FROUND_TO_NEAREST_INT));
+#else
+  return float(Half(f));
+#endif
+}
 
 }  // namespace qserve

@@ -19,9 +19,8 @@
 //    before dispatch; ThreadPool::run carries a Debug QS_DCHECK as a
 //    regression guard for any future caller that bypasses parallel_for.
 //    The model's forward exploits inline nesting — fanning out across a
-//    step's spans (KV writes, gathered prefill attention) serializes each
-//    span's inner loops, while a single-span step still parallelizes inside
-//    the kernels.
+//    step's spans (KV writes) serializes each span's inner loops, while a
+//    single-span step still parallelizes inside the kernels.
 //  - Exceptions thrown by the body (e.g. QS_CHECK) are captured and rethrown
 //    on the calling thread after the region drains, so QS_CHECK keeps its
 //    crash-over-corruption contract under parallel execution.

@@ -1,16 +1,28 @@
-// Attention kernels (Eq. 1) for prefill and decode, with GQA support.
+// Attention kernels (Eq. 1) with GQA and sliding windows.
 //
-// Every path computes a head through one routine, attend_head: QK dots over
-// a list of KV head runs, scaling (FP16-rounded under fp16_accum), softmax,
-// SV accumulation chained across the runs, FP16 rounding of the output. The
-// runs are either in-page quantized data (the fused decode path walks
-// PagedKvCache pages, kvcache/fused_attention.h) or float rows of a
-// dequantized gather (the prefill path below), so the INT4/INT8 round-trip
-// error is embedded either way, exactly like the fused GPU kernel that
-// dequantizes page data inline. `fp16_accum` models QServe's FP32→FP16
-// conversion of the QK and SV products (§5.3).
+// One executor computes every attention row: attend_spans. Its unit is one
+// KV head and a block of consecutive query rows of one span, times the GQA
+// group of query heads that share the KV head. It walks the KV head's
+// token runs in position order, dequantizes each run once per unit into a
+// thread-local float tile (the ISA-dispatched `dequant` microkernel), and
+// runs every (row, query head) of the block on that tile. The runs are
+// in-page quantized data when the paged executor walks PagedKvCache pages
+// (kvcache/fused_attention.h), or float rows of a gathered K/V matrix in
+// attention_prefill below — the INT4/INT8 round-trip error is embedded either
+// way, exactly like the fused GPU kernel that dequantizes page data inline.
+//
+// Numerics contract, per (row, query head): raw QK dots in the canonical lane
+// order (kernels/cpu/attention_kernel.h), times 1/sqrt(D) and FP16-rounded
+// under fp16_accum, softmax, SV accumulation chained token by token in
+// position order, FP16 rounding of the output under fp16_accum.
+// `fp16_accum` models QServe's FP32→FP16 conversion of the QK and SV products
+// (§5.3). Each score and output is a pure function of the row's visible
+// tokens, so the block size, the run and tile boundaries, the thread count
+// and the ISA change no bit.
 #pragma once
 
+#include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "kernels/cpu/attention_kernel.h"
@@ -33,21 +45,38 @@ struct AttentionConfig {
 };
 
 // One KV head's contiguous token run — K and V in the same storage form —
-// and the offset of its first token in the caller's score buffer.
+// covering the sequence's logical positions [token0, token0 + k.n_tokens).
 struct AttentionRun {
   cpu::KvHeadRun k, v;
-  int64_t score0 = 0;
+  int64_t token0 = 0;
 };
 
-// One query head-vector qh[head_dim] attending `n_runs` runs whose score
-// slots tile [0, n_scores) of `scores` (a caller-owned buffer of n_scores
-// floats); writes out[head_dim]. Runs must be listed in token order: the SV
-// accumulation per output element is token-sequential across them, so
-// splitting a run into adjacent pieces is bitwise a no-op. Allocates
-// nothing.
-void attend_head(const cpu::AttentionKernels& ker, const float* qh,
-                 const AttentionRun* runs, int n_runs, int64_t n_scores,
-                 int head_dim, bool fp16_accum, float* scores, float* out);
+// A span of query rows: the last `n` positions of a `length`-token sequence.
+// The row at position p attends
+//   [0, min(p+1, sink))  ∪  [max(sink, p+1-window), p+1)
+// — every row sees its *own* trailing window, not a shared cut — with
+// window = 0 meaning unwindowed (a window covering the whole sequence).
+struct AttentionSpan {
+  const float* q = nullptr;  // [n, q width of the head range], post-RoPE
+  float* out = nullptr;      // [n, q width of the head range]
+  int64_t length = 0;
+  int64_t n = 1;
+  int64_t sink = 0;
+  int64_t window = 0;
+};
+
+// Appends to `runs` the resident tokens of KV head `kv_head` for span
+// `span`, in position order; they must cover every row's visible positions.
+using AttentionRunsFn = std::function<void(
+    size_t span, int kv_head, std::vector<AttentionRun>& runs)>;
+
+// The attention executor: query heads [q_head0, q_head0 + n_q_heads) of
+// `cfg` (a GQA-group-aligned range; q/out are that range's slice, rows
+// n_q_heads * head_dim apart) for every span, in one parallel_for over
+// (span, KV head, block of rows) units.
+void attend_spans(const std::vector<AttentionSpan>& spans,
+                  const AttentionConfig& cfg, int q_head0, int n_q_heads,
+                  const AttentionRunsFn& runs_of);
 
 // Causal self-attention for a chunk of `n` new tokens whose keys/values have
 // already been appended. q is [n, H*D], the query rows are logical positions
@@ -55,15 +84,14 @@ void attend_head(const cpu::AttentionKernels& ker, const float* qh,
 // `s_total`-token sequence — exactly what PagedKvCache::gather_heads returns:
 //   rows [0, sink_eff)                    = logical tokens [0, sink_eff)
 //   rows [sink_eff, k.rows())             = logical tokens [tail0, s_total)
-// with sink_eff = min(sink, s_total). The row at position p attends
-//   [0, min(p+1, sink))  ∪  [max(sink, p+1-window), p+1)
-// i.e. every row sees its *own* trailing window into history, not a shared
-// cut — this is what makes recompute-on-resume re-derive bitwise-identical
-// prefill results after preemption. window = 0 means unwindowed (a window
-// covering the whole sequence). When the two intervals are adjacent
-// (p+1 <= sink+window) the row is full causal attention and attend_head's
-// split runs are bitwise one run — so window >= context is bit-for-bit full
-// attention by construction. Returns [n, H*D].
+// with sink_eff = min(sink, s_total). Rows attend as in AttentionSpan —
+// every row its own trailing window, which is what makes recompute-on-resume
+// re-derive bitwise-identical prefill results after preemption. When the two
+// intervals are adjacent (p+1 <= sink+window) the row is full causal
+// attention, and splitting a run is bitwise a no-op — so window >= context is
+// bit-for-bit full attention by construction. This is the float oracle of
+// the paged executor (the reference model, QoQ calibration and tests run
+// it); it shares attend_spans, so the two agree bit for bit. Returns [n, H*D].
 Tensor attention_prefill(const Tensor& q, const Tensor& k, const Tensor& v,
                          const AttentionConfig& cfg, int64_t s_total,
                          int64_t sink, int64_t window, int64_t tail0);
@@ -72,10 +100,5 @@ Tensor attention_prefill(const Tensor& q, const Tensor& k, const Tensor& v,
 // the new tokens occupy K/V rows s-n .. s-1.
 Tensor attention_prefill(const Tensor& q, const Tensor& k, const Tensor& v,
                          const AttentionConfig& cfg);
-
-// Decode: one query token against `s` cached keys/values. q is [H*D],
-// K, V are [s, HKV*D]. Writes H*D floats to `out`.
-void attention_decode_token(const float* q, const Tensor& k, const Tensor& v,
-                            const AttentionConfig& cfg, float* out);
 
 }  // namespace qserve

@@ -1,27 +1,35 @@
 // Attention microkernels over quantized KV page runs, behind the same
 // runtime ISA dispatch as the GEMM microkernels (microkernel.h).
 //
-// One QK call computes, for every token in a contiguous page run, the dot
-// product of a query head-vector against the token's key vector dequantized
-// inline from its stored form (nibble-packed INT4, INT8 codes, FP16 bits, or
-// already-dequantized floats for the gather path). One SV call accumulates
-// the probability-weighted value vectors the same way. Neither kernel ever
-// materializes a dequantized K/V matrix — the CPU counterpart of the QServe
-// CUDA kernel that walks pages and dequantizes per head-vector (§5.3).
+// Three kernels. `dequant` decodes a contiguous slice of one head's page
+// run — nibble-packed INT4, INT8 codes, FP16 bits, or floats — into a small
+// float tile; it is the only function per ISA that dispatches on the storage
+// form. `qk_dot` and `sv_accum` then work on float rows only: the QK dots of
+// one query head-vector against the tile's keys, and the probability-weighted
+// accumulation of its values. The attention executor (kernels/attention.h)
+// dequantizes each page run once per (KV head, block of query rows) and runs
+// every row and GQA query head of the block on the tile, so no dequantized
+// K/V matrix of the context is ever materialized — the CPU counterpart of
+// the QServe CUDA kernel that walks pages and dequantizes per head-vector
+// (§5.3).
 //
 // Numerics contract: float summation is not associative, so — unlike the
 // INT32 GEMM microkernels — vector-lane order matters. Every implementation
 // therefore commits to one canonical reduction order, chosen to be the
 // natural SIMD order so the vector kernels pay nothing for it:
 //
-//  * QK dot: 16 virtual lanes. Lane l accumulates the products q[d] *
-//    dequant(k[d]) for d ≡ l (mod 16) in increasing d; the lanes are then
-//    folded pairwise 16→8→4→2→1 (fold_qk_lanes below). The scalar kernel
-//    keeps the 16 lanes in a float array; AVX2 holds them in two __m256
-//    accumulators, AVX-512 in one __m512 — identical per-lane add sequences,
-//    identical fold, bitwise-identical dots.
-//  * SV: out[d] += p[t] * dequant(v_t[d]) with tokens strictly in run order.
-//    The accumulation chain per output element is token-sequential at any
+//  * Dequant: each element is float(code) * scale (+ zero), or the exact
+//    half -> float conversion, rounded as written; where it is computed
+//    (tile or register) changes no bit.
+//  * QK dot: 16 virtual lanes. Lane l accumulates the products q[d] * k[d]
+//    for d ≡ l (mod 16) in increasing d; the lanes are then folded pairwise
+//    16→8→4→2→1 (fold_qk_lanes below). The scalar kernel keeps the 16 lanes
+//    in a float array; AVX2 holds them in two __m256 accumulators, AVX-512
+//    in one __m512 — identical per-lane add sequences, identical fold,
+//    bitwise-identical dots. The AVX-512 kernel folds 16 tokens' lanes at
+//    once with shuffles that add the same pairs.
+//  * SV: out[d] += p[t] * v_t[d] with tokens strictly in run order. The
+//    accumulation chain per output element is token-sequential at any
 //    vector width, so this is order-stable by construction.
 //
 // Every dequantized element and every product/sum is computed mul-then-add
@@ -29,7 +37,7 @@
 // compiled with -ffp-contract=off, and the vector kernels use mul_ps/add_ps,
 // never fmadd). This is what makes scalar/AVX2/AVX-512 agree bit for bit —
 // a property tests/test_attention_isa.cpp pins across KV formats, GQA
-// shapes, and page-crossing lengths.
+// shapes, span lengths and page-crossing lengths.
 #pragma once
 
 #include <cstdint>
@@ -53,9 +61,9 @@ inline float fold_qk_lanes(const float* lanes) {
 }
 
 // Storage form of one KV head run (mirrors PagedKvCache's page layout plus
-// the float form the gather path produces).
+// the float form of a gathered K/V matrix).
 enum class KvRunKind : int {
-  kF32 = 0,     // dequantized floats (gather / prefill path)
+  kF32 = 0,     // dequantized floats (gather_heads rows)
   kFp16,        // binary16 bits (KvPrecision::kFp16 pages)
   kInt8Dyn,     // unsigned INT8 codes + per-(token,head) FP16 scale/zero
   kInt8Static,  // signed INT8 codes + one static scale (TRT-LLM baseline)
@@ -81,15 +89,20 @@ struct KvHeadRun {
 
 struct AttentionKernels {
   Isa isa;
-  // dots[t] = canonical-order dot of q[0..head_dim) against run token t's
-  // dequantized key vector, for every t in [0, run.n_tokens). The caller
+  // dst[i * head_dim + d] = element d of run token t0 + i, dequantized, for
+  // i in [0, n): the one place each storage form is decoded.
+  void (*dequant)(const KvHeadRun& run, int64_t t0, int64_t n, int head_dim,
+                  float* dst);
+  // dots[t] = canonical-order dot of q[0..head_dim) against the float key
+  // row k + t * head_dim (a dequant tile), for t in [0, n). The caller
   // applies the 1/sqrt(D) scale and any FP16 rounding — the kernel returns
   // raw dots.
-  void (*qk_dot)(const float* q, const KvHeadRun& run, int head_dim,
+  void (*qk_dot)(const float* q, const float* k, int64_t n, int head_dim,
                  float* dots);
-  // out[d] += p[t] * dequant(v_t[d]) for t in run order — accumulates into
-  // `out`, so the caller zeroes it once and chains runs back to back.
-  void (*sv_accum)(const float* p, const KvHeadRun& run, int head_dim,
+  // out[d] += p[t] * v[t * head_dim + d] for t in [0, n), in order —
+  // accumulates into `out`, so the caller zeroes it once and chains tiles
+  // back to back.
+  void (*sv_accum)(const float* p, const float* v, int64_t n, int head_dim,
                    float* out);
 };
 

@@ -1,7 +1,8 @@
-// AVX2 attention kernels: 16 dequantized KV elements per step held in two
-// __m256 accumulators — exactly the 16 virtual lanes of the canonical QK
-// reduction order (attention_kernel.h), so the vector code IS the reference
-// order. All float math is mul_ps/add_ps (never fmadd), matching the
+// AVX2 attention kernels: dequant decodes 16 KV elements per step into two
+// __m256 halves, and the QK dot holds 16 elements per step in two __m256
+// accumulators — exactly the 16 virtual lanes of the canonical QK reduction
+// order (attention_kernel.h), so the vector code IS the reference order.
+// All float math is mul_ps/add_ps (never fmadd), matching the
 // contraction-free scalar kernel rounding for rounding.
 //
 // Compiled via function-level target attributes so the TU builds regardless
@@ -20,6 +21,7 @@ namespace {
 
 using attn_inline::run_element;
 using attn_inline::token_params;
+using attn_inline::with_kind;
 
 #define QS_AVX2_TARGET __attribute__((target("avx2,f16c")))
 
@@ -73,10 +75,11 @@ QS_AVX2_TARGET inline Dequant16 load16(const uint8_t* ct, const uint16_t* ht,
 }
 
 template <KvRunKind K>
-QS_AVX2_TARGET void qk_dot_avx2_t(const float* q, const KvHeadRun& run,
-                                  int head_dim, float* dots) {
+QS_AVX2_TARGET void dequant_avx2_t(const KvHeadRun& run, int64_t t0,
+                                   int64_t n, int head_dim, float* dst) {
   const int blocks = head_dim & ~(kQkLanes - 1);
-  for (int64_t t = 0; t < run.n_tokens; ++t) {
+  for (int64_t i = 0; i < n; ++i) {
+    const int64_t t = t0 + i;
     const uint8_t* ct = run.codes ? run.codes + t * run.stride : nullptr;
     const uint16_t* ht =
         run.half_bits ? run.half_bits + t * run.stride : nullptr;
@@ -84,82 +87,63 @@ QS_AVX2_TARGET void qk_dot_avx2_t(const float* q, const KvHeadRun& run,
     const auto p = token_params<K>(run, t);
     const __m256 vs = _mm256_set1_ps(p.scale);
     const __m256 vz = _mm256_set1_ps(p.zero);
+    float* row = dst + i * head_dim;
+    for (int d = 0; d < blocks; d += kQkLanes) {
+      const Dequant16 kv = load16<K>(ct, ht, ft, d, vs, vz);
+      _mm256_storeu_ps(row + d, kv.lo);
+      _mm256_storeu_ps(row + d + 8, kv.hi);
+    }
+    for (int d = blocks; d < head_dim; ++d)
+      row[d] = run_element<K>(ct, ht, ft, d, p.scale, p.zero);
+  }
+}
+
+void dequant_avx2(const KvHeadRun& run, int64_t t0, int64_t n,
+                  int head_dim, float* dst) {
+  with_kind(run.kind, [&](auto kind) {
+    dequant_avx2_t<decltype(kind)::value>(run, t0, n, head_dim, dst);
+  });
+}
+
+QS_AVX2_TARGET void qk_dot_avx2(const float* q, const float* k, int64_t n,
+                                int head_dim, float* dots) {
+  const int blocks = head_dim & ~(kQkLanes - 1);
+  for (int64_t t = 0; t < n; ++t) {
+    const float* kt = k + t * head_dim;
     __m256 acc_lo = _mm256_setzero_ps();
     __m256 acc_hi = _mm256_setzero_ps();
     for (int d = 0; d < blocks; d += kQkLanes) {
-      const Dequant16 kv = load16<K>(ct, ht, ft, d, vs, vz);
-      acc_lo =
-          _mm256_add_ps(acc_lo, _mm256_mul_ps(_mm256_loadu_ps(q + d), kv.lo));
-      acc_hi = _mm256_add_ps(acc_hi,
-                             _mm256_mul_ps(_mm256_loadu_ps(q + d + 8), kv.hi));
+      acc_lo = _mm256_add_ps(
+          acc_lo,
+          _mm256_mul_ps(_mm256_loadu_ps(q + d), _mm256_loadu_ps(kt + d)));
+      acc_hi = _mm256_add_ps(
+          acc_hi, _mm256_mul_ps(_mm256_loadu_ps(q + d + 8),
+                                _mm256_loadu_ps(kt + d + 8)));
     }
     float lanes[kQkLanes];
     _mm256_storeu_ps(lanes, acc_lo);
     _mm256_storeu_ps(lanes + 8, acc_hi);
     // Tail elements continue the same lane walk the scalar kernel performs.
     for (int d = blocks; d < head_dim; ++d)
-      lanes[d & (kQkLanes - 1)] +=
-          q[d] * run_element<K>(ct, ht, ft, d, p.scale, p.zero);
+      lanes[d & (kQkLanes - 1)] += q[d] * kt[d];
     dots[t] = fold_qk_lanes(lanes);
   }
 }
 
-template <KvRunKind K>
-QS_AVX2_TARGET void sv_accum_avx2_t(const float* p, const KvHeadRun& run,
-                                    int head_dim, float* out) {
+QS_AVX2_TARGET void sv_accum_avx2(const float* p, const float* v, int64_t n,
+                                  int head_dim, float* out) {
   const int blocks = head_dim & ~(kQkLanes - 1);
-  for (int64_t t = 0; t < run.n_tokens; ++t) {
-    const uint8_t* ct = run.codes ? run.codes + t * run.stride : nullptr;
-    const uint16_t* ht =
-        run.half_bits ? run.half_bits + t * run.stride : nullptr;
-    const float* ft = run.f32 ? run.f32 + t * run.stride : nullptr;
-    const auto tp = token_params<K>(run, t);
-    const __m256 vs = _mm256_set1_ps(tp.scale);
-    const __m256 vz = _mm256_set1_ps(tp.zero);
+  for (int64_t t = 0; t < n; ++t) {
+    const float* vt = v + t * head_dim;
     const __m256 vp = _mm256_set1_ps(p[t]);
     for (int d = 0; d < blocks; d += kQkLanes) {
-      const Dequant16 v = load16<K>(ct, ht, ft, d, vs, vz);
-      const __m256 o0 = _mm256_loadu_ps(out + d);
-      const __m256 o1 = _mm256_loadu_ps(out + d + 8);
-      _mm256_storeu_ps(out + d,
-                       _mm256_add_ps(o0, _mm256_mul_ps(vp, v.lo)));
+      const __m256 v0 = _mm256_mul_ps(vp, _mm256_loadu_ps(vt + d));
+      const __m256 v1 = _mm256_mul_ps(vp, _mm256_loadu_ps(vt + d + 8));
+      _mm256_storeu_ps(out + d, _mm256_add_ps(_mm256_loadu_ps(out + d), v0));
       _mm256_storeu_ps(out + d + 8,
-                       _mm256_add_ps(o1, _mm256_mul_ps(vp, v.hi)));
+                       _mm256_add_ps(_mm256_loadu_ps(out + d + 8), v1));
     }
-    for (int d = blocks; d < head_dim; ++d)
-      out[d] += p[t] * run_element<K>(ct, ht, ft, d, tp.scale, tp.zero);
-  }
-}
-
-void qk_dot_avx2(const float* q, const KvHeadRun& run, int head_dim,
-                 float* dots) {
-  switch (run.kind) {
-    case KvRunKind::kF32:
-      return qk_dot_avx2_t<KvRunKind::kF32>(q, run, head_dim, dots);
-    case KvRunKind::kFp16:
-      return qk_dot_avx2_t<KvRunKind::kFp16>(q, run, head_dim, dots);
-    case KvRunKind::kInt8Dyn:
-      return qk_dot_avx2_t<KvRunKind::kInt8Dyn>(q, run, head_dim, dots);
-    case KvRunKind::kInt8Static:
-      return qk_dot_avx2_t<KvRunKind::kInt8Static>(q, run, head_dim, dots);
-    case KvRunKind::kInt4Dyn:
-      return qk_dot_avx2_t<KvRunKind::kInt4Dyn>(q, run, head_dim, dots);
-  }
-}
-
-void sv_accum_avx2(const float* p, const KvHeadRun& run, int head_dim,
-                   float* out) {
-  switch (run.kind) {
-    case KvRunKind::kF32:
-      return sv_accum_avx2_t<KvRunKind::kF32>(p, run, head_dim, out);
-    case KvRunKind::kFp16:
-      return sv_accum_avx2_t<KvRunKind::kFp16>(p, run, head_dim, out);
-    case KvRunKind::kInt8Dyn:
-      return sv_accum_avx2_t<KvRunKind::kInt8Dyn>(p, run, head_dim, out);
-    case KvRunKind::kInt8Static:
-      return sv_accum_avx2_t<KvRunKind::kInt8Static>(p, run, head_dim, out);
-    case KvRunKind::kInt4Dyn:
-      return sv_accum_avx2_t<KvRunKind::kInt4Dyn>(p, run, head_dim, out);
+    for (int d = blocks; d < head_dim; ++d) out[d] += p[t] * vt[d];
   }
 }
 
@@ -167,6 +151,7 @@ void sv_accum_avx2(const float* p, const KvHeadRun& run, int head_dim,
 
 constexpr AttentionKernels kAvx2AttentionKernels = {
     Isa::kAvx2,
+    dequant_avx2,
     qk_dot_avx2,
     sv_accum_avx2,
 };

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstdint>
+#include <type_traits>
 
 #include "common/half.h"
 #include "kernels/cpu/attention_kernel.h"
@@ -54,6 +55,22 @@ inline float run_element(const uint8_t* codes_t, const uint16_t* half_t,
   } else {  // kInt4Dyn: two codes per byte, even index in the low nibble
     const uint8_t c = (codes_t[d >> 1] >> ((d & 1) * 4)) & 0xF;
     return float(c) * scale + zero;
+  }
+}
+
+// The one switch over the storage form: calls fn(kind tag) with
+// std::integral_constant<KvRunKind, K> for the run's K, so each ISA's
+// dequant instantiates its per-form template once per form.
+template <typename Fn>
+inline void with_kind(KvRunKind kind, Fn&& fn) {
+  using K = KvRunKind;
+  switch (kind) {
+    case K::kF32: return fn(std::integral_constant<K, K::kF32>{});
+    case K::kFp16: return fn(std::integral_constant<K, K::kFp16>{});
+    case K::kInt8Dyn: return fn(std::integral_constant<K, K::kInt8Dyn>{});
+    case K::kInt8Static:
+      return fn(std::integral_constant<K, K::kInt8Static>{});
+    case K::kInt4Dyn: return fn(std::integral_constant<K, K::kInt4Dyn>{});
   }
 }
 

@@ -14,74 +14,54 @@ namespace {
 
 using attn_inline::run_element;
 using attn_inline::token_params;
+using attn_inline::with_kind;
 
 template <KvRunKind K>
-void qk_dot_scalar_t(const float* q, const KvHeadRun& run, int head_dim,
-                     float* dots) {
-  for (int64_t t = 0; t < run.n_tokens; ++t) {
+void dequant_scalar_t(const KvHeadRun& run, int64_t t0, int64_t n,
+                      int head_dim, float* dst) {
+  for (int64_t i = 0; i < n; ++i) {
+    const int64_t t = t0 + i;
     const uint8_t* ct = run.codes ? run.codes + t * run.stride : nullptr;
     const uint16_t* ht =
         run.half_bits ? run.half_bits + t * run.stride : nullptr;
     const float* ft = run.f32 ? run.f32 + t * run.stride : nullptr;
     const auto p = token_params<K>(run, t);
+    for (int d = 0; d < head_dim; ++d)
+      dst[i * head_dim + d] = run_element<K>(ct, ht, ft, d, p.scale, p.zero);
+  }
+}
+
+void dequant_scalar(const KvHeadRun& run, int64_t t0, int64_t n,
+                    int head_dim, float* dst) {
+  with_kind(run.kind, [&](auto kind) {
+    dequant_scalar_t<decltype(kind)::value>(run, t0, n, head_dim, dst);
+  });
+}
+
+void qk_dot_scalar(const float* q, const float* k, int64_t n, int head_dim,
+                   float* dots) {
+  for (int64_t t = 0; t < n; ++t) {
+    const float* kt = k + t * head_dim;
     // The canonical 16-lane accumulation: lane d & 15, increasing d.
     float lanes[kQkLanes] = {};
     for (int d = 0; d < head_dim; ++d)
-      lanes[d & (kQkLanes - 1)] +=
-          q[d] * run_element<K>(ct, ht, ft, d, p.scale, p.zero);
+      lanes[d & (kQkLanes - 1)] += q[d] * kt[d];
     dots[t] = fold_qk_lanes(lanes);
   }
 }
 
-template <KvRunKind K>
-void sv_accum_scalar_t(const float* p, const KvHeadRun& run, int head_dim,
-                       float* out) {
-  for (int64_t t = 0; t < run.n_tokens; ++t) {
-    const uint8_t* ct = run.codes ? run.codes + t * run.stride : nullptr;
-    const uint16_t* ht =
-        run.half_bits ? run.half_bits + t * run.stride : nullptr;
-    const float* ft = run.f32 ? run.f32 + t * run.stride : nullptr;
-    const auto tp = token_params<K>(run, t);
-    const float pt = p[t];
-    for (int d = 0; d < head_dim; ++d)
-      out[d] += pt * run_element<K>(ct, ht, ft, d, tp.scale, tp.zero);
-  }
-}
-
-void qk_dot_scalar(const float* q, const KvHeadRun& run, int head_dim,
-                   float* dots) {
-  switch (run.kind) {
-    case KvRunKind::kF32:
-      return qk_dot_scalar_t<KvRunKind::kF32>(q, run, head_dim, dots);
-    case KvRunKind::kFp16:
-      return qk_dot_scalar_t<KvRunKind::kFp16>(q, run, head_dim, dots);
-    case KvRunKind::kInt8Dyn:
-      return qk_dot_scalar_t<KvRunKind::kInt8Dyn>(q, run, head_dim, dots);
-    case KvRunKind::kInt8Static:
-      return qk_dot_scalar_t<KvRunKind::kInt8Static>(q, run, head_dim, dots);
-    case KvRunKind::kInt4Dyn:
-      return qk_dot_scalar_t<KvRunKind::kInt4Dyn>(q, run, head_dim, dots);
-  }
-}
-
-void sv_accum_scalar(const float* p, const KvHeadRun& run, int head_dim,
+void sv_accum_scalar(const float* p, const float* v, int64_t n, int head_dim,
                      float* out) {
-  switch (run.kind) {
-    case KvRunKind::kF32:
-      return sv_accum_scalar_t<KvRunKind::kF32>(p, run, head_dim, out);
-    case KvRunKind::kFp16:
-      return sv_accum_scalar_t<KvRunKind::kFp16>(p, run, head_dim, out);
-    case KvRunKind::kInt8Dyn:
-      return sv_accum_scalar_t<KvRunKind::kInt8Dyn>(p, run, head_dim, out);
-    case KvRunKind::kInt8Static:
-      return sv_accum_scalar_t<KvRunKind::kInt8Static>(p, run, head_dim, out);
-    case KvRunKind::kInt4Dyn:
-      return sv_accum_scalar_t<KvRunKind::kInt4Dyn>(p, run, head_dim, out);
+  for (int64_t t = 0; t < n; ++t) {
+    const float* vt = v + t * head_dim;
+    const float pt = p[t];
+    for (int d = 0; d < head_dim; ++d) out[d] += pt * vt[d];
   }
 }
 
 constexpr AttentionKernels kScalarAttentionKernels = {
     Isa::kScalar,
+    dequant_scalar,
     qk_dot_scalar,
     sv_accum_scalar,
 };

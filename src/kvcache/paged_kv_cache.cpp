@@ -693,6 +693,12 @@ PagedKvCache::SeqView PagedKvCache::view(int seq) const {
   QS_CHECK(is_live_locked(seq));
   const auto& s = seqs_[static_cast<size_t>(seq)];
   v.length_ = s.length;
+  v.sink_ = s.sink;
+  v.window_ = s.window;
+  // The resident positions, exactly gather_heads' rows: the sinks, then the
+  // retained tail (a plain sequence is sink = tail0 = 0).
+  const int64_t sink_eff = std::min(s.sink, s.length);
+  v.tail0_ = std::min(std::max(s.tail0, sink_eff), s.length);
   auto add_range = [&](int64_t t0, int64_t t1) {
     // Emit per-page runs covering logical positions [t0, t1).
     int64_t t = t0;
@@ -703,25 +709,13 @@ PagedKvCache::SeqView PagedKvCache::view(int seq) const {
           page_slot(s, t / cfg_.page_size))];
       QS_CHECK_GE(pid, 0);
       const Page& p = pages_[static_cast<size_t>(pid)];
-      v.runs_.push_back({&p, p.generation.load(std::memory_order_relaxed), t,
-                         slot0, n, v.visible_});
-      v.visible_ += n;
+      v.runs_.push_back(
+          {&p, p.generation.load(std::memory_order_relaxed), t, slot0, n});
       t += n;
     }
   };
-  if (s.window == 0 || s.length <= s.sink + s.window) {
-    // Full attention (or a windowed sequence still inside sinks + window —
-    // nothing recycled, every position visible): one run per page, exactly
-    // the pre-window view. `window >= context` is bit-identical to full
-    // attention because it takes THIS path.
-    add_range(0, s.length);
-  } else {
-    // Sinks, then the trailing window. The first tail run may start
-    // mid-page; the positions between the sinks and the window's left edge
-    // are invisible to the NEXT query even when still resident.
-    add_range(0, s.sink);
-    add_range(s.length - s.window, s.length);
-  }
+  add_range(0, sink_eff);
+  add_range(v.tail0_, s.length);
   return v;
 }
 
@@ -730,7 +724,7 @@ const PagedKvCache::SeqView::Run& PagedKvCache::SeqView::run_for(
   QS_CHECK(token >= 0 && token < length_);
   // Runs are ordered by token0; find the last run starting at or before
   // `token` and check it actually covers it (a windowed view has a gap
-  // between the sinks and the window).
+  // between the sinks and the retained tail).
   size_t lo = 0, hi = runs_.size();
   while (lo + 1 < hi) {
     const size_t mid = (lo + hi) / 2;
@@ -739,7 +733,7 @@ const PagedKvCache::SeqView::Run& PagedKvCache::SeqView::run_for(
   }
   QS_CHECK_MSG(!runs_.empty() && runs_[lo].token0 <= token &&
                    token < runs_[lo].token0 + runs_[lo].n_tokens,
-               "position " << token << " is not visible in this view");
+               "position " << token << " is not resident in this view");
   return runs_[lo];
 }
 
@@ -767,11 +761,6 @@ void PagedKvCache::SeqView::read_v(int64_t token, int head,
 int64_t PagedKvCache::SeqView::run_token0(int run) const {
   QS_CHECK(run >= 0 && run < num_page_runs());
   return runs_[static_cast<size_t>(run)].token0;
-}
-
-int64_t PagedKvCache::SeqView::run_score0(int run) const {
-  QS_CHECK(run >= 0 && run < num_page_runs());
-  return runs_[static_cast<size_t>(run)].score0;
 }
 
 cpu::KvHeadRun PagedKvCache::SeqView::head_run(int run, int head,

@@ -254,28 +254,30 @@ class PagedKvCache {
   class SeqView {
    public:
     int64_t length() const { return length_; }
-    // Tokens a decode-attention pass over this view visits: length() for a
-    // full-attention sequence; sinks + trailing window once a windowed
-    // sequence grows past them. This is the compact score-buffer size.
-    int64_t visible_tokens() const { return visible_; }
+    // The sequence's attention policy (PagedKvCache::set_window; both 0 for
+    // full attention) and its resident tail: the runs hold positions
+    // [0, min(sink, length)) and [tail0, length) — every position of a
+    // plain sequence (tail0 = 0), the sinks plus the not-yet-recycled tail
+    // of a windowed one.
+    int64_t sink() const { return sink_; }
+    int64_t window() const { return window_; }
+    int64_t tail0() const { return tail0_; }
     void read_k(int64_t token, int head, float* out) const;
     void read_v(int64_t token, int head, float* out) const;
 
-    // Page-run API: the sequence's attended tokens as contiguous in-page
+    // Page-run API: the sequence's resident tokens as contiguous in-page
     // spans the attention microkernels walk directly — raw code/param
     // pointers into the page, no per-(token, head) dequant copies. Run r
-    // covers logical positions [run_token0(r), run_token0(r) + n_tokens)
-    // and rows [run_score0(r), run_score0(r) + n_tokens) of the compact
-    // score buffer; for a full-attention sequence the two coincide (one run
-    // per page, score buffer indexed by position). A windowed view's runs
-    // cover exactly [0, sink) then [length - window', length) — the first
-    // tail run may start mid-page — so kernels never touch recycled pages.
-    // The returned KvHeadRun's kind reflects the cache precision (kFp16 /
-    // kInt8Dyn / kInt8Static / kInt4Dyn); pointers stay valid under the same
-    // snapshot/staleness contract as read_k/read_v (generation-checked).
+    // covers logical positions [run_token0(r), run_token0(r) + n_tokens), in
+    // position order, one run per page piece; a windowed view's first tail
+    // run may start mid-page, so kernels never touch recycled pages. Every
+    // row of an append span up to slack tokens finds its whole trailing
+    // window here. The returned KvHeadRun's kind reflects the cache
+    // precision (kFp16 / kInt8Dyn / kInt8Static / kInt4Dyn); pointers stay
+    // valid under the same snapshot/staleness contract as read_k/read_v
+    // (generation-checked).
     int num_page_runs() const { return static_cast<int>(runs_.size()); }
     int64_t run_token0(int run) const;
-    int64_t run_score0(int run) const;
     cpu::KvHeadRun k_run(int run, int head) const;
     cpu::KvHeadRun v_run(int run, int head) const;
 
@@ -287,7 +289,6 @@ class PagedKvCache {
       int64_t token0 = 0;    // logical position of the run's first token
       int64_t slot0 = 0;     // its in-page slot
       int64_t n_tokens = 0;
-      int64_t score0 = 0;    // offset into the compact score buffer
     };
     cpu::KvHeadRun head_run(int run, int head, bool is_k) const;
     const Run& run_for(int64_t token) const;
@@ -295,7 +296,9 @@ class PagedKvCache {
     const PagedKvCache* cache_ = nullptr;
     std::vector<Run> runs_;
     int64_t length_ = 0;
-    int64_t visible_ = 0;
+    int64_t sink_ = 0;
+    int64_t window_ = 0;
+    int64_t tail0_ = 0;
   };
   SeqView view(int seq) const;
 

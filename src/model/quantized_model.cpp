@@ -395,8 +395,6 @@ int QuantizedModel::add_sequence(std::vector<int> layer_seqs,
   SeqState& s = seqs_[static_cast<size_t>(id)];
   s.layer_seqs = std::move(layer_seqs);
   s.next_pos = next_pos;
-  s.sink = 0;
-  s.window = 0;
   s.live = true;
   return id;
 }
@@ -434,8 +432,6 @@ void QuantizedModel::set_sequence_window(int seq, int64_t sink_tokens,
   SeqState& state = live_seq(seq);
   for (int ls : state.layer_seqs)
     kv_->set_window(ls, sink_tokens, window_tokens, slack_tokens);
-  state.sink = sink_tokens;
-  state.window = window_tokens;
 }
 
 void QuantizedModel::truncate_sequence(int seq, int64_t new_len) {
@@ -477,8 +473,6 @@ Tensor QuantizedModel::run_layers(const std::vector<SeqSpan>& spans, Tensor x,
   std::vector<Tensor> qs(n_shards), ks(n_shards), vs(n_shards),
       attns(n_shards), acts(n_shards);
   std::vector<int64_t> pos0(spans.size());
-  int64_t n_single = 0;
-  for (const SeqSpan& sp : spans) n_single += (sp.n == 1) ? 1 : 0;
 
   for (size_t li = 0; li < layers_.size(); ++li) {
     const QLayer& layer = layers_[li];
@@ -510,14 +504,10 @@ Tensor QuantizedModel::run_layers(const std::vector<SeqSpan>& spans, Tensor x,
     }
     run_shards([&](int s) {
       const size_t i = static_cast<size_t>(s);
-      attns[i] =
-          shard_attention(li, s, spans, pos0, positions, qs[i], ks[i], vs[i]);
+      attns[i] = shard_attention(li, s, spans, pos0, qs[i], ks[i], vs[i]);
     });
     accumulate(attention_seconds_, seconds_since(attn_t0));
-    if (n_single > 0) {
-      batched_attention_calls_ += tp_;  // one head-ranged dispatch per shard
-      decode_attention_items_ += n_single;
-    }
+    batched_attention_calls_ += tp_;  // one head-ranged dispatch per shard
     // Separate quant node before the output projection (Fig. 11).
     add_inplace(x, row_parallel(layer.wo,
                                 layer.wo.quantize(concat_shards(attns))));
@@ -539,7 +529,6 @@ Tensor QuantizedModel::run_layers(const std::vector<SeqSpan>& spans, Tensor x,
 Tensor QuantizedModel::shard_attention(size_t li, int s,
                                        const std::vector<SeqSpan>& spans,
                                        const std::vector<int64_t>& pos0,
-                                       const std::vector<int>& positions,
                                        const Tensor& q, const Tensor& k,
                                        const Tensor& v) {
   const TpShard& sh = tp_plan_[static_cast<size_t>(s)];
@@ -561,67 +550,19 @@ Tensor QuantizedModel::shard_attention(size_t li, int s,
                        k.cols());
                  }
                });
-  // Multi-row spans attend with the shard's head-sliced config — the
-  // kernels are per-head, so the slice output is bitwise the matching
-  // columns of the one-shard call.
-  AttentionConfig scfg = attn_cfg_;
-  scfg.n_heads = sh.qh1 - sh.qh0;
-  scfg.n_kv_heads = sh.kh1 - sh.kh0;
-  const auto attend_span = [&](const SeqSpan& sp, const Tensor& qspan) {
-    return span_attention(
-        lseq(sp), seqs_[static_cast<size_t>(sp.seq)], qspan,
-        int64_t(positions[static_cast<size_t>(sp.row0)]) + sp.n, scfg,
-        sh.kh0, sh.kh1);
-  };
-  // A lone multi-row span (a plain prefill chunk): q already is exactly this
-  // span's rows, so attend on it directly — no scratch copies.
-  if (spans.size() == 1 && spans[0].n > 1) return attend_span(spans[0], q);
-
-  // One batched decode-attention dispatch for every single-row span (decode
-  // and token-wise verify rows) that walks all sequences × the shard's heads
-  // in a single parallel_for, dequantizing page data inline in the
-  // ISA-dispatched microkernels (§5.3)...
+  // One attention dispatch for every span of the step — decode rows, verify
+  // spans and prefill chunks — over all sequences × the shard's heads,
+  // dequantizing each page run once per (span, KV head, row block) in the
+  // ISA-dispatched microkernels (§5.3). The kernels are per head, so the
+  // shard's slice is bitwise the matching columns of the one-shard call.
   Tensor out({q.rows(), q.cols()});
   std::vector<DecodeAttentionItem> items;
-  std::vector<size_t> multi;
   items.reserve(spans.size());
-  for (size_t si = 0; si < spans.size(); ++si) {
-    const SeqSpan& sp = spans[si];
-    if (sp.n == 1) {
-      items.push_back({lseq(sp), q.row(sp.row0), out.row(sp.row0)});
-    } else {
-      multi.push_back(si);
-    }
-  }
-  if (!items.empty())
-    batched_fused_decode_attention(*kv_, items, attn_cfg_, sh.qh0,
-                                   scfg.n_heads);
-  // ...and the gather path for the (rare) multi-row spans sharing the step
-  // with decodes. Both paths share the kernel arithmetic, so the step is
-  // bitwise identical to a per-sequence fan-out at any thread count and ISA.
-  parallel_for(0, static_cast<int64_t>(multi.size()), 1,
-               [&](int64_t lo, int64_t hi) {
-                 for (int64_t mi = lo; mi < hi; ++mi) {
-                   const SeqSpan& sp = spans[multi[static_cast<size_t>(mi)]];
-                   Tensor qspan({sp.n, q.cols()});
-                   std::copy(q.row(sp.row0),
-                             q.row(sp.row0) + sp.n * q.cols(), qspan.data());
-                   const Tensor a = attend_span(sp, qspan);
-                   std::copy(a.data(), a.data() + a.numel(),
-                             out.row(sp.row0));
-                 }
-               });
+  for (const SeqSpan& sp : spans)
+    items.push_back({lseq(sp), q.row(sp.row0), out.row(sp.row0), sp.n});
+  batched_fused_decode_attention(*kv_, items, attn_cfg_, sh.qh0,
+                                 sh.qh1 - sh.qh0);
   return out;
-}
-
-Tensor QuantizedModel::span_attention(int lseq, const SeqState& st,
-                                      const Tensor& qspan, int64_t s_total,
-                                      const AttentionConfig& acfg, int kh0,
-                                      int kh1) const {
-  Tensor kd, vd;
-  const int64_t tail0 = kv_->gather_heads(lseq, kd, vd, kh0, kh1);
-  return attention_prefill(qspan, kd, vd, acfg, s_total, st.sink, st.window,
-                           tail0);
 }
 
 void QuantizedModel::run_shards(const std::function<void(int)>& fn) {

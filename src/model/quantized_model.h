@@ -204,12 +204,12 @@ class QuantizedModel {
   // primitive: requests sharing a prompt prefix share its KV pages.
   int fork_sequence(int src, int64_t upto_len);
   // Install a sliding window with attention sinks on `seq` across every
-  // layer's KV sequence (PagedKvCache::set_window). From then on the
-  // sequence's attention — decode rows via the paged SeqView, prefill chunks
-  // via gather_heads + attention_prefill — walks only the sink
-  // runs plus each row's trailing window, and the cache recycles the oldest
-  // non-sink page in place once the ring fills, so a 32k generation holds a
-  // constant page footprint. Must be called before the sequence grows past
+  // layer's KV sequence (PagedKvCache::set_window). From then on every
+  // attention row of the sequence — decode row, verify span or prefill chunk,
+  // all through the paged executor — walks only the sink runs plus its own
+  // trailing window, and the cache recycles the oldest non-sink page in place
+  // once the ring fills, so a 32k generation holds a constant page
+  // footprint. Must be called before the sequence grows past
   // sinks + window + slack; `slack_tokens` must cover both the deepest
   // truncate_sequence rollback and the largest single append span (the
   // engine passes max(prefill chunk, speculative span)). window == context
@@ -230,16 +230,12 @@ class QuantizedModel {
 
   // Observability for the attention executor (EngineStats reads these):
   // cumulative wall time spent in the per-layer attention sections of the
-  // block stack (KV append + QK/softmax/SV, both the batched decode executor
-  // and the prefill gather path).
+  // block stack (KV append + QK/softmax/SV).
   double attention_seconds() const { return attention_seconds_; }
-  // How many batched_fused_decode_attention dispatches ran (one per shard
-  // per layer of every step that carries at least one single-row span —
-  // each shard dispatches its own head range) and how many sequence-items
-  // they covered in total — a step with d decode rows adds d * n_layers
-  // items regardless of shard count, never a per-sequence fan-out.
+  // How many batched_fused_decode_attention dispatches ran: one per shard
+  // per layer of every forward — each shard dispatches its own head range
+  // over all of the step's spans, never a per-sequence fan-out.
   int64_t batched_attention_calls() const { return batched_attention_calls_; }
-  int64_t decode_attention_items() const { return decode_attention_items_; }
 
   // Tensor-parallel observability. tp_shards() is the resolved shard count S
   // the executor runs every layer at; S = 1 is its degenerate case, not a
@@ -283,21 +279,11 @@ class QuantizedModel {
                     const std::vector<int>& positions);
   // Shard s's attention region of layer `li`: writes its KV head range of
   // every span's rows at the reserved positions pos0[i], then attends its
-  // query heads — single-row spans through one batched decode dispatch,
-  // multi-row spans through span_attention. Returns [rows, shard q width].
+  // query heads over every span in one batched_fused_decode_attention
+  // dispatch. Returns [rows, shard q width].
   Tensor shard_attention(size_t li, int s, const std::vector<SeqSpan>& spans,
-                         const std::vector<int64_t>& pos0,
-                         const std::vector<int>& positions, const Tensor& q,
+                         const std::vector<int64_t>& pos0, const Tensor& q,
                          const Tensor& k, const Tensor& v);
-  // Multi-row span attention against the paged cache over KV heads
-  // [kh0, kh1) with the matching head-sliced config: gather the resident
-  // rows (every row of a full-attention sequence; sinks + retained tail of a
-  // windowed one) and run attention_prefill with the sequence's sink and
-  // window (0 = unwindowed). `s_total` is the sequence length after the
-  // span's rows were appended.
-  Tensor span_attention(int lseq, const SeqState& st, const Tensor& qspan,
-                        int64_t s_total, const AttentionConfig& acfg, int kh0,
-                        int kh1) const;
   // Run fn(s) for every shard (run_sharded); multi-shard regions fold their
   // per-shard wall times into the imbalance accumulators.
   void run_shards(const std::function<void(int)>& fn);
@@ -349,7 +335,6 @@ class QuantizedModel {
   std::atomic<double> tp_shard_max_seconds_{0.0};
   std::atomic<double> tp_shard_mean_seconds_{0.0};
   std::atomic<int64_t> batched_attention_calls_{0};
-  std::atomic<int64_t> decode_attention_items_{0};
   Tensor embedding_;
   std::vector<QLayer> layers_;
   Tensor ln_final_;
@@ -359,11 +344,6 @@ class QuantizedModel {
   struct SeqState {
     std::vector<int> layer_seqs;
     int64_t next_pos = 0;
-    // Sliding-window attention parameters (0 = full attention); mirrors the
-    // per-layer cache state so span attention masks multi-row spans by it
-    // without a cache query.
-    int64_t sink = 0;
-    int64_t window = 0;
     bool live = false;
   };
   std::vector<SeqState> seqs_;

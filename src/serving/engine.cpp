@@ -828,6 +828,11 @@ bool ServingEngine::step() {
   stats_.comm_seconds += model_->tp_comm_seconds() +
                          (draft_ ? draft_->tp_comm_seconds() : 0.0) - comm0;
   refresh_derived_stats();
+#ifndef NDEBUG
+  // Debug builds check every page-pool invariant after every step.
+  model_->kv_cache().audit();
+  if (draft_) draft_->kv_cache().audit();
+#endif
   return !scheduler_.idle(static_cast<int>(running_.size()));
 }
 

@@ -108,9 +108,8 @@ struct EngineStats {
   double decode_seconds = 0;
   double wall_seconds = 0;
   // Wall time the forwards spent inside the per-layer attention sections
-  // (KV append + QK/softmax/SV; batched decode executor and prefill gather
-  // alike), summed over target and draft models, and its share of
-  // wall_seconds — the observable this PR's SIMD attention kernels move.
+  // (KV append + QK/softmax/SV of every span), summed over target and draft
+  // models, and its share of wall_seconds.
   double attention_seconds = 0;
   double attention_share = 0;
   // Tensor-parallel observables (draft-model deltas included, like
@@ -249,8 +248,9 @@ class ServingEngine {
   bool cancel(int id);
 
   // One engine iteration: plan (admit/evict), execute the step's rows (one
-  // batched forward), sample per finished row, fire callbacks.
-  // Returns false when fully idle.
+  // batched forward), sample per finished row, fire callbacks. Builds
+  // without NDEBUG then run PagedKvCache::audit() on the target's and the
+  // draft's caches. Returns false when fully idle.
   bool step();
 
   // Pump step() until idle. The streaming counterpart of

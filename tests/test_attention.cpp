@@ -36,9 +36,8 @@ TEST(Attention, AttendsToMatchingKey) {
     v.at2(1, c) = 1.0f;
   }
   // Single new token attending over both cached keys.
-  std::vector<float> out(4);
-  attention_decode_token(q.row(0), k, v, cfg, out.data());
-  for (float x : out) EXPECT_NEAR(x, 1.0f, 1e-3f);
+  const Tensor o = attention_prefill(q, k, v, cfg);
+  for (int64_t c = 0; c < 4; ++c) EXPECT_NEAR(o.at2(0, c), 1.0f, 1e-3f);
 }
 
 TEST(Attention, CausalMaskBlocksFuture) {
@@ -66,11 +65,11 @@ TEST(Attention, GqaSharesKvHeads) {
   for (int64_t t = 0; t < 3; ++t)
     for (int64_t c = 0; c < 8; ++c)
       v.at2(t, c) = c < 4 ? 2.0f : -3.0f;  // head 0 => 2, head 1 => -3
-  std::vector<float> out(16);
-  attention_decode_token(q.row(0), k, v, cfg, out.data());
+  const Tensor o = attention_prefill(q, k, v, cfg);
   for (int h = 0; h < 4; ++h) {
     const float expect = h < 2 ? 2.0f : -3.0f;
-    for (int d = 0; d < 4; ++d) EXPECT_NEAR(out[h * 4 + d], expect, 1e-4f);
+    for (int d = 0; d < 4; ++d)
+      EXPECT_NEAR(o.at2(0, h * 4 + d), expect, 1e-4f);
   }
 }
 
@@ -80,10 +79,11 @@ TEST(Attention, DecodeMatchesLastPrefillRow) {
   const Tensor k = random_tensor(4, 16, 9);
   const Tensor v = random_tensor(4, 16, 10);
   const Tensor o = attention_prefill(q, k, v, cfg);
-  std::vector<float> out(16);
-  attention_decode_token(q.row(3), k, v, cfg, out.data());
-  for (int64_t c = 0; c < 16; ++c)
-    EXPECT_NEAR(out[size_t(c)], o.at2(3, c), 1e-5f);
+  // The last row alone, as a one-row decode span: the same bits.
+  Tensor q3({1, 16});
+  for (int64_t c = 0; c < 16; ++c) q3.at2(0, c) = q.at2(3, c);
+  const Tensor d = attention_prefill(q3, k, v, cfg);
+  for (int64_t c = 0; c < 16; ++c) EXPECT_EQ(d.at2(0, c), o.at2(3, c));
 }
 
 TEST(Attention, Fp16AccumulationIsCloseButNotIdentical) {
@@ -92,13 +92,12 @@ TEST(Attention, Fp16AccumulationIsCloseButNotIdentical) {
   const Tensor q = random_tensor(1, 128, 11);
   const Tensor k = random_tensor(64, 128, 12);
   const Tensor v = random_tensor(64, 128, 13);
-  std::vector<float> o32(128), o16(128);
-  attention_decode_token(q.row(0), k, v, fp32, o32.data());
-  attention_decode_token(q.row(0), k, v, fp16, o16.data());
+  const Tensor o32 = attention_prefill(q, k, v, fp32);
+  const Tensor o16 = attention_prefill(q, k, v, fp16);
   float diff = 0, any = 0;
-  for (int i = 0; i < 128; ++i) {
-    diff = std::max(diff, std::abs(o32[size_t(i)] - o16[size_t(i)]));
-    any += std::abs(o32[size_t(i)]);
+  for (int64_t i = 0; i < 128; ++i) {
+    diff = std::max(diff, std::abs(o32[i] - o16[i]));
+    any += std::abs(o32[i]);
   }
   EXPECT_GT(diff, 0.0f);       // FP16 rounding is visible...
   EXPECT_LT(diff, 0.05f);      // ...but small (§5.3 relies on this)
@@ -111,9 +110,8 @@ TEST(Attention, SoftmaxWeightsSumToOneImplied) {
   const Tensor q = random_tensor(1, 8, 14);
   const Tensor k = random_tensor(16, 8, 15);
   const Tensor v = Tensor::full({16, 8}, 3.25f);
-  std::vector<float> out(8);
-  attention_decode_token(q.row(0), k, v, cfg, out.data());
-  for (float x : out) EXPECT_NEAR(x, 3.25f, 1e-4f);
+  const Tensor o = attention_prefill(q, k, v, cfg);
+  for (int64_t i = 0; i < o.numel(); ++i) EXPECT_NEAR(o[i], 3.25f, 1e-4f);
 }
 
 }  // namespace

@@ -1,13 +1,19 @@
 // Cross-ISA equivalence of the attention microkernel subsystem: the scalar,
 // AVX2 and AVX-512 paths must produce bitwise-identical attention outputs —
 // and identical engine token streams — for every KV storage form
-// (INT4/INT8 dynamic, INT8 static-scale, FP16), odd sequence lengths that
-// cross page boundaries, GQA head ratios, head_dims off the 16-lane grid,
-// and FP16-accumulation on/off. Also pins the batched decode executor to the
-// per-sequence path under preemption churn, the one-dispatch-per-layer
-// counter contract, and the QSERVE_ISA override plumbing.
+// (INT4/INT8 dynamic, INT8 static-scale, FP16), decode rows, verify spans and
+// prefill chunks over plain and recycled windowed sequences, odd sequence
+// lengths that cross page boundaries, GQA head ratios, head_dims off the
+// 16-lane grid, and FP16-accumulation on/off — all equal to the
+// gather_heads + attention_prefill oracle. Also pins the batched executor to
+// per-sequence calls under preemption churn and to solo runs in a mixed model
+// step, the one-dispatch-per-layer counter contract, and the QSERVE_ISA
+// override plumbing.
+#include <algorithm>
+#include <cmath>
 #include <cstdlib>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -48,22 +54,34 @@ void expect_bitwise_equal(const std::vector<float>& a,
     ASSERT_EQ(a[i], b[i]) << tag << " element " << i;
 }
 
-// A populated quantized KV cache + query, parameterized over every axis the
-// kernels dispatch on. page_size 8 keeps several page runs in play; token
-// counts that are not multiples of 8 make the last run a partial page.
+// Sliding-window policy of a fixture sequence (window 0 = full attention).
+struct WindowSpec {
+  int64_t sink = 0, window = 0, slack = 0;
+};
+
+// A populated quantized KV cache + an n-row query span over its last n
+// positions, parameterized over every axis the kernels dispatch on. page_size
+// 8 keeps several page runs in play; token counts that are not multiples of
+// 8 make the last run a partial page.
 struct CacheFixture {
   KvCacheConfig ccfg;
   AttentionConfig acfg;
   PagedKvCache cache;
   int seq;
+  int64_t n_rows;
+  WindowSpec win;
   std::vector<float> q;
 
   CacheFixture(KvPrecision p, bool static_scales, int n_heads, int n_kv_heads,
-               int head_dim, int tokens, bool fp16_accum, uint64_t seed)
+               int head_dim, int tokens, bool fp16_accum, uint64_t seed,
+               int64_t rows = 1, WindowSpec w = {})
       : ccfg{n_kv_heads, head_dim, 8, p, static_scales, 0.25f, 0.5f, 4096},
         acfg{n_heads, n_kv_heads, head_dim, fp16_accum},
         cache(ccfg),
-        seq(cache.alloc_sequence()) {
+        seq(cache.alloc_sequence()),
+        n_rows(rows),
+        win(w) {
+    if (w.window > 0) cache.set_window(seq, w.sink, w.window, w.slack);
     Rng rng(seed);
     const size_t span = static_cast<size_t>(n_kv_heads) * head_dim;
     std::vector<float> k(span), v(span);
@@ -73,21 +91,67 @@ struct CacheFixture {
       k[0] = 9.0f;  // persistent outlier channel, like real Keys
       cache.append_batch(seq, k.data(), v.data(), 1);
     }
-    q.resize(static_cast<size_t>(n_heads) * head_dim);
+    q.resize(static_cast<size_t>(rows * n_heads * head_dim));
     for (auto& x : q) x = rng.normal();
   }
 
   std::vector<float> fused() const {
     std::vector<float> out(q.size());
-    batched_fused_decode_attention(cache, {{seq, q.data(), out.data()}}, acfg);
+    batched_fused_decode_attention(
+        cache, {{seq, q.data(), out.data(), n_rows}}, acfg);
     return out;
   }
 
+  // The float oracle: gather the resident rows, attend with the window.
   std::vector<float> gather_reference() const {
     Tensor k, v;
-    cache.gather(seq, k, v);
+    const int64_t tail0 =
+        cache.gather_heads(seq, k, v, 0, ccfg.n_kv_heads);
+    Tensor qt({n_rows, int64_t(acfg.n_heads) * acfg.head_dim});
+    std::copy(q.begin(), q.end(), qt.data());
+    const Tensor out = attention_prefill(qt, k, v, acfg, cache.seq_len(seq),
+                                         win.sink, win.window, tail0);
+    return std::vector<float>(out.data(), out.data() + out.numel());
+  }
+
+  // An independent double-precision reading of the visibility rule over the
+  // same gathered rows: the row at position p attends
+  // [0, min(p+1, sink)) ∪ [max(sink, p+1-window), p+1).
+  std::vector<float> naive_reference() const {
+    Tensor k, v;
+    const int64_t tail0 =
+        cache.gather_heads(seq, k, v, 0, ccfg.n_kv_heads);
+    const int64_t len = cache.seq_len(seq);
+    const int64_t sink = win.sink, w = win.window > 0 ? win.window : len;
+    const int d_head = acfg.head_dim, group = acfg.n_heads / acfg.n_kv_heads;
     std::vector<float> out(q.size());
-    attention_decode_token(q.data(), k, v, acfg, out.data());
+    for (int64_t r = 0; r < n_rows; ++r) {
+      const int64_t p = len - n_rows + r;
+      std::vector<int64_t> rows;  // gathered rows of the visible positions
+      for (int64_t t = 0; t < std::min(p + 1, sink); ++t) rows.push_back(t);
+      for (int64_t t = std::max(sink, p + 1 - w); t <= p; ++t)
+        rows.push_back(std::min(sink, len) + t - tail0);
+      for (int h = 0; h < acfg.n_heads; ++h) {
+        const float* qh = q.data() + (r * acfg.n_heads + h) * d_head;
+        const int64_t c0 = int64_t(h / group) * d_head;
+        std::vector<double> sc;
+        double mx = -1e300, sum = 0.0;
+        for (const int64_t row : rows) {
+          double dot = 0.0;
+          for (int d = 0; d < d_head; ++d) dot += qh[d] * k.at2(row, c0 + d);
+          sc.push_back(dot / std::sqrt(double(d_head)));
+          mx = std::max(mx, sc.back());
+        }
+        for (double& x : sc) sum += (x = std::exp(x - mx));
+        for (int d = 0; d < d_head; ++d) {
+          double o = 0.0;
+          for (size_t i = 0; i < rows.size(); ++i)
+            o += sc[i] / sum * v.at2(rows[i], c0 + d);
+          out[static_cast<size_t>((r * acfg.n_heads + h) * d_head + d)] =
+              static_cast<float>(o);
+        }
+      }
+    }
     return out;
   }
 };
@@ -106,30 +170,49 @@ const KvForm kKvForms[] = {
 };
 
 TEST(AttentionIsaEquivalence, FusedBitwiseAcrossIsasAllKvForms) {
+  // 45 tokens at page size 8: 5 full page runs + a 5-token tail run, read by
+  // a decode row, a 3-row verify span and a 37-row prefill chunk. The
+  // windowed sequence (8 sinks, window 16) has recycled its ring, and every
+  // multi-row span's earliest row reaches below the latest row's window.
+  const WindowSpec windowed{8, 16, 40};
   uint64_t seed = 50;
   for (const KvForm& f : kKvForms) {
     for (const auto& [n_heads, n_kv_heads] : {std::pair{4, 4},
                                               std::pair{8, 2},
                                               std::pair{6, 3}}) {
       for (const bool fp16 : {false, true}) {
-        // 37 tokens at page size 8: 4 full page runs + a 5-token tail run.
-        CacheFixture s(f.precision, f.static_scales, n_heads, n_kv_heads, 32,
-                       37, fp16, seed++);
-        std::vector<float> ref;
-        {
-          IsaGuard guard(Isa::kScalar);
-          ref = s.fused();
-        }
-        for (Isa isa : supported_isas()) {
-          IsaGuard guard(isa);
-          SCOPED_TRACE(std::string(f.name) + " heads=" +
-                       std::to_string(n_heads) + "/" +
-                       std::to_string(n_kv_heads) + " fp16=" +
-                       std::to_string(fp16) + " isa=" + cpu::isa_name(isa));
-          expect_bitwise_equal(ref, s.fused(), "fused");
-          // Cross-path: every ISA's fused result must also equal the
-          // gather-then-attend reference (itself running on `isa`).
-          expect_bitwise_equal(ref, s.gather_reference(), "gather");
+        for (const int64_t rows : {1, 3, 37}) {
+          for (const bool is_windowed : {false, true}) {
+            CacheFixture s(f.precision, f.static_scales, n_heads, n_kv_heads,
+                           32, is_windowed ? 150 : 45, fp16, seed++, rows,
+                           is_windowed ? windowed : WindowSpec{});
+            ASSERT_EQ(is_windowed, s.cache.recycled_pages() > 0);
+            std::vector<float> ref;
+            {
+              IsaGuard guard(Isa::kScalar);
+              ref = s.fused();
+            }
+            // The shared executor against an independent float reading of
+            // the causal / window clip (FP16 accumulation bounds the gap).
+            const std::vector<float> naive = s.naive_reference();
+            for (size_t i = 0; i < ref.size(); ++i)
+              ASSERT_NEAR(naive[i], ref[i], 2e-2) << f.name << " rows="
+                                                  << rows << " i=" << i;
+            for (Isa isa : supported_isas()) {
+              IsaGuard guard(isa);
+              SCOPED_TRACE(std::string(f.name) + " heads=" +
+                           std::to_string(n_heads) + "/" +
+                           std::to_string(n_kv_heads) + " fp16=" +
+                           std::to_string(fp16) + " rows=" +
+                           std::to_string(rows) + " windowed=" +
+                           std::to_string(is_windowed) + " isa=" +
+                           cpu::isa_name(isa));
+              expect_bitwise_equal(ref, s.fused(), "fused");
+              // Cross-path: every ISA's fused result must also equal the
+              // gather-then-attend oracle (itself running on `isa`).
+              expect_bitwise_equal(ref, s.gather_reference(), "gather");
+            }
+          }
         }
       }
     }
@@ -191,8 +274,9 @@ TEST(AttentionIsaEquivalence, PrefillGatherPathAcrossIsas) {
 TEST(AttentionIsaEquivalence, BatchedMatchesPerSequenceUnderChurn) {
   // Several sequences of different odd lengths, with free/realloc churn so
   // later sequences land on recycled pages out of allocation order — the
-  // preemption pattern. The batched executor must reproduce one-item
-  // (per-sequence) calls bitwise on every ISA.
+  // preemption pattern — each read by a span of its own length (decode
+  // rows, a verify-sized span, a whole-sequence chunk). The batched executor
+  // must reproduce one-item (per-sequence) calls bitwise on every ISA.
   for (const KvForm& f : kKvForms) {
     KvCacheConfig ccfg{2, 32, 8, f.precision, f.static_scales,
                        0.25f, 0.5f, 4096};
@@ -221,29 +305,33 @@ TEST(AttentionIsaEquivalence, BatchedMatchesPerSequenceUnderChurn) {
     const int e = cache.alloc_sequence();
     fill(e, 9);
     const std::vector<int> live = {b, c, d, e};
+    const std::vector<int64_t> rows = {3, 1, 1, 9};
 
     const size_t hd = static_cast<size_t>(acfg.n_heads) * acfg.head_dim;
     std::vector<std::vector<float>> qs;
+    std::vector<size_t> off = {0};  // each item's first output element
     for (size_t i = 0; i < live.size(); ++i) {
-      qs.emplace_back(hd);
+      qs.emplace_back(hd * static_cast<size_t>(rows[i]));
       for (auto& x : qs.back()) x = rng.normal();
+      off.push_back(off.back() + qs.back().size());
     }
 
     std::vector<float> ref;  // scalar per-sequence results, concatenated
     {
       IsaGuard guard(Isa::kScalar);
-      ref.resize(hd * live.size());
+      ref.resize(off.back());
       for (size_t i = 0; i < live.size(); ++i)
         batched_fused_decode_attention(
-            cache, {{live[i], qs[i].data(), ref.data() + i * hd}}, acfg);
+            cache, {{live[i], qs[i].data(), ref.data() + off[i], rows[i]}},
+            acfg);
     }
     for (Isa isa : supported_isas()) {
       IsaGuard guard(isa);
       SCOPED_TRACE(std::string(f.name) + " isa=" + cpu::isa_name(isa));
-      std::vector<float> got(hd * live.size());
+      std::vector<float> got(off.back());
       std::vector<DecodeAttentionItem> items;
       for (size_t i = 0; i < live.size(); ++i)
-        items.push_back({live[i], qs[i].data(), got.data() + i * hd});
+        items.push_back({live[i], qs[i].data(), got.data() + off[i], rows[i]});
       batched_fused_decode_attention(cache, items, acfg);
       expect_bitwise_equal(ref, got, "batched_vs_per_seq");
     }
@@ -260,34 +348,96 @@ const ModelWeights& toy_weights() {
 
 TEST(BatchedAttentionExecutor, OneDispatchPerLayerPerStep) {
   QuantizedModel m(toy_weights(), QuantSchemeConfig::qserve_w4a8kv4_g128());
-  // Each shard dispatches its own head range: one dispatch per shard per
-  // layer (QSERVE_TP_SHARDS picks the shard count).
-  const int n_dispatch = m.config().n_layers * m.tp_shards();
-  const int n_layers = m.config().n_layers;
+  // Every forward dispatches the attention executor once per layer and
+  // shard, whatever its spans are — prefill chunks, verify spans and decode
+  // rows alike, never a per-sequence fan-out (QSERVE_TP_SHARDS picks the
+  // shard count).
+  const int64_t n_dispatch = int64_t(m.config().n_layers) * m.tp_shards();
 
+  // A prefill-only step per sequence.
   std::vector<int> seqs;
   for (int i = 0; i < 3; ++i) {
     const int s = m.begin_sequence();
     m.prefill(s, {3, 1, 4, 1, 5});
     seqs.push_back(s);
+    EXPECT_EQ((i + 1) * n_dispatch, m.batched_attention_calls());
   }
-  // Prefill is a single multi-row span per step: no batched-decode dispatch.
-  EXPECT_EQ(0, m.batched_attention_calls());
   EXPECT_GT(m.attention_seconds(), 0.0);
 
-  // One step with 3 decode rows: exactly one batched dispatch per layer and
-  // shard covering all 3 sequences — never a per-sequence fan-out.
+  // One step with 3 decode rows.
   BatchedStep step;
   for (const int s : seqs)
     step.chunks.push_back({s, {7}, static_cast<int>(m.seq_pos(s)), 1});
   m.forward_step(step);
-  EXPECT_EQ(n_dispatch, m.batched_attention_calls());
-  EXPECT_EQ(int64_t(3) * n_layers, m.decode_attention_items());
+  EXPECT_EQ(4 * n_dispatch, m.batched_attention_calls());
 
-  // A lone decode_step still goes through the batched executor (1 item).
-  m.decode_step(seqs[0], 9);
-  EXPECT_EQ(2 * n_dispatch, m.batched_attention_calls());
-  EXPECT_EQ(int64_t(3 + 1) * n_layers, m.decode_attention_items());
+  // A mixed step: a prefill chunk, a 3-row verify span and two decode rows.
+  const int fresh = m.begin_sequence();
+  BatchedStep mixed;
+  mixed.chunks.push_back({fresh, {2, 7, 1, 8, 2, 8}, 0, 1});
+  mixed.chunks.push_back(
+      {seqs[0], {9, 9, 9}, static_cast<int>(m.seq_pos(seqs[0])), 3});
+  for (size_t i = 1; i < seqs.size(); ++i)
+    mixed.chunks.push_back(
+        {seqs[i], {6}, static_cast<int>(m.seq_pos(seqs[i])), 1});
+  m.forward_step(mixed);
+  EXPECT_EQ(5 * n_dispatch, m.batched_attention_calls());
+}
+
+TEST(BatchedAttentionExecutor, MixedStepMatchesSoloRunsAcrossShards) {
+  // One forward_step carrying a windowed prefill chunk whose ring has
+  // recycled (its earliest rows reach below its last row's window), a 3-row
+  // verify span and two decode rows must reproduce every chunk run alone,
+  // logit row for logit row, at 1 and 2 tensor-parallel shards.
+  Rng rng(404);
+  const auto tokens = [&](int n) {
+    std::vector<int> t(static_cast<size_t>(n));
+    for (auto& x : t) x = rng.uniform_int(0, 511);
+    return t;
+  };
+  const std::vector<int> w_prompt = tokens(100), v_prompt = tokens(20),
+                         d1_prompt = tokens(9), d2_prompt = tokens(30);
+  const std::vector<int> w_chunk = tokens(24), v_span = tokens(3);
+  for (const int shards : {1, 2}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    // Both models get the same four sequences; a windowed one (16 sinks,
+    // window 32, slack 32 — ring of 80 tokens) prefilled in 25-token chunks.
+    const auto setup = [&](QuantizedModel& m) {
+      std::vector<int> s(4);
+      for (auto& x : s) x = m.begin_sequence();
+      m.set_sequence_window(s[0], 16, 32, 32);
+      for (size_t i = 0; i < w_prompt.size(); i += 25)
+        m.prefill(s[0], std::vector<int>(w_prompt.begin() + long(i),
+                                         w_prompt.begin() + long(i) + 25));
+      m.prefill(s[1], v_prompt);
+      m.prefill(s[2], d1_prompt);
+      m.prefill(s[3], d2_prompt);
+      BatchedStep step;
+      step.chunks = {{s[0], w_chunk, 100, 24},
+                     {s[1], v_span, 20, 3},
+                     {s[2], {11}, 9, 1},
+                     {s[3], {12}, 30, 1}};
+      return step;
+    };
+    QuantizedModel mixed(toy_weights(),
+                         QuantSchemeConfig::qserve_w4a8kv4_g128(),
+                         TpConfig{shards});
+    QuantizedModel solo(toy_weights(), QuantSchemeConfig::qserve_w4a8kv4_g128(),
+                        TpConfig{shards});
+    ASSERT_EQ(shards, mixed.tp_shards());
+    const Tensor got = mixed.forward_step(setup(mixed));
+    ASSERT_GT(mixed.kv_cache().recycled_pages(), 0);
+    std::vector<float> ref;
+    for (const StepSeqChunk& c : setup(solo).chunks) {
+      BatchedStep one;
+      one.chunks = {c};
+      const Tensor l = solo.forward_step(one);
+      ref.insert(ref.end(), l.data(), l.data() + l.numel());
+    }
+    expect_bitwise_equal(
+        ref, std::vector<float>(got.data(), got.data() + got.numel()),
+        "mixed_vs_solo");
+  }
 }
 
 struct EngineRun {
@@ -358,12 +508,50 @@ TEST(AttentionConfigValidation, RejectsBadShapesLoudly) {
   EXPECT_THROW((AttentionConfig{4, 4, 33, false}).validate(true), CheckError);
 }
 
+TEST(AttentionIsaEquivalence, FloatKernelsMatchScalarAtEveryTileLength) {
+  // The AVX-512 qk_dot walks 16 tokens at once where head_dim has no lane
+  // tail, and falls back to one token at a time for the rest: every tile
+  // length from 0 to 40 (every remainder of the 16-token groups) at
+  // head_dims on and off the 16-lane grid must match scalar bit for bit, and
+  // so must every ISA's sv_accum.
+  // The probabilities include zeros and subnormals, as softmax produces.
+  Rng rng(11);
+  const cpu::AttentionKernels& scalar =
+      cpu::attention_kernel_for(Isa::kScalar);
+  for (const int head_dim : {8, 16, 24, 32, 64, 80, 128}) {
+    for (int64_t n = 0; n <= 40; ++n) {
+      std::vector<float> q(static_cast<size_t>(head_dim)),
+          kv(static_cast<size_t>(n * head_dim)), p(static_cast<size_t>(n)),
+          out0(static_cast<size_t>(head_dim));
+      for (auto& x : q) x = rng.normal();
+      for (auto& x : kv) x = rng.normal();
+      for (size_t t = 0; t < p.size(); ++t)
+        p[t] = t % 7 == 3 ? 0.0f : t % 5 == 1 ? 1e-40f : rng.uniform();
+      for (auto& x : out0) x = rng.normal();
+      std::vector<float> ref_dots(p.size()), ref_out = out0;
+      scalar.qk_dot(q.data(), kv.data(), n, head_dim, ref_dots.data());
+      scalar.sv_accum(p.data(), kv.data(), n, head_dim, ref_out.data());
+      for (Isa isa : supported_isas()) {
+        const cpu::AttentionKernels& ker = cpu::attention_kernel_for(isa);
+        std::vector<float> dots(p.size()), out = out0;
+        ker.qk_dot(q.data(), kv.data(), n, head_dim, dots.data());
+        ker.sv_accum(p.data(), kv.data(), n, head_dim, out.data());
+        SCOPED_TRACE(std::string(cpu::isa_name(isa)) + " head_dim=" +
+                     std::to_string(head_dim) + " n=" + std::to_string(n));
+        expect_bitwise_equal(ref_dots, dots, "qk_dot");
+        expect_bitwise_equal(ref_out, out, "sv_accum");
+      }
+    }
+  }
+}
+
 // --- dispatch plumbing -------------------------------------------------------
 
 TEST(AttentionIsaDispatch, KernelTableIsConsistent) {
   for (Isa isa : supported_isas()) {
     const cpu::AttentionKernels& ker = cpu::attention_kernel_for(isa);
     EXPECT_EQ(isa, ker.isa) << cpu::isa_name(isa);
+    EXPECT_NE(nullptr, ker.dequant);
     EXPECT_NE(nullptr, ker.qk_dot);
     EXPECT_NE(nullptr, ker.sv_accum);
   }

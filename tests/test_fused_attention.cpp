@@ -2,6 +2,8 @@
 // gather-then-attend reference at every KV precision and GQA configuration.
 #include "kvcache/fused_attention.h"
 
+#include <algorithm>
+
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
@@ -46,9 +48,10 @@ struct FusedFixture {
   std::vector<float> reference() const {
     Tensor k, v;
     cache.gather(seq, k, v);
-    std::vector<float> out(q.size());
-    attention_decode_token(q.data(), k, v, attn_cfg, out.data());
-    return out;
+    Tensor qt({1, static_cast<int64_t>(q.size())});
+    std::copy(q.begin(), q.end(), qt.data());
+    const Tensor out = attention_prefill(qt, k, v, attn_cfg);
+    return std::vector<float>(out.data(), out.data() + out.numel());
   }
 };
 

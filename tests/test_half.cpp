@@ -65,6 +65,26 @@ TEST(Half, PrecisionLossMatchesEpsilon) {
   }
 }
 
+TEST(Half, RoundTripHelperMatchesHalfBitForBit) {
+  // to_half_precision may take a hardware conversion path; it must give
+  // float(Half(f)) bit for bit. Check every float whose low 13 bits sit at
+  // or next to a binary16 rounding boundary (all exponents, both signs, so
+  // normals, subnormals, overflow, infinities and NaNs), plus a stride
+  // through every other pattern.
+  const auto same = [](uint32_t u) {
+    const float f = detail::bit_cast<float>(u);
+    return detail::bit_cast<uint32_t>(to_half_precision(f)) ==
+           detail::bit_cast<uint32_t>(float(Half(f)));
+  };
+  int64_t bad = 0;
+  for (uint32_t hi = 0; hi < (1u << 19); ++hi)
+    for (uint32_t lo : {0x0000u, 0x0001u, 0x0FFFu, 0x1000u, 0x1001u, 0x1FFFu})
+      bad += same((hi << 13) | lo) ? 0 : 1;
+  for (uint64_t u = 0; u < (1ull << 32); u += 4099)
+    bad += same(static_cast<uint32_t>(u)) ? 0 : 1;
+  EXPECT_EQ(bad, 0);
+}
+
 TEST(Half, CompoundAssignRoundsEachStep) {
   Half h(1.0f);
   h += 0.0004f;  // below half precision at 1.0 -> rounds away

@@ -13,12 +13,25 @@
 //
 // Expect the forwards-per-token win but NOT a CPU wall-clock win: speculation
 // converts k+1 m=1 target forwards into one m=k+1 forward, which only pays
-// when decode is memory-bound enough that an m=k+1 GEMM costs about as much
-// as an m=1 GEMM (the GPU regime of Fig. 3). On this CPU the blocked W4A8
-// GEMM is mostly compute-bound at decode shapes (bench_serving_batched
-// measures only ~1.1x per-row win from batching), so the verify forward
-// costs nearly (k+1)x an m=1 step and the draft's forwards are pure
-// overhead. The JSON rows record both metrics honestly; the
+// when decode is memory-bound enough that an m=k+1 forward costs about as
+// much as an m=1 forward (the GPU regime of Fig. 3). Measured on a 4-vCPU
+// AVX-512 host (speculative / baseline decode tok/s, two runs each):
+//
+//   threads  batch  head on gemm_f32_ref  head on gemm_fp16
+//   1        1      0.25x                 0.28-0.33x
+//   1        4      0.18x                 0.19-0.23x
+//   4        1      0.26-0.28x            0.37x
+//   4        4      0.18-0.22x            0.28-0.30x
+//
+// Part of the old gap was the LM head: every draft row and every verify row
+// paid the scalar double-accumulating reference loop, which gemm_fp16
+// (binary16 panels on the attention microkernels) replaced; the baseline's
+// own decode tok/s roughly doubled with it. What remains is the W4A8 GEMM:
+// its per-row cost does not fall as m grows, so the verify forward still
+// costs about (k+1)x an m=1 step, and the draft's forwards are pure
+// overhead on top. The scalar-ISA rows barely move: the scalar qk_dot is a
+// deliberate one-MAC-at-a-time baseline, about as slow as the reference
+// loop. The JSON rows record both metrics honestly; the
 // tokens-per-forward rows are the paper-transferable figure of merit.
 //
 // Invoked with `--json <path>` it writes regression records for

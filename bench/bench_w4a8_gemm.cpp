@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "bench_util.h"
+#include "common/half.h"
 #include "common/parallel.h"
 #include "common/rng.h"
 #include "kernels/cpu/isa.h"
@@ -121,6 +122,47 @@ void BM_GemmF32Reference(benchmark::State& state) {
   for (auto _ : state) benchmark::DoNotOptimize(gemm_f32_ref(s.x, s.w));
 }
 BENCHMARK(BM_GemmF32Reference);
+
+// The FP16 LM head at servebench's shape (k = hidden 512, n = vocab 2048)
+// over m logit rows: gemm_fp16 on binary16 vocab panels against the
+// double-accumulating reference on the same (FP16-rounded) weights. The
+// `ops` counter is the rate of 2*m*n*k operations per call.
+struct HeadSetup {
+  Tensor x, w;
+  U16Tensor w16;
+
+  explicit HeadSetup(int64_t m) {
+    constexpr int64_t kHidden = 512, kVocab = 2048;
+    Rng rng(3);
+    x = Tensor({m, kHidden});
+    w = Tensor({kVocab, kHidden});
+    for (int64_t i = 0; i < x.numel(); ++i) x[i] = rng.normal();
+    for (int64_t i = 0; i < w.numel(); ++i)
+      w[i] = to_half_precision(rng.normal());
+    w16 = to_half_bits(w);
+  }
+};
+
+template <typename Fn>
+void run_head(benchmark::State& state, const Fn& gemm) {
+  const HeadSetup s(state.range(0));
+  for (auto _ : state) benchmark::DoNotOptimize(gemm(s));
+  state.counters["ops"] = benchmark::Counter(
+      2.0 * double(s.x.rows()) * double(s.w.rows()) * double(s.w.cols()),
+      benchmark::Counter::kIsIterationInvariantRate);
+}
+
+void BM_GemmF32ReferenceHead(benchmark::State& state) {
+  run_head(state, [](const HeadSetup& s) { return gemm_f32_ref(s.x, s.w); });
+}
+BENCHMARK(BM_GemmF32ReferenceHead)->Arg(1)->Arg(4)->Arg(128)->Unit(
+    benchmark::kMillisecond);
+
+void BM_GemmFp16Head(benchmark::State& state) {
+  run_head(state, [](const HeadSetup& s) { return gemm_fp16(s.x, s.w16); });
+}
+BENCHMARK(BM_GemmFp16Head)->Arg(1)->Arg(4)->Arg(128)->Unit(
+    benchmark::kMillisecond);
 
 // --- quantizers ----------------------------------------------------------------
 

@@ -1,11 +1,13 @@
 #include "kernels/gemm.h"
 
 #include <algorithm>
+#include <limits>
 #include <vector>
 
 #include "common/half.h"
 #include "common/math_util.h"
 #include "common/parallel.h"
+#include "kernels/cpu/attention_kernel.h"
 #include "kernels/cpu/microkernel.h"
 #include "kernels/rlp.h"
 
@@ -34,6 +36,11 @@ int64_t panel_grain(int64_t panels) {
   const int64_t threads = std::max(1, num_threads());
   return clamp<int64_t>(panels / (4 * threads), 1, 8);
 }
+
+// Vocab rows per gemm_fp16 panel. One panel's float tile (16 x k) is what
+// every logit row's qk_dot reads from L1, and 16 rows feed the AVX-512
+// qk_dot's 16-token path whole; 32-row tiles measured slower at k = 512.
+constexpr int64_t kFp16PanelRows = 16;
 
 // Core blocked driver. Calls epilogue(t, r, acc) exactly once per output
 // element with the exact scalar INT32 accumulator; epilogue must be safe to
@@ -115,6 +122,43 @@ Tensor gemm_f32_ref(const Tensor& x, const Tensor& w) {
       y.at2(t, r) = static_cast<float>(acc);
     }
   }
+  return y;
+}
+
+U16Tensor to_half_bits(const Tensor& w) {
+  U16Tensor h(w.shape());
+  for (int64_t i = 0; i < w.numel(); ++i)
+    h[i] = detail::float_to_half_bits(w[i]);
+  return h;
+}
+
+Tensor gemm_fp16(const Tensor& x, const U16Tensor& w) {
+  QS_CHECK_EQ(x.cols(), w.cols());
+  const int64_t m = x.rows(), k = w.cols(), n = w.rows();
+  QS_CHECK_LE(k, int64_t(std::numeric_limits<int>::max()));
+  Tensor y({m, n});
+  // The weight rows are a kFp16 run of n "tokens" of width k: the attention
+  // table's dequant decodes a panel of them, and qk_dot dots each logit row
+  // against the decoded tile in the canonical 16-lane order.
+  const cpu::AttentionKernels& ker =
+      cpu::attention_kernel_for(cpu::active_isa());
+  cpu::KvHeadRun run;
+  run.kind = cpu::KvRunKind::kFp16;
+  run.n_tokens = n;
+  run.half_bits = w.data();
+  run.stride = k;
+  const int kd = static_cast<int>(k);
+  const int64_t panels = ceil_div(n, kFp16PanelRows);
+  parallel_for(0, panels, panel_grain(panels), [&](int64_t p0, int64_t p1) {
+    std::vector<float> tile(static_cast<size_t>(kFp16PanelRows * k));
+    for (int64_t p = p0; p < p1; ++p) {
+      const int64_t r0 = p * kFp16PanelRows;
+      const int64_t rows = std::min(kFp16PanelRows, n - r0);
+      ker.dequant(run, r0, rows, kd, tile.data());
+      for (int64_t t = 0; t < m; ++t)
+        ker.qk_dot(x.row(t), tile.data(), rows, kd, y.row(t) + r0);
+    }
+  });
   return y;
 }
 

@@ -14,8 +14,11 @@
 //   gemm_w4a4_atom         — Atom path: INT4 MACs with per-group FP32
 //                            partial-sum dequantization in the main loop.
 //   gemm_w4a16             — weight-only path: FP16 dequant in the main loop.
+//   gemm_fp16              — FP16 weights (the LM head, the FP16 baseline):
+//                            binary16 panels on the attention microkernels.
 //
-// Outputs are rounded through FP16 (the GPU kernels emit FP16).
+// Outputs are rounded through FP16 (the GPU kernels emit FP16), except
+// gemm_fp16's FP32 logits.
 //
 // The three INT8-path kernels (w8a8, w4a8 per-channel, w4a8 per-group) run on
 // runtime-dispatched SIMD microkernels (kernels/cpu/) over a cache-blocked,
@@ -29,8 +32,26 @@
 
 namespace qserve {
 
-// FP32 reference (stands in for the FP16 tensor-core baseline).
+// Scalar, single-threaded reference with double accumulation — the oracle
+// for tests, reference_model.cpp and QoQ calibration only. No serving path
+// runs it; FP16 weights are served by gemm_fp16.
 Tensor gemm_f32_ref(const Tensor& x, const Tensor& w);
+
+// Binary16 bits of every element of `w` (round-to-nearest-even): the stored
+// form of an FP16 weight matrix, one row per output channel.
+U16Tensor to_half_bits(const Tensor& w);
+
+// FP16-weight GEMM (the LM head and the FP16 baseline scheme's projections):
+// Y[m, n] = X[m, k] * W[n, k]^T with W as binary16 rows, FP32 outputs (not
+// rounded through FP16). Walks 16-row weight panels under parallel_for; the
+// attention kernel table's `dequant` (KvRunKind::kFp16, stride k) decodes
+// each panel into an L1 float tile and `qk_dot` dots every row of X against
+// it. Each logit therefore follows the canonical 16-lane + fold_qk_lanes
+// order (kernels/cpu/attention_kernel.h): bitwise identical across
+// scalar/AVX2/AVX-512, any thread count, and any m (row t's logits do not
+// depend on the other rows of X). Not bitwise to gemm_f32_ref, which sums in
+// double.
+Tensor gemm_fp16(const Tensor& x, const U16Tensor& w);
 
 // Raw INT8 x INT8 -> INT32 (the "tensor core" primitive).
 I32Tensor gemm_i8i8_i32(const I8Tensor& x, const I8Tensor& w);

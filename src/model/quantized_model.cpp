@@ -6,7 +6,6 @@
 #include <unordered_set>
 #include <utility>
 
-#include "common/half.h"
 #include "common/math_util.h"
 #include "common/parallel.h"
 #include "kernels/attention.h"
@@ -199,9 +198,7 @@ QuantizedLinear::QuantizedLinear(const Tensor& w, const QuantSchemeConfig& cfg,
   switch (scheme_) {
     case WeightScheme::kFp16:
       check_whole();
-      fp_ = w;
-      for (int64_t i = 0; i < fp_.numel(); ++i)
-        fp_[i] = to_half_precision(fp_[i]);
+      fp16_ = to_half_bits(w);
       break;
     case WeightScheme::kW8PerChannel:
       pack(quantize_w8_per_channel(w));
@@ -250,7 +247,7 @@ Tensor QuantizedLinear::apply(const LinearInput& x, int s) const {
   QS_DCHECK(s >= 0 && s < static_cast<int>(slices_.size()));
   switch (scheme_) {
     case WeightScheme::kFp16:
-      return gemm_f32_ref(x.fp, fp_);
+      return gemm_fp16(x.fp, fp16_);
     // The INT8 paths hit the pre-packed blocked GEMM: weight tiles were
     // interleaved (and, for per-group, dequantized to level-1 codes) once at
     // construction, and a stacked prefill reuses each tile across all its

@@ -79,7 +79,8 @@ struct LinearInput {
 // struct is dropped, so the weight is held exactly once at any shard count.
 // Column-parallel layers slice output rows, row-parallel layers slice input
 // columns; no slices means one shard over the full matrix. The other schemes
-// (FP16, W4A16, W4A4) are always a single full-matrix shard.
+// (FP16, W4A16, W4A4) are always a single full-matrix shard; FP16 keeps its
+// weight as binary16 rows only, which gemm_fp16 reads as vocab panels.
 class QuantizedLinear {
  public:
   QuantizedLinear() = default;
@@ -104,7 +105,7 @@ class QuantizedLinear {
 
  private:
   WeightScheme scheme_ = WeightScheme::kFp16;
-  Tensor fp_;
+  U16Tensor fp16_;  // kFp16: binary16 rows, the only copy of the weight
   W4A16PerGroup w4a16_;
   W4A4PerGroup w4a4_;
   std::vector<PackSlice> slices_;

@@ -112,6 +112,7 @@ class TensorT {
 using Tensor = TensorT<float>;
 using I8Tensor = TensorT<int8_t>;
 using U8Tensor = TensorT<uint8_t>;
+using U16Tensor = TensorT<uint16_t>;
 using I32Tensor = TensorT<int32_t>;
 
 // Max absolute value of a row segment; the building block of every

@@ -3,15 +3,23 @@
 // and FP16 outputs for every quant scheme, across m in {1, 7, 64}, odd n/k,
 // mixed activation magnitudes (including rows whose codes clamp to -128),
 // and both protective-range and naive-range (deliberate INT8 overflow)
-// per-group weights. Also covers the QSERVE_ISA override plumbing and the
-// streamed kernel's single-token bypass.
+// per-group weights. Also covers the QSERVE_ISA override plumbing, the
+// streamed kernel's single-token bypass, and the FP16-weight gemm_fp16 (LM
+// head): bitwise across ISA x threads x m, batch-invariant per row, and
+// within a stated float-summation bound of gemm_f32_ref.
+#include <algorithm>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/half.h"
+#include "common/parallel.h"
 #include "common/rng.h"
+#include "kernels/cpu/attention_kernel.h"
 #include "kernels/cpu/isa.h"
 #include "kernels/cpu/microkernel.h"
 #include "kernels/gemm.h"
@@ -228,6 +236,126 @@ TEST(GemmIsaEquivalence, StreamedM1BypassMatchesStreamWalk) {
     SCOPED_TRACE(n);
     expect_bitwise_equal(plain, streamed, "streamed_m1");
   }
+}
+
+// --- FP16-weight GEMM (LM head) ----------------------------------------------
+
+struct ThreadGuard {
+  explicit ThreadGuard(int n) { set_num_threads(n); }
+  ~ThreadGuard() { set_num_threads(0); }
+};
+
+// Rows [r0, r0 + m) of x.
+Tensor take_rows(const Tensor& x, int64_t r0, int64_t m) {
+  Tensor out({m, x.cols()});
+  std::copy(x.row(r0), x.row(r0) + m * x.cols(), out.data());
+  return out;
+}
+
+// Vocab sizes with a 2-row tail panel and a lone 1-row panel, and k with a
+// 4-element (k = 100) and an 8-element (k = 520) lane tail past the 16-lane
+// blocks, plus the lane-aligned servebench width.
+struct Fp16Shape {
+  int64_t n, k;
+};
+const Fp16Shape kFp16Shapes[] = {{2050, 100}, {97, 520}, {33, 512}};
+const int64_t kFp16Ms[] = {1, 3, 4, 17, 128};
+
+TEST(GemmFp16, BitwiseAcrossIsaThreadsAndBatch) {
+  // Reference: every row of a 133-row pool computed ALONE on the scalar
+  // kernel at one thread, and pinned to the canonical order: each logit is
+  // the scalar qk_dot of its activation row against its decoded weight row.
+  // Each stack of m rows — taken at an m-dependent offset of the pool —
+  // under every ISA x thread count must reproduce those rows bit for bit: no
+  // ISA, pool size, panel split or neighbouring row may move a logit.
+  // servebench's solo-replay correctness gate rests on this batch
+  // invariance.
+  uint64_t seed = 1000;
+  const cpu::AttentionKernels& scalar = cpu::attention_kernel_for(Isa::kScalar);
+  for (const Fp16Shape& s : kFp16Shapes) {
+    const int64_t pool = 133;
+    const Tensor x = random_acts(pool, s.k, seed++);
+    const U16Tensor w = to_half_bits(random_weights(s.n, s.k, seed++));
+    Tensor solo({pool, s.n}), canonical({pool, s.n});
+    {
+      IsaGuard isa(Isa::kScalar);
+      ThreadGuard threads(1);
+      for (int64_t r = 0; r < pool; ++r) {
+        const Tensor y = gemm_fp16(take_rows(x, r, 1), w);
+        std::copy(y.data(), y.data() + s.n, solo.row(r));
+      }
+    }
+    std::vector<float> wrow(static_cast<size_t>(s.k));
+    for (int64_t j = 0; j < s.n; ++j) {
+      for (int64_t c = 0; c < s.k; ++c)
+        wrow[static_cast<size_t>(c)] = detail::half_bits_to_float(w.at2(j, c));
+      for (int64_t r = 0; r < pool; ++r)
+        scalar.qk_dot(x.row(r), wrow.data(), 1, static_cast<int>(s.k),
+                      &canonical.at2(r, j));
+    }
+    expect_bitwise_equal(canonical, solo, "fp16 canonical order");
+    for (Isa isa : supported_isas()) {
+      IsaGuard isa_guard(isa);
+      for (int threads : {1, 2, 8}) {
+        ThreadGuard thread_guard(threads);
+        for (int64_t m : kFp16Ms) {
+          const int64_t r0 = (7 * m) % (pool - m + 1);
+          SCOPED_TRACE("n=" + std::to_string(s.n) + " k=" +
+                       std::to_string(s.k) + " isa=" + cpu::isa_name(isa) +
+                       " threads=" + std::to_string(threads) +
+                       " m=" + std::to_string(m) + " r0=" +
+                       std::to_string(r0));
+          expect_bitwise_equal(take_rows(solo, r0, m),
+                               gemm_fp16(take_rows(x, r0, m), w), "fp16");
+        }
+      }
+    }
+  }
+}
+
+TEST(GemmFp16, WithinSummationBoundOfF32Reference) {
+  // Same binary16 weights, decoded to floats, through the double-accumulating
+  // reference. gemm_fp16 sums in float: each of the 16 lanes chains
+  // ceil(k / 16) products, then 4 fold adds, every step rounded separately
+  // (no FMA). The standard recursive-summation bound for a chain of
+  // depth d = ceil(k / 16) + 5 (the +1 is the product's own rounding) is
+  //   |fl(dot) - dot| <= gamma_d * sum_c |x_c * w_c|,  gamma_d = d*u/(1-d*u)
+  // with u = 2^-24; the reference's own final float rounding adds u * |ref|.
+  uint64_t seed = 2000;
+  const double u = std::ldexp(1.0, -24);
+  for (const Fp16Shape& s : kFp16Shapes) {
+    const int64_t m = 17;
+    const Tensor x = random_acts(m, s.k, seed++);
+    const U16Tensor w = to_half_bits(random_weights(s.n, s.k, seed++));
+    Tensor wf({s.n, s.k});
+    for (int64_t i = 0; i < wf.numel(); ++i)
+      wf[i] = detail::half_bits_to_float(w[i]);
+    const Tensor ref = gemm_f32_ref(x, wf);
+    const Tensor y = gemm_fp16(x, w);
+    const double d = double((s.k + 15) / 16 + 5);
+    const double gamma = d * u / (1.0 - d * u);
+    double worst = 0.0;  // largest |delta| / bound seen
+    for (int64_t t = 0; t < m; ++t)
+      for (int64_t r = 0; r < s.n; ++r) {
+        double abs_sum = 0.0;
+        for (int64_t c = 0; c < s.k; ++c)
+          abs_sum += std::abs(double(x.at2(t, c)) * double(wf.at2(r, c)));
+        const double ref_v = ref.at2(t, r);
+        const double bound = gamma * abs_sum + u * std::abs(ref_v);
+        const double delta = std::abs(double(y.at2(t, r)) - ref_v);
+        ASSERT_LE(delta, bound) << "n=" << s.n << " k=" << s.k << " t=" << t
+                                << " r=" << r;
+        if (bound > 0.0) worst = std::max(worst, delta / bound);
+      }
+    // Float summation really differs from double somewhere: the kernel is
+    // not silently the reference.
+    EXPECT_GT(worst, 0.0) << "k=" << s.k;
+  }
+}
+
+TEST(GemmFp16, RejectsMismatchedWidth) {
+  const U16Tensor w = to_half_bits(random_weights(8, 32, 3000));
+  EXPECT_THROW(gemm_fp16(random_acts(2, 31, 3001), w), CheckError);
 }
 
 // --- dispatch plumbing -------------------------------------------------------

@@ -164,6 +164,57 @@ void BM_GemmFp16Head(benchmark::State& state) {
 BENCHMARK(BM_GemmFp16Head)->Arg(1)->Arg(4)->Arg(128)->Unit(
     benchmark::kMillisecond);
 
+// One servebench decoder layer's seven W4A8 projections (hidden 512, ffn
+// 1536, 8 query / 2 KV heads x 64; q, k, v, o, gate, up, down) as g128
+// progressive packs for the active ISA, run back to back over m stacked
+// rows — the GEMM work of one layer of an m-row engine step. The `ops`
+// counter is the rate of 2*m*sum(n*k) operations per call; the per-m curve
+// is the register tile's payoff as m grows.
+struct LayerSetup {
+  std::vector<PackedGemmB> packs;
+  int64_t weights = 0;  // sum of n*k over the projections
+
+  LayerSetup() {
+    constexpr int64_t kHidden = 512, kFfn = 1536, kKv = 2 * 64;
+    const struct {
+      int64_t n, k;
+    } shapes[] = {{kHidden, kHidden}, {kKv, kHidden}, {kKv, kHidden},
+                  {kHidden, kHidden}, {kFfn, kHidden}, {kFfn, kHidden},
+                  {kHidden, kFfn}};
+    Rng rng(5);
+    const int nr = cpu::microkernel_for(cpu::active_isa()).nr;
+    for (const auto& sh : shapes) {
+      Tensor w({sh.n, sh.k});
+      for (int64_t i = 0; i < w.numel(); ++i) w[i] = rng.normal();
+      packs.push_back(pack_gemm_b(quantize_progressive(w, {.group = 128}), nr));
+      weights += sh.n * sh.k;
+    }
+  }
+};
+
+void BM_GemmW4A8Layer(benchmark::State& state) {
+  static const LayerSetup* layer = new LayerSetup();
+  const int64_t m = state.range(0);
+  Rng rng(6);
+  // Activations per input width: the hidden-wide ones feed q/k/v/o/gate/up,
+  // the ffn-wide one feeds down.
+  const auto acts = [&](int64_t k) {
+    Tensor x({m, k});
+    for (int64_t i = 0; i < x.numel(); ++i) x[i] = rng.normal();
+    return quantize_acts_per_token(x);
+  };
+  const QuantizedActs x_hidden = acts(512), x_ffn = acts(1536);
+  for (auto _ : state)
+    for (const PackedGemmB& p : layer->packs)
+      benchmark::DoNotOptimize(
+          gemm_blocked(p.k == x_hidden.k() ? x_hidden : x_ffn, p));
+  state.counters["ops"] =
+      benchmark::Counter(2.0 * double(m) * double(layer->weights),
+                         benchmark::Counter::kIsIterationInvariantRate);
+}
+BENCHMARK(BM_GemmW4A8Layer)->Arg(1)->Arg(4)->Arg(8)->Arg(32)->Arg(128)->Unit(
+    benchmark::kMicrosecond);
+
 // --- quantizers ----------------------------------------------------------------
 
 void BM_QuantizeProgressive(benchmark::State& state) {

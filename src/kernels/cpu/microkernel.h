@@ -1,20 +1,27 @@
 // INT8 dot-product microkernels behind the runtime ISA dispatch.
 //
-// One microkernel call accumulates a panel of `nr` output channels against a
-// run of `kc` input channels for a single token:
+// One microkernel call computes a register tile: `m` tokens x `np` panels of
+// `nr` output channels each, over one run of `kc` input channels (a k-block):
 //
-//   acc[r] += sum_{c < kc} x[c] * w_panel[c, r]        (r in [0, nr))
+//   acc[t * acc_stride + p * nr + r] += sum_{c < kc} x[t * x_stride + c]
+//                                                    * panel_p[c, r]
+//   (t in [0, m), p in [0, np), r in [0, nr))
 //
-// `w_panel` is the interleaved layout produced by pack_gemm_b()
+// Each panel is the interleaved layout produced by pack_gemm_b()
 // (kernels/weight_layout.h): input channels are grouped in fours ("k-groups",
 // the granularity of vpdpbusd / vpmaddubsw), and within a k-group the `nr`
 // rows are stored contiguously:
 //
-//   w_panel[(g * nr + r) * 4 + j] = code(row r, input channel g*4 + j)
+//   panel_p[(g * nr + r) * 4 + j] = code(row r, input channel g*4 + j)
 //
 // so one 64-byte vector load yields 16 rows x 4 input channels — the same
-// fragment shape an MMA tile consumes on the GPU. `kc` is always a multiple
-// of 4 (the packer zero-pads k).
+// fragment shape an MMA tile consumes on the GPU. Panel p starts w_stride
+// bytes after panel p - 1. `kc` is always a multiple of 4 (the packer
+// zero-pads k). Inside a call each weight load feeds all m tokens and each
+// activation broadcast feeds all np panels; the vector kernels hold the
+// whole m x np tile in registers for the k-block. A kernel's `mr` x `np` is
+// its largest tile; the driver passes any m <= mr and np <= that, so row and
+// panel tails run through the same entry.
 //
 // Numerics contract: every implementation produces the INT32 accumulator the
 // scalar loop produces, bit for bit, for the full operand ranges
@@ -23,10 +30,12 @@
 //  * AVX2 widens both operands to 16 bits and uses vpmaddwd — exact for all
 //    int8 products (vpmaddubsw on sign-split operands would saturate or
 //    mis-handle -128, which the naive-range overflow repro can emit).
-//  * AVX-512 VNNI biases activations to unsigned (x ^ 0x80 = x + 128) and
-//    uses vpdpbusd; the driver subtracts 128 * row_sum(w) once per output
-//    (`bias_compensated`), restoring the exact sum.
-// Integer addition is associative, so vector-lane order never matters.
+//  * AVX-512 VNNI multiplies unsigned by signed bytes with vpdpbusd. For
+//    signed weight codes (`bias_compensated`) the driver stages the
+//    activations biased to unsigned (x ^ 0x80 = x + 128) once per call and
+//    subtracts 128 * row_sum(w) once per output, restoring the exact sum.
+// Integer addition is associative, so vector-lane and k-block order never
+// matter.
 #pragma once
 
 #include <cstdint>
@@ -38,18 +47,33 @@ namespace qserve::cpu {
 // Input channels per packed k-group (vpdpbusd granularity).
 inline constexpr int kKGroup = 4;
 
+// Operands of one tile call (see the contract above).
+struct TileArgs {
+  const int8_t* x;     // token 0's first code of the k-block
+  int64_t x_stride;    // bytes between tokens
+  const int8_t* w;     // panel 0's first k-group of the k-block
+  int64_t w_stride;    // bytes between panels
+  int64_t kc;          // input channels in the k-block, a multiple of 4
+  int m;               // tokens, 1..mr
+  int np;              // panels, 1..np of the kernel
+  int nr;              // output channels per panel
+  bool w_unsigned;     // UINT4 codes (0..15): the weight is the unsigned
+                       // operand and x is plain signed; else signed codes
+                       // and x is biased iff bias_compensated
+  int32_t* acc;        // accumulated into, never overwritten
+  int64_t acc_stride;  // int32s between tokens
+};
+
 struct Microkernel {
   Isa isa;
   int nr;  // output channels per panel (vector width in INT32 lanes)
-  // True if dot_s8 accumulates sum((x + 128) * w); the caller must subtract
-  // 128 * row_sum afterwards. dot_u4 never needs compensation.
+  int mr;  // tokens per register tile
+  int np;  // panels per register tile
+  // True if signed-code tiles take biased activations and accumulate
+  // sum((x + 128) * w); the caller must subtract 128 * row_sum afterwards.
+  // UINT4-code tiles never need compensation.
   bool bias_compensated;
-  // Signed weight codes (W8A8 and pre-dequantized per-group W4A8 panels).
-  void (*dot_s8)(const int8_t* x, const int8_t* w_panel, int64_t kc, int nr,
-                 int32_t* acc);
-  // Unsigned UINT4 codes stored one per byte (per-channel W4A8 panels).
-  void (*dot_u4)(const int8_t* x, const uint8_t* w_panel, int64_t kc, int nr,
-                 int32_t* acc);
+  void (*tile)(const TileArgs& a);
 };
 
 // Dispatch table lookup; falls back to the scalar kernel if `isa` was not

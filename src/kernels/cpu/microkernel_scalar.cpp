@@ -9,40 +9,47 @@ namespace qserve::cpu {
 
 namespace {
 
-void dot_s8_scalar(const int8_t* x, const int8_t* w_panel, int64_t kc, int nr,
-                   int32_t* acc) {
+// One token against one panel: the reference loop over k-groups. Kept out
+// of line so the (token, panel) loops around it cannot crowd its registers.
+template <typename W>
+__attribute__((noinline)) void dot_scalar(const int8_t* x, const W* panel,
+                                          int64_t kc, int nr, int32_t* acc) {
   for (int64_t g = 0; g < kc / kKGroup; ++g) {
     const int8_t* xg = x + g * kKGroup;
-    const int8_t* wg = w_panel + g * nr * kKGroup;
+    const W* wg = panel + g * nr * kKGroup;
     for (int r = 0; r < nr; ++r) {
-      int32_t a = acc[r];
+      int32_t s = acc[r];
       for (int j = 0; j < kKGroup; ++j)
-        a += int32_t(xg[j]) * int32_t(wg[r * kKGroup + j]);
-      acc[r] = a;
+        s += int32_t(xg[j]) * int32_t(wg[r * kKGroup + j]);
+      acc[r] = s;
     }
   }
 }
 
-void dot_u4_scalar(const int8_t* x, const uint8_t* w_panel, int64_t kc,
-                   int nr, int32_t* acc) {
-  for (int64_t g = 0; g < kc / kKGroup; ++g) {
-    const int8_t* xg = x + g * kKGroup;
-    const uint8_t* wg = w_panel + g * nr * kKGroup;
-    for (int r = 0; r < nr; ++r) {
-      int32_t a = acc[r];
-      for (int j = 0; j < kKGroup; ++j)
-        a += int32_t(xg[j]) * int32_t(wg[r * kKGroup + j]);
-      acc[r] = a;
-    }
+template <typename W>
+void tile_scalar_impl(const TileArgs& a) {
+  for (int t = 0; t < a.m; ++t)
+    for (int p = 0; p < a.np; ++p)
+      dot_scalar(a.x + t * a.x_stride,
+                 reinterpret_cast<const W*>(a.w + p * a.w_stride), a.kc, a.nr,
+                 a.acc + t * a.acc_stride + p * a.nr);
+}
+
+void tile_scalar(const TileArgs& a) {
+  if (a.w_unsigned) {
+    tile_scalar_impl<uint8_t>(a);
+  } else {
+    tile_scalar_impl<int8_t>(a);
   }
 }
 
 constexpr Microkernel kScalarKernel = {
     Isa::kScalar,
     /*nr=*/8,  // shares the AVX2 panel layout so ISA flips stay compatible
+    /*mr=*/4,
+    /*np=*/4,
     /*bias_compensated=*/false,
-    dot_s8_scalar,
-    dot_u4_scalar,
+    tile_scalar,
 };
 
 }  // namespace

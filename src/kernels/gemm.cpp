@@ -1,6 +1,7 @@
 #include "kernels/gemm.h"
 
 #include <algorithm>
+#include <cstring>
 #include <limits>
 #include <vector>
 
@@ -15,10 +16,12 @@ namespace qserve {
 
 namespace {
 
-// Input channels per cache block of the (n, k) tiling. An nr x kKcBlock
-// weight sub-panel (8-16 KiB) stays L1-resident while the driver sweeps all
-// m tokens over it, so unpacked weight tiles are read from memory once per
-// call instead of once per token.
+// Input channels per k-block of the (panel block, k-block, token block) loop
+// nest. One AVX-512 panel block's k-block (4 panels x 16 rows x kKcBlock
+// codes, 64 KiB at 1024) stays cache-resident while every token tile of the
+// call sweeps it, so weights are read from memory once per call instead of
+// once per token. 256- and 512-channel blocks measured no faster on the
+// seven projections of a servebench layer.
 constexpr int64_t kKcBlock = 1024;
 
 // Weight-stream size (n*k elements) above which a single-token call should
@@ -27,11 +30,11 @@ constexpr int64_t kKcBlock = 1024;
 // output), and decode-layer weights are always far above this threshold.
 constexpr int64_t kStreamedDecodeBypassElems = 1 << 14;
 
-// Panels per parallel_for chunk, derived from the panel count and the pool
-// size so small-n decode layers spread over every worker instead of
-// serializing on one chunk (a fixed grain of 8 rows left n <= 8*threads
-// running on a fraction of the pool). Capped at 8 panels per chunk to keep
-// chunks cache-friendly on wide layers.
+// Panels (or panel blocks) per parallel_for chunk, derived from the count
+// and the pool size so small-n decode layers spread over every worker
+// instead of serializing on one chunk (a fixed grain of 8 rows left
+// n <= 8*threads running on a fraction of the pool). Capped at 8 per chunk
+// to keep chunks cache-friendly on wide layers.
 int64_t panel_grain(int64_t panels) {
   const int64_t threads = std::max(1, num_threads());
   return clamp<int64_t>(panels / (4 * threads), 1, 8);
@@ -42,9 +45,33 @@ int64_t panel_grain(int64_t panels) {
 // qk_dot's 16-token path whole; 32-row tiles measured slower at k = 512.
 constexpr int64_t kFp16PanelRows = 16;
 
-// Core blocked driver. Calls epilogue(t, r, acc) exactly once per output
-// element with the exact scalar INT32 accumulator; epilogue must be safe to
-// call concurrently for disjoint r.
+// This thread's INT32 partial sums for one panel block over all m tokens,
+// carried across k-blocks. Grown, never shrunk, so steady-state calls do
+// not allocate.
+int32_t* partial_sums(size_t n) {
+  thread_local std::vector<int32_t> buf;
+  if (buf.size() < n) buf.resize(n);
+  return buf.data();
+}
+
+// Epilogue of one output row segment: outer-product scaling, FP16 output;
+// the per-channel W4A8 zero-point term -tX * (z*s) is subtracted after
+// multiplication (Eq. 12/13) when `zp_term` is non-null. gemm_blocked and
+// gemm_blocked_epilogue both run it, so sharded and one-shard outputs round
+// identically.
+void scale_row(const int32_t* acc, int64_t count, float sx, float token_sum,
+               const float* scale, const float* zp_term, float* y) {
+  for (int64_t i = 0; i < count; ++i) {
+    float v = float(acc[i]) * sx * scale[i];
+    if (zp_term) v -= token_sum * zp_term[i];
+    y[i] = to_half_precision(v);
+  }
+}
+
+// Core blocked driver. Calls epilogue(t, r0, count, acc) exactly once per
+// (token, panel block) with the exact scalar INT32 accumulators of outputs
+// r0 .. r0 + count - 1 of token t; epilogue must be safe to call
+// concurrently for disjoint r.
 template <typename EpilogueFn>
 void run_blocked(const QuantizedActs& x, const PackedGemmB& w,
                  const EpilogueFn& epilogue) {
@@ -60,43 +87,72 @@ void run_blocked(const QuantizedActs& x, const PackedGemmB& w,
   if (mk->nr != nr) mk = &cpu::microkernel_for(cpu::Isa::kScalar);
   const bool compensate = mk->bias_compensated && !w.unsigned_codes;
 
-  // Stage activations zero-padded to the k-group multiple (pad codes are
-  // zero and pad weight codes are zero, so pads contribute nothing).
+  // Stage activations zero-padded to the k-group multiple (pad weight codes
+  // are zero, so pads contribute nothing), biased to unsigned (x ^ 0x80)
+  // here once when the kernel multiplies biased activations.
   const int8_t* xbase = x.q.data();
-  std::vector<int8_t> xpad;
-  if (kp != w.k) {
-    xpad.assign(static_cast<size_t>(m * kp), 0);
-    for (int64_t t = 0; t < m; ++t)
-      std::copy(x.q.row(t), x.q.row(t) + w.k, xpad.data() + t * kp);
-    xbase = xpad.data();
+  std::vector<int8_t> xstage;
+  if (kp != w.k || compensate) {
+    const uint8_t bias = compensate ? 0x80 : 0;
+    xstage.assign(static_cast<size_t>(m * kp), static_cast<int8_t>(bias));
+    const uint64_t bias8 = bias * 0x0101010101010101ull;
+    for (int64_t t = 0; t < m; ++t) {
+      const int8_t* src = x.q.row(t);
+      int8_t* dst = xstage.data() + t * kp;
+      int64_t c = 0;
+      for (; c + 8 <= w.k; c += 8) {  // eight codes per step
+        uint64_t v;
+        std::memcpy(&v, src + c, sizeof(v));
+        v ^= bias8;
+        std::memcpy(dst + c, &v, sizeof(v));
+      }
+      for (; c < w.k; ++c)
+        dst[c] = static_cast<int8_t>(static_cast<uint8_t>(src[c]) ^ bias);
+    }
+    xbase = xstage.data();
   }
 
-  parallel_for(0, w.panels(), panel_grain(w.panels()), [&](int64_t p0,
-                                                           int64_t p1) {
-    std::vector<int32_t> pacc(static_cast<size_t>(m * nr));
-    for (int64_t p = p0; p < p1; ++p) {
-      std::fill(pacc.begin(), pacc.end(), 0);
-      const int8_t* panel = w.data.data() + p * w.panel_stride();
-      for (int64_t c0 = 0; c0 < kp; c0 += kKcBlock) {
-        const int64_t kc = std::min(kKcBlock, kp - c0);
-        const int8_t* sub = panel + c0 * nr;
-        for (int64_t t = 0; t < m; ++t) {
-          const int8_t* xr = xbase + t * kp + c0;
-          int32_t* acc = pacc.data() + t * nr;
-          if (w.unsigned_codes) {
-            mk->dot_u4(xr, reinterpret_cast<const uint8_t*>(sub), kc, nr, acc);
-          } else {
-            mk->dot_s8(xr, sub, kc, nr, acc);
-          }
-        }
-      }
-      const int64_t r_end = std::min<int64_t>(nr, w.n - p * nr);
+  // Loop nest: panel block (mk->np panels, the parallel dimension), k-block,
+  // token block (mk->mr tokens). Each step is one register-tile call; row,
+  // panel and k tails are smaller tiles of the same entry. The epilogue runs
+  // on a token block's outputs right after its last k-block. Partial sums
+  // start at the bias compensation -128 * row_sum (else 0), so the tiles'
+  // sums come out exact.
+  const int64_t panels = w.panels();
+  const int64_t blocks = ceil_div(panels, int64_t(mk->np));
+  const int64_t ld = int64_t(mk->np) * nr;
+  parallel_for(0, blocks, panel_grain(blocks), [&](int64_t b0, int64_t b1) {
+    int32_t* pacc = partial_sums(static_cast<size_t>(m * ld));
+    cpu::TileArgs a{};
+    a.x_stride = kp;
+    a.w_stride = w.panel_stride();
+    a.nr = nr;
+    a.w_unsigned = w.unsigned_codes;
+    a.acc_stride = ld;
+    for (int64_t b = b0; b < b1; ++b) {
+      const int64_t p0 = b * mk->np;
+      a.np = static_cast<int>(std::min<int64_t>(mk->np, panels - p0));
+      const int64_t r0 = p0 * nr;
+      const int64_t r_end = std::min<int64_t>(int64_t(a.np) * nr, w.n - r0);
       for (int64_t t = 0; t < m; ++t) {
-        for (int64_t ri = 0; ri < r_end; ++ri) {
-          const int64_t r = p * nr + ri;
-          int32_t a = pacc[static_cast<size_t>(t * nr + ri)];
-          if (compensate) a -= 128 * w.row_sum[static_cast<size_t>(r)];
-          epilogue(t, r, a);
+        int32_t* row = pacc + t * ld;
+        std::fill(row, row + ld, 0);
+        if (compensate)
+          for (int64_t ri = 0; ri < r_end; ++ri)
+            row[ri] = -128 * w.row_sum[static_cast<size_t>(r0 + ri)];
+      }
+      for (int64_t c0 = 0; c0 < kp; c0 += kKcBlock) {
+        a.kc = std::min(kKcBlock, kp - c0);
+        a.w = w.data.data() + p0 * w.panel_stride() + c0 * nr;
+        const bool last = c0 + a.kc == kp;
+        for (int64_t t0 = 0; t0 < m; t0 += mk->mr) {
+          a.m = static_cast<int>(std::min<int64_t>(mk->mr, m - t0));
+          a.x = xbase + t0 * kp + c0;
+          a.acc = pacc + t0 * ld;
+          mk->tile(a);
+          if (!last) continue;
+          for (int64_t t = t0; t < t0 + a.m; ++t)
+            epilogue(t, r0, r_end, pacc + t * ld);
         }
       }
     }
@@ -182,21 +238,21 @@ I32Tensor gemm_i8i8_i32(const I8Tensor& x, const I8Tensor& w) {
 Tensor gemm_blocked(const QuantizedActs& x, const PackedGemmB& w) {
   Tensor y({x.m(), w.n});
   const bool has_zp = !w.zp_term.empty();
-  run_blocked(x, w, [&](int64_t t, int64_t r, int32_t acc) {
-    // Epilogue: outer-product scaling, FP16 output; the per-channel W4A8
-    // zero-point term -tX * (z*s) is subtracted after multiplication
-    // (Eq. 12/13). Evaluation order matches the scalar kernels exactly.
-    float v = float(acc) * x.s[t] * w.scale[static_cast<size_t>(r)];
-    if (has_zp) v -= x.token_sum[t] * w.zp_term[static_cast<size_t>(r)];
-    y.at2(t, r) = to_half_precision(v);
+  run_blocked(x, w, [&](int64_t t, int64_t r0, int64_t count,
+                        const int32_t* acc) {
+    scale_row(acc, count, x.s[t], has_zp ? x.token_sum[t] : 0.0f,
+              w.scale.data() + r0, has_zp ? w.zp_term.data() + r0 : nullptr,
+              y.row(t) + r0);
   });
   return y;
 }
 
 I32Tensor gemm_blocked_acc(const QuantizedActs& x, const PackedGemmB& w) {
   I32Tensor acc({x.m(), w.n});
-  run_blocked(x, w,
-              [&](int64_t t, int64_t r, int32_t a) { acc.at2(t, r) = a; });
+  run_blocked(x, w, [&](int64_t t, int64_t r0, int64_t count,
+                        const int32_t* a) {
+    std::copy(a, a + count, acc.row(t) + r0);
+  });
   return acc;
 }
 
@@ -210,13 +266,9 @@ Tensor gemm_blocked_epilogue(const I32Tensor& acc, const QuantizedActs& x,
   if (has_zp) QS_CHECK_EQ(n, static_cast<int64_t>(zp_term.size()));
   Tensor y({m, n});
   parallel_for(0, m, 1, [&](int64_t t0, int64_t t1) {
-    for (int64_t t = t0; t < t1; ++t) {
-      for (int64_t r = 0; r < n; ++r) {
-        float v = float(acc.at2(t, r)) * x.s[t] * scale[static_cast<size_t>(r)];
-        if (has_zp) v -= x.token_sum[t] * zp_term[static_cast<size_t>(r)];
-        y.at2(t, r) = to_half_precision(v);
-      }
-    }
+    for (int64_t t = t0; t < t1; ++t)
+      scale_row(acc.row(t), n, x.s[t], has_zp ? x.token_sum[t] : 0.0f,
+                scale.data(), has_zp ? zp_term.data() : nullptr, y.row(t));
   });
   return y;
 }

@@ -105,7 +105,7 @@ struct PackedGemmB {
   int64_t k = 0;
   int64_t k_padded = 0;  // k rounded up to a k-group multiple
   int nr = 8;            // rows per panel (microkernel vector width)
-  bool unsigned_codes = false;  // true: UINT4 codes, use the dot_u4 kernel
+  bool unsigned_codes = false;  // true: UINT4 codes, the unsigned tile operand
 
   bool valid() const { return n > 0; }
   int64_t panels() const { return ceil_div(n, nr); }

@@ -1,12 +1,16 @@
 // Cross-ISA equivalence of the GEMM microkernel subsystem: the scalar, AVX2
-// and AVX-512 VNNI paths must produce bitwise-identical INT32 accumulators
-// and FP16 outputs for every quant scheme, across m in {1, 7, 64}, odd n/k,
-// mixed activation magnitudes (including rows whose codes clamp to -128),
-// and both protective-range and naive-range (deliberate INT8 overflow)
-// per-group weights. Also covers the QSERVE_ISA override plumbing, the
-// streamed kernel's single-token bypass, and the FP16-weight gemm_fp16 (LM
-// head): bitwise across ISA x threads x m, batch-invariant per row, and
-// within a stated float-summation bound of gemm_f32_ref.
+// and AVX-512 VNNI register tiles must produce bitwise-identical INT32
+// accumulators and FP16 outputs for every quant scheme at 1, 2 and 8
+// threads, across m around the tile heights (token tails), panel counts
+// that leave a partial panel block, k spanning several k-blocks with a
+// short last block, mixed activation magnitudes (including rows whose codes
+// clamp to -128), and both protective-range and naive-range (deliberate
+// INT8 overflow) per-group weights. Every row's output is batch-invariant:
+// the same bits alone as inside any stack. Also covers the QSERVE_ISA
+// override plumbing, the streamed kernel's single-token bypass, and the
+// FP16-weight gemm_fp16 (LM head): bitwise across ISA x threads x m,
+// batch-invariant per row, and within a stated float-summation bound of
+// gemm_f32_ref.
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
@@ -84,8 +88,46 @@ void expect_bitwise_equal(const I32Tensor& a, const I32Tensor& b,
       << tag;
 }
 
+struct ThreadGuard {
+  explicit ThreadGuard(int n) { set_num_threads(n); }
+  ~ThreadGuard() { set_num_threads(0); }
+};
+
+// Rows [r0, r0 + m) of x.
+Tensor take_rows(const Tensor& x, int64_t r0, int64_t m) {
+  Tensor out({m, x.cols()});
+  std::copy(x.row(r0), x.row(r0) + m * x.cols(), out.data());
+  return out;
+}
+
+const int kThreadCounts[] = {1, 2, 8};
+
+// The exact INT32 accumulators straight from the packed layout, one MAC at a
+// time with no blocking: sum_c x[t, c] * code(r, c), where code(r, c) sits
+// at data[p * panel_stride + ((c / 4) * nr + r % nr) * 4 + c % 4] for panel
+// p = r / nr. Independent of the driver, so a blocking bug that every ISA
+// shares still shows.
+I32Tensor reference_acc(const QuantizedActs& x, const PackedGemmB& w) {
+  I32Tensor acc({x.m(), w.n});
+  for (int64_t t = 0; t < x.m(); ++t)
+    for (int64_t r = 0; r < w.n; ++r) {
+      const int8_t* panel = w.data.data() + (r / w.nr) * w.panel_stride();
+      int32_t a = 0;
+      for (int64_t c = 0; c < w.k; ++c) {
+        const int8_t code =
+            panel[((c / cpu::kKGroup) * w.nr + r % w.nr) * cpu::kKGroup +
+                  c % cpu::kKGroup];
+        a += int32_t(x.q.at2(t, c)) *
+             (w.unsigned_codes ? int32_t(uint8_t(code)) : int32_t(code));
+      }
+      acc.at2(t, r) = a;
+    }
+  return acc;
+}
+
 // Run `gemm(qx)` (a plain-API kernel) and `pack()` + accumulators under every
-// supported ISA and require bitwise identity with the scalar result.
+// supported ISA x thread count and require bitwise identity with the
+// one-thread scalar result, whose accumulators must equal reference_acc.
 template <typename Weights, typename GemmFn>
 void check_all_isas(const QuantizedActs& qx, const Weights& qw,
                     const GemmFn& gemm, const char* tag) {
@@ -93,18 +135,25 @@ void check_all_isas(const QuantizedActs& qx, const Weights& qw,
   I32Tensor acc_scalar;
   {
     IsaGuard guard(Isa::kScalar);
+    ThreadGuard threads(1);
     y_scalar = gemm(qx, qw);
-    acc_scalar = gemm_blocked_acc(
-        qx, pack_gemm_b(qw, cpu::microkernel_for(Isa::kScalar).nr));
+    const PackedGemmB packed =
+        pack_gemm_b(qw, cpu::microkernel_for(Isa::kScalar).nr);
+    acc_scalar = gemm_blocked_acc(qx, packed);
+    expect_bitwise_equal(reference_acc(qx, packed), acc_scalar, tag);
   }
   for (Isa isa : supported_isas()) {
     IsaGuard guard(isa);
-    const Tensor y = gemm(qx, qw);
-    const I32Tensor acc =
-        gemm_blocked_acc(qx, pack_gemm_b(qw, cpu::microkernel_for(isa).nr));
-    SCOPED_TRACE(std::string(tag) + " isa=" + cpu::isa_name(isa));
-    expect_bitwise_equal(y_scalar, y, tag);
-    expect_bitwise_equal(acc_scalar, acc, tag);
+    const PackedGemmB packed = pack_gemm_b(qw, cpu::microkernel_for(isa).nr);
+    for (int n_threads : kThreadCounts) {
+      ThreadGuard threads(n_threads);
+      SCOPED_TRACE(std::string(tag) + " isa=" + cpu::isa_name(isa) +
+                   " threads=" + std::to_string(n_threads) +
+                   " m=" + std::to_string(qx.m()) + " n=" +
+                   std::to_string(packed.n) + " k=" + std::to_string(qx.k()));
+      expect_bitwise_equal(y_scalar, gemm(qx, qw), tag);
+      expect_bitwise_equal(acc_scalar, gemm_blocked_acc(qx, packed), tag);
+    }
   }
 }
 
@@ -113,11 +162,18 @@ struct Shape {
   int group;  // for per-group schemes; must divide k
 };
 
+// The register tiles are 4 x 4 panels of 16 rows (AVX-512), 2 x 2 panels of
+// 8 rows (AVX2) and 4 x 4 panels of 8 rows (scalar); the driver's k-blocks
+// are 1024 input channels.
 const Shape kShapes[] = {
-    {1, 33, 131, 131},   // odd n, odd (prime) k, group == k
-    {7, 17, 96, 32},     // panel remainder rows, multiple groups
-    {7, 64, 256, 128},   // aligned shape, two groups
-    {64, 48, 132, 66},   // prefill-sized m, odd-ish n/k
+    {1, 33, 131, 131},     // odd n, odd (prime) k, group == k
+    {7, 17, 96, 32},       // panel remainder rows, multiple groups
+    {7, 64, 256, 128},     // aligned shape, two groups
+    {64, 48, 132, 66},     // prefill-sized m, odd-ish n/k
+    {5, 80, 1540, 140},    // two k-blocks; 1-token tail; 5 AVX-512 panels
+    {13, 17, 2052, 114},   // three k-blocks, the last one k-group wide
+    {130, 80, 1540, 140},  // m past 128 with a 2-token tail
+    {3, 40, 1031, 1031},   // k padded to 1032: a 2-group last k-block
 };
 
 TEST(GemmIsaEquivalence, W8A8) {
@@ -238,19 +294,52 @@ TEST(GemmIsaEquivalence, StreamedM1BypassMatchesStreamWalk) {
   }
 }
 
-// --- FP16-weight GEMM (LM head) ----------------------------------------------
-
-struct ThreadGuard {
-  explicit ThreadGuard(int n) { set_num_threads(n); }
-  ~ThreadGuard() { set_num_threads(0); }
-};
-
-// Rows [r0, r0 + m) of x.
-Tensor take_rows(const Tensor& x, int64_t r0, int64_t m) {
-  Tensor out({m, x.cols()});
-  std::copy(x.row(r0), x.row(r0) + m * x.cols(), out.data());
-  return out;
+TEST(GemmIsaEquivalence, RowsAreBatchInvariant) {
+  // Each row of a 133-row pool computed ALONE on the scalar kernel at one
+  // thread; every stack of m rows, taken at an m-dependent offset of the
+  // pool, under every ISA x thread count must reproduce those rows bit for
+  // bit, whichever tile (or tile tail) a row lands in. servebench's
+  // solo-replay correctness gate rests on this batch invariance.
+  const int64_t pool = 133, n = 80, k = 1540;
+  const Tensor x = random_acts(pool, k, 970);
+  const Tensor w = random_weights(n, k, 971);
+  const auto per_group = quantize_progressive(w, {.group = 140});
+  const auto per_channel = quantize_w4_per_channel(w);
+  const auto run = [&](const Tensor& rows, bool channel) {
+    const QuantizedActs qx = quantize_acts_per_token(rows);
+    return channel ? gemm_w4a8_per_channel(qx, per_channel)
+                   : gemm_w4a8_per_group(qx, per_group);
+  };
+  for (bool channel : {false, true}) {
+    Tensor solo({pool, n});
+    {
+      IsaGuard isa(Isa::kScalar);
+      ThreadGuard threads(1);
+      for (int64_t r = 0; r < pool; ++r) {
+        const Tensor y = run(take_rows(x, r, 1), channel);
+        std::copy(y.data(), y.data() + n, solo.row(r));
+      }
+    }
+    for (Isa isa : supported_isas()) {
+      IsaGuard isa_guard(isa);
+      for (int n_threads : kThreadCounts) {
+        ThreadGuard thread_guard(n_threads);
+        for (int64_t m : {1, 3, 4, 5, 13, 128}) {
+          const int64_t r0 = (7 * m) % (pool - m + 1);
+          SCOPED_TRACE(std::string(channel ? "per_channel" : "per_group") +
+                       " isa=" + cpu::isa_name(isa) +
+                       " threads=" + std::to_string(n_threads) +
+                       " m=" + std::to_string(m) + " r0=" +
+                       std::to_string(r0));
+          expect_bitwise_equal(take_rows(solo, r0, m),
+                               run(take_rows(x, r0, m), channel), "rows");
+        }
+      }
+    }
+  }
 }
+
+// --- FP16-weight GEMM (LM head) ----------------------------------------------
 
 // Vocab sizes with a 2-row tail panel and a lone 1-row panel, and k with a
 // 4-element (k = 100) and an 8-element (k = 520) lane tail past the 16-lane
@@ -404,12 +493,13 @@ TEST(IsaDispatch, MicrokernelTableIsConsistent) {
     const cpu::Microkernel& mk = cpu::microkernel_for(isa);
     EXPECT_EQ(isa, mk.isa) << cpu::isa_name(isa);
     EXPECT_GT(mk.nr, 0);
-    EXPECT_NE(nullptr, mk.dot_s8);
-    EXPECT_NE(nullptr, mk.dot_u4);
+    EXPECT_GT(mk.mr, 0);
+    EXPECT_GT(mk.np, 0);
+    EXPECT_NE(nullptr, mk.tile);
   }
   // Unsupported ISAs resolve to a usable kernel rather than nullptr.
   const cpu::Microkernel& fallback = cpu::microkernel_for(Isa::kAvx512);
-  EXPECT_NE(nullptr, fallback.dot_s8);
+  EXPECT_NE(nullptr, fallback.tile);
 }
 
 }  // namespace

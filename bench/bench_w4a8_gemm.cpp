@@ -1,5 +1,5 @@
 // Google-benchmark microbenchmarks of the CPU kernel implementations: the
-// W4A8 GEMM family (per-channel, per-group, streamed/SWAR), the baselines
+// W4A8 GEMM family (per-channel, per-group, pre-packed), the baselines
 // they are compared against, and the RLP dequantization primitives. These
 // measure the *reproduction's* CPU kernels — wall-clock GPU claims live in
 // the simulator benches.
@@ -16,7 +16,6 @@
 
 #include "bench_util.h"
 #include "common/half.h"
-#include "common/parallel.h"
 #include "common/rng.h"
 #include "kernels/cpu/isa.h"
 #include "kernels/cpu/microkernel.h"
@@ -35,8 +34,6 @@ struct GemmSetup {
   W4PerChannel w4c;
   W4PerGroup w4g;
   W4A4PerGroup w44;
-  ReorderedW4 stream;
-  ReorderedGroupMeta meta;
 
   GemmSetup(int64_t m, int64_t n, int64_t k) {
     Rng rng(1);
@@ -50,8 +47,6 @@ struct GemmSetup {
     w4c = quantize_w4_per_channel(w);
     w4g = quantize_progressive(w, {.group = 128});
     w44 = quantize_w4a4_per_group(w, 128);
-    stream = reorder_w4_for_compute(w4g.qw);
-    meta = reorder_group_meta(w4g);
   }
 };
 
@@ -79,14 +74,6 @@ void BM_GemmW4A8PerGroup(benchmark::State& state) {
     benchmark::DoNotOptimize(gemm_w4a8_per_group(s.qx, s.w4g));
 }
 BENCHMARK(BM_GemmW4A8PerGroup);
-
-void BM_GemmW4A8Streamed(benchmark::State& state) {
-  const auto& s = setup();
-  for (auto _ : state)
-    benchmark::DoNotOptimize(
-        gemm_w4a8_per_group_streamed(s.qx, s.w4g, s.stream, s.meta));
-}
-BENCHMARK(BM_GemmW4A8Streamed);
 
 // Pre-packed blocked driver (what the model layers run): pack once, then
 // GEMM — amortizing the layout transform the plain entry points pay per call.
@@ -289,12 +276,6 @@ int64_t w8_bytes_touched(int64_t m, int64_t n, int64_t k) {
 
 int run_json_suite(const std::string& path) {
   std::vector<benchutil::GemmBenchRecord> rows;
-  // scalar first, then the host's best ISA (skipped when the host is
-  // scalar-only so rows stay unique).
-  std::vector<cpu::Isa> isas{cpu::Isa::kScalar};
-  if (cpu::detected_isa() != cpu::Isa::kScalar)
-    isas.push_back(cpu::detected_isa());
-
   float sink = 0.0f;
   for (const JsonShape& shape : kJsonShapes) {
     Rng rng(7);
@@ -306,8 +287,7 @@ int run_json_suite(const std::string& path) {
     const auto w4c = quantize_w4_per_channel(w);
     const auto w4g = quantize_progressive(w, {.group = 128});
 
-    for (cpu::Isa isa : isas) {
-      cpu::set_isa(isa);
+    benchutil::for_each_isa([&](cpu::Isa isa) {
       const int nr = cpu::microkernel_for(cpu::active_isa()).nr;
       const auto p8 = pack_gemm_b(w8, nr);
       const auto p4c = pack_gemm_b(w4c, nr);
@@ -334,21 +314,16 @@ int run_json_suite(const std::string& path) {
             std::string(c.name) + "/" + shape.tag, cpu::isa_name(isa),
             shape.m, shape.n, shape.k, secs, c.bytes));
       }
-      cpu::clear_isa_override();
-    }
+    });
   }
   benchmark::DoNotOptimize(sink);
 
-  if (!benchutil::write_bench_json(path, cpu::isa_name(cpu::detected_isa()),
-                                   num_threads(), rows))
-    return 1;
   std::printf("%-28s %-8s %12s %10s\n", "kernel/shape", "isa", "GOPS",
               "GB/s");
   for (const auto& r : rows)
     std::printf("%-28s %-8s %12.2f %10.2f\n", r.name.c_str(), r.isa.c_str(),
                 r.gops, r.gbps);
-  std::printf("wrote %s\n", path.c_str());
-  return 0;
+  return benchutil::finish_json(path, rows);
 }
 
 }  // namespace

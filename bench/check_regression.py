@@ -5,16 +5,17 @@ Usage:
     check_regression.py BASELINE CURRENT [CURRENT2 ...]
                         [--warn-ratio 1.35] [--fail-ratio 2.0]
 
-Multiple CURRENT files (e.g. `bench_w4a8_gemm --json` plus
-`bench_serving_batched --json`) are merged before comparison — the baseline
-holds the union of every bench's rows, and rows no provided file produced
-are reported as skipped.
+Multiple CURRENT files (`bench_w4a8_gemm --json`, `bench_serving --json`
+and `bench_attention --json`) are merged before comparison — the baseline
+holds the union of every bench's rows.
 
-Rows are matched on (name, isa). Rows the current host did not produce —
-e.g. the baseline was recorded on an AVX-512 machine and CI only has AVX2 —
-are reported as skipped, so the scalar rows (ISA-independent) always anchor
-the comparison. The `gops` field is the compared figure of merit; serving
-rows store tokens/second there (only ratios matter).
+Rows are matched on (name, isa). A baseline row of a gated ISA (see
+--gate-isas) that no current file produced fails the run: every host runs
+the scalar rows, so a missing one means a bench dropped it. A missing row of
+any other ISA — e.g. the baseline was recorded on an AVX-512 machine and CI
+only has AVX2 — is reported as skipped. The `gops` field is the compared
+figure of merit; serving and attention rows store a rate there (see
+rate_record in bench/bench_util.h; only ratios matter).
 
 Policy (CI runs on noisy 1-2 core VMs, so absolute wall clock drifts):
   * slowdown ratio <= warn-ratio        -> ok
@@ -82,7 +83,11 @@ def main():
         name, isa = key
         b, c = base[key], cur.get(key)
         if c is None:
-            skipped.append(f"{name} [{isa}] (not run on this host)")
+            if isa in gate_isas:
+                failures.append(f"{name} [{isa}]: missing from every "
+                                f"current file")
+            else:
+                skipped.append(f"{name} [{isa}] (not run on this host)")
             continue
         if c["gops"] <= 0:
             line = f"{name} [{isa}]: current GOPS is zero"
@@ -106,7 +111,7 @@ def main():
         print(f"FAIL  {f_}")
 
     if failures:
-        print(f"{len(failures)} kernel(s) regressed by more than "
+        print(f"{len(failures)} row(s) missing or regressed by more than "
               f"{args.fail_ratio}x")
         return 1
     print(f"{len(warnings)} warning(s), {len(skipped)} skipped — within "

@@ -10,7 +10,6 @@
 #include "common/parallel.h"
 #include "kernels/cpu/attention_kernel.h"
 #include "kernels/cpu/microkernel.h"
-#include "kernels/rlp.h"
 
 namespace qserve {
 
@@ -23,12 +22,6 @@ namespace {
 // once per token. 256- and 512-channel blocks measured no faster on the
 // seven projections of a servebench layer.
 constexpr int64_t kKcBlock = 1024;
-
-// Weight-stream size (n*k elements) above which a single-token call should
-// take the plain per-group kernel instead of walking the reordered stream:
-// for m == 1 the stream walk is pure overhead (one fragment feeds one
-// output), and decode-layer weights are always far above this threshold.
-constexpr int64_t kStreamedDecodeBypassElems = 1 << 14;
 
 // Panels (or panel blocks) per parallel_for chunk, derived from the count
 // and the pool size so small-n decode layers spread over every worker
@@ -292,66 +285,9 @@ Tensor gemm_w4a8_per_group(const QuantizedActs& x, const W4PerGroup& w) {
   // codes (the protective range guarantees they fit INT8; the naive range
   // wraps, reproducing the paper's Fig. 6 overflow); the blocked GEMM then
   // runs entirely on the INT8 path. The SWAR-faithful version of the dequant
-  // is exercised by the streamed kernel below; the arithmetic is identical.
+  // (RLP, over the compute-aware reordered stream) decodes to the same codes;
+  // test_weight_layout pins the two against each other.
   return gemm_blocked(x, pack_gemm_b(w, preferred_nr()));
-}
-
-Tensor gemm_w4a8_per_group_streamed(const QuantizedActs& x,
-                                    const W4PerGroup& w,
-                                    const ReorderedW4& stream,
-                                    const ReorderedGroupMeta& meta) {
-  QS_CHECK_EQ(x.k(), w.k());
-  QS_CHECK_EQ(stream.n, w.n());
-  QS_CHECK_EQ(stream.k, w.k());
-  const int64_t m = x.m(), n = w.n();
-
-  // Single-token decode against a large weight stream: every fragment feeds
-  // exactly one output, so the sequential stream walk buys nothing and the
-  // per-fragment bookkeeping dominates. Route to the plain kernel (bitwise
-  // identical, and it takes the blocked SIMD path).
-  if (m == 1 && n * w.k() >= kStreamedDecodeBypassElems)
-    return gemm_w4a8_per_group(x, w);
-
-  I32Tensor acc({m, n});
-
-  // Walk the stream in storage order — one pass, no per-fragment index
-  // arithmetic beyond the tile bookkeeping a real thread block keeps.
-  size_t pos = 0;
-  for (int64_t nt = 0; nt < stream.n_tiles(); ++nt) {
-    for (int64_t kt = 0; kt < stream.k_tiles(); ++kt) {
-      for (int t = 0; t < kThreadsPerTile; ++t) {
-        for (int j = 0; j < kWordsPerThread; ++j, ++pos) {
-          const uint32_t word = stream.words[pos];
-          const uint8_t s1 = meta.s1[pos];
-          const uint8_t z = meta.z[pos];
-          // Figure 13 unpack + Figure 14b sub-after-mul dequant, both on
-          // packed 32-bit registers.
-          const UnpackedU4x8 u = unpack_u4x8(word);
-          const uint32_t lo = dequant4_sub_after_mul(u.low, s1, z);
-          const uint32_t hi = dequant4_sub_after_mul(u.high, s1, z);
-          const int64_t row = nt * kTileN + tile_out_channel(t, j);
-          for (int64_t tok = 0; tok < m; ++tok) {
-            const int8_t* xr = x.q.row(tok);
-            int32_t a = 0;
-            for (int l = 0; l < 4; ++l) {
-              const int64_t ca = kt * kTileK + tile_in_channel_a(t, l);
-              const int64_t cb = kt * kTileK + tile_in_channel_b(t, l);
-              a += int32_t(xr[ca]) * int32_t(lane_s8(lo, l));
-              a += int32_t(xr[cb]) * int32_t(lane_s8(hi, l));
-            }
-            acc.at2(tok, row) += a;
-          }
-        }
-      }
-    }
-  }
-
-  Tensor y({m, n});
-  for (int64_t tok = 0; tok < m; ++tok)
-    for (int64_t r = 0; r < n; ++r)
-      y.at2(tok, r) =
-          to_half_precision(float(acc.at2(tok, r)) * x.s[tok] * w.s0[r]);
-  return y;
 }
 
 Tensor gemm_w4a4_atom(const QuantizedActs& x, const W4A4PerGroup& w) {

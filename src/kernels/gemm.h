@@ -8,9 +8,6 @@
 //   gemm_w4a8_per_group    — QServe progressive: level-2 dequant to level-1
 //                            INT8 codes in the main loop (sub-after-mul),
 //                            INT8 MACs, level-1 scaling in the epilogue.
-//   gemm_w4a8_per_group_streamed — same numerics, but consuming the
-//                            compute-aware reordered stream with the SWAR RLP
-//                            path; exists to validate layout + RLP end to end.
 //   gemm_w4a4_atom         — Atom path: INT4 MACs with per-group FP32
 //                            partial-sum dequantization in the main loop.
 //   gemm_w4a16             — weight-only path: FP16 dequant in the main loop.
@@ -96,11 +93,6 @@ I32Tensor gemm_blocked_acc(const QuantizedActs& x, const PackedGemmB& w);
 Tensor gemm_blocked_epilogue(const I32Tensor& acc, const QuantizedActs& x,
                              const std::vector<float>& scale,
                              const std::vector<float>& zp_term);
-
-Tensor gemm_w4a8_per_group_streamed(const QuantizedActs& x,
-                                    const W4PerGroup& w,
-                                    const ReorderedW4& stream,
-                                    const ReorderedGroupMeta& meta);
 
 // x must be per-token INT4-quantized (quantize_acts_per_token_int4).
 Tensor gemm_w4a4_atom(const QuantizedActs& x, const W4A4PerGroup& w);

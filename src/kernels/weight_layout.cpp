@@ -105,9 +105,8 @@ PackedGemmB pack_panels(int64_t n, int64_t k, int64_t row0, int64_t col0,
   b.data.assign(static_cast<size_t>(b.panels() * b.panel_stride()), 0);
   b.row_sum.assign(static_cast<size_t>(n), 0);
   // Panels write disjoint data/row_sum slices, so packing fans out over the
-  // pool — plain-API GEMM calls (which pack per call) and the streamed
-  // kernel's m==1 bypass keep the dequant parallelism the old in-kernel
-  // per-row dequant had.
+  // pool — plain-API GEMM calls (which pack per call) keep the dequant
+  // parallelism the old in-kernel per-row dequant had.
   parallel_for(0, b.panels(), 1, [&](int64_t p0, int64_t p1) {
     for (int64_t p = p0; p < p1; ++p) {
       int8_t* panel = b.data.data() + p * b.panel_stride();

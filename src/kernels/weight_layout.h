@@ -10,9 +10,10 @@
 //
 // On CPU the layout is a pure permutation; we implement it exactly so that
 //  (a) round-trip tests prove it is a bijection, and
-//  (b) the streaming GEMM (gemm.h) can consume the stream strictly
-//      sequentially, which is what eliminates per-fragment pointer arithmetic
-//      on the GPU (the simulator charges address-calculation ops per fragment
+//  (b) the stream can be consumed strictly sequentially (test_weight_layout
+//      walks it with the RLP unpack + dequant and matches pack_gemm_b's
+//      codes), which is what eliminates per-fragment pointer arithmetic on
+//      the GPU (the simulator charges address-calculation ops per fragment
 //      for the non-reordered layout).
 #pragma once
 

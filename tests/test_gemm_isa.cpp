@@ -7,10 +7,9 @@
 // clamp to -128), and both protective-range and naive-range (deliberate
 // INT8 overflow) per-group weights. Every row's output is batch-invariant:
 // the same bits alone as inside any stack. Also covers the QSERVE_ISA
-// override plumbing, the streamed kernel's single-token bypass, and the
-// FP16-weight gemm_fp16 (LM head): bitwise across ISA x threads x m,
-// batch-invariant per row, and within a stated float-summation bound of
-// gemm_f32_ref.
+// override plumbing and the FP16-weight gemm_fp16 (LM head): bitwise across
+// ISA x threads x m, batch-invariant per row, and within a stated
+// float-summation bound of gemm_f32_ref.
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
@@ -272,25 +271,6 @@ TEST(GemmIsaEquivalence, MismatchedPackWidthFallsBackCorrectly) {
     IsaGuard guard(isa);
     SCOPED_TRACE(cpu::isa_name(isa));
     expect_bitwise_equal(ref, gemm_blocked(qx, packed), "fallback");
-  }
-}
-
-TEST(GemmIsaEquivalence, StreamedM1BypassMatchesStreamWalk) {
-  // Above the bypass threshold the streamed kernel reroutes m == 1 calls to
-  // the plain (blocked) kernel; below it, it walks the stream. Both paths
-  // must agree bitwise with the plain kernel (n, k multiples of 32 as the
-  // stream layout requires). 128x128 = 16384 elements hits the threshold.
-  for (int64_t n : {64, 128}) {
-    const int64_t k = 128;
-    const auto qx = quantize_acts_per_token(random_acts(1, k, 950 + n));
-    const auto qw =
-        quantize_progressive(random_weights(n, k, 960 + n), {.group = 128});
-    const auto stream = reorder_w4_for_compute(qw.qw);
-    const auto meta = reorder_group_meta(qw);
-    const Tensor plain = gemm_w4a8_per_group(qx, qw);
-    const Tensor streamed = gemm_w4a8_per_group_streamed(qx, qw, stream, meta);
-    SCOPED_TRACE(n);
-    expect_bitwise_equal(plain, streamed, "streamed_m1");
   }
 }
 

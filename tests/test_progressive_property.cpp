@@ -4,7 +4,7 @@
 //   T2: q * s1 <= 255                      (RLP multiply is lane-safe)
 //   T3: z * s1 <= 127                      (negated zero-point term is SINT8)
 // over many weight distributions, group sizes and seeds — plus an
-// end-to-end check that every fragment the streamed kernel would touch obeys
+// end-to-end check that every fragment of the reordered weight stream obeys
 // the SWAR-safety preconditions.
 #include <gtest/gtest.h>
 

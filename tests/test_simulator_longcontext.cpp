@@ -49,10 +49,11 @@ TEST(SimulatorLongContext, WindowCapsKvPoolBytes) {
 }
 
 TEST(SimulatorLongContext, WindowedDecodeFlattensAndNeverLoses) {
-  // The end-to-end sanity check against bench_longcontext's shape: full
-  // attention's mid-decode attention term keeps growing with context, the
-  // windowed term is constant once context > sinks + window, and windowed
-  // throughput dominates full attention at every context length.
+  // The end-to-end sanity check against bench_attention's long-context
+  // shape: full attention's mid-decode attention term keeps growing with
+  // context, the windowed term is constant once context > sinks + window,
+  // and windowed throughput dominates full attention at every context
+  // length.
   const ModelConfig model = model_by_name("Llama-2-7B");
   const auto sys = system_profile(System::kQServePerChannel);
   const DeviceSpec dev = a100_80g();

@@ -1,5 +1,6 @@
 // Compute-aware weight reordering (§5.2.1): bijection, thread-mapping
-// consistency, and metadata alignment.
+// consistency, metadata alignment, and the reordered stream + RLP dequant
+// decoding to the codes the CPU GEMM packs.
 #include "kernels/weight_layout.h"
 
 #include <gtest/gtest.h>
@@ -7,6 +8,7 @@
 #include <set>
 
 #include "common/rng.h"
+#include "kernels/rlp.h"
 #include "quant/quantize.h"
 
 namespace qserve {
@@ -92,6 +94,57 @@ TEST(WeightLayout, GroupMetaRequiresTileAlignedGroups) {
   for (int64_t i = 0; i < w.numel(); ++i) w[i] = rng.normal();
   auto qw = quantize_progressive(w, {.group = 16});  // group < tile
   EXPECT_THROW(reorder_group_meta(qw), CheckError);
+}
+
+TEST(WeightLayout, RlpStreamWalkDecodesThePackedGemmCodes) {
+  // Layout + RLP end to end: walking the reordered stream in storage order,
+  // each word's Figure-13 unpack and Figure-14b sub-after-mul dequant (with
+  // the stream-ordered scale and zero) must yield exactly the level-1 INT8
+  // code pack_gemm_b stores for that (row, column) — the code every CPU
+  // GEMM multiplies.
+  Rng rng(6);
+  Tensor w({64, 256});
+  for (int64_t i = 0; i < w.numel(); ++i) w[i] = rng.normal();
+  const auto qw = quantize_progressive(w, {.group = 128});
+  const ReorderedW4 stream = reorder_w4_for_compute(qw.qw);
+  const ReorderedGroupMeta meta = reorder_group_meta(qw);
+  for (const int nr : {8, 16}) {
+    SCOPED_TRACE(nr);
+    const PackedGemmB packed = pack_gemm_b(qw, nr);
+    int64_t checked = 0, mismatched = 0;
+    auto check = [&](int64_t row, int64_t col, int8_t decoded) {
+      ++checked;
+      const int64_t g = col / 4, j = col % 4;
+      const int8_t code =
+          packed.data[size_t((row / nr) * packed.panel_stride() +
+                             (g * nr + row % nr) * 4 + j)];
+      if (decoded != code && mismatched++ == 0)
+        ADD_FAILURE() << "row " << row << " col " << col << ": stream "
+                      << int(decoded) << ", pack " << int(code);
+    };
+    size_t pos = 0;
+    for (int64_t nt = 0; nt < stream.n_tiles(); ++nt) {
+      for (int64_t kt = 0; kt < stream.k_tiles(); ++kt) {
+        for (int t = 0; t < kThreadsPerTile; ++t) {
+          for (int j = 0; j < kWordsPerThread; ++j, ++pos) {
+            const UnpackedU4x8 u = unpack_u4x8(stream.words[pos]);
+            const uint32_t lo =
+                dequant4_sub_after_mul(u.low, meta.s1[pos], meta.z[pos]);
+            const uint32_t hi =
+                dequant4_sub_after_mul(u.high, meta.s1[pos], meta.z[pos]);
+            const int64_t row = nt * kTileN + tile_out_channel(t, j);
+            for (int l = 0; l < 4; ++l) {
+              check(row, kt * kTileK + tile_in_channel_a(t, l), lane_s8(lo, l));
+              check(row, kt * kTileK + tile_in_channel_b(t, l), lane_s8(hi, l));
+            }
+          }
+        }
+      }
+    }
+    EXPECT_EQ(pos, stream.words.size());
+    EXPECT_EQ(checked, qw.n() * qw.k());
+    EXPECT_EQ(mismatched, 0);
+  }
 }
 
 }  // namespace

@@ -211,12 +211,59 @@ void BM_QuantizeProgressive(benchmark::State& state) {
 }
 BENCHMARK(BM_QuantizeProgressive);
 
-void BM_QuantizeActsPerToken(benchmark::State& state) {
-  const auto& s = setup();
-  for (auto _ : state)
-    benchmark::DoNotOptimize(quantize_acts_per_token(s.x));
+// The row entries around the W4A8 tiles at servebench's shapes (m 1 / 4 /
+// 128 stacked rows; k or n = hidden 512 / ffn 1536), one registration per
+// ISA for_each_isa runs (see register_row_benches): the per-token activation
+// quantizer, and the FP16 epilogue of m x n accumulators with the
+// per-channel zero-point term (the costlier form). The `elems` counter is
+// the rate of m * k (or m * n) elements per call.
+void BM_QuantizeActsPerToken(benchmark::State& state, cpu::Isa isa) {
+  const int64_t m = state.range(0), k = state.range(1);
+  Rng rng(8);
+  Tensor x({m, k});
+  for (int64_t i = 0; i < x.numel(); ++i) x[i] = rng.normal();
+  cpu::set_isa(isa);
+  for (auto _ : state) benchmark::DoNotOptimize(quantize_acts_per_token(x));
+  cpu::clear_isa_override();
+  state.counters["elems"] = benchmark::Counter(
+      double(m * k), benchmark::Counter::kIsIterationInvariantRate);
 }
-BENCHMARK(BM_QuantizeActsPerToken);
+
+void BM_GemmEpilogue(benchmark::State& state, cpu::Isa isa) {
+  const int64_t m = state.range(0), n = state.range(1);
+  Rng rng(9);
+  Tensor x({m, 512});
+  for (int64_t i = 0; i < x.numel(); ++i) x[i] = rng.normal();
+  const QuantizedActs qx = quantize_acts_per_token(x);
+  I32Tensor acc({m, n});
+  std::vector<float> scale(static_cast<size_t>(n)), zp(scale.size());
+  for (int64_t i = 0; i < acc.numel(); ++i)
+    acc[i] = rng.uniform_int(-(1 << 18), 1 << 18);
+  for (size_t i = 0; i < scale.size(); ++i) {
+    scale[i] = rng.uniform(1e-3f, 1e-2f);
+    zp[i] = rng.uniform(-0.1f, 0.1f);
+  }
+  cpu::set_isa(isa);
+  for (auto _ : state)
+    benchmark::DoNotOptimize(gemm_blocked_epilogue(acc, qx, scale, zp));
+  cpu::clear_isa_override();
+  state.counters["elems"] = benchmark::Counter(
+      double(m * n), benchmark::Counter::kIsIterationInvariantRate);
+}
+
+void register_row_benches() {
+  benchutil::for_each_isa([](cpu::Isa isa) {
+    const std::string suffix = std::string("/") + cpu::isa_name(isa);
+    benchmark::RegisterBenchmark(("BM_QuantizeActsPerToken" + suffix).c_str(),
+                                 BM_QuantizeActsPerToken, isa)
+        ->ArgsProduct({{1, 4, 128}, {512, 1536}})
+        ->Unit(benchmark::kMicrosecond);
+    benchmark::RegisterBenchmark(("BM_GemmEpilogue" + suffix).c_str(),
+                                 BM_GemmEpilogue, isa)
+        ->ArgsProduct({{1, 4, 128}, {512, 1536}})
+        ->Unit(benchmark::kMicrosecond);
+  });
+}
 
 // --- RLP primitives ---------------------------------------------------------------
 
@@ -342,6 +389,7 @@ int main(int argc, char** argv) {
   }
   if (!json_path.empty()) return qserve::run_json_suite(json_path);
 
+  qserve::register_row_benches();
   int bargc = static_cast<int>(args.size());
   benchmark::Initialize(&bargc, args.data());
   if (benchmark::ReportUnrecognizedArguments(bargc, args.data())) return 1;

@@ -129,4 +129,14 @@ inline float to_half_precision(float f) {
 #endif
 }
 
+// FP16-precision quantization scale abs_max / qmax, guarded against zero
+// rows (scale 1) and against rounding to zero (smallest normal half).
+inline float fp16_scale(float abs_max, float qmax) {
+  float s = abs_max / qmax;
+  if (s <= 0.0f) s = 1.0f;
+  s = to_half_precision(s);
+  if (s <= 0.0f) s = 6.103515625e-05f;  // smallest normal half
+  return s;
+}
+
 }  // namespace qserve

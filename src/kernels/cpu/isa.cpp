@@ -19,7 +19,8 @@ Isa detect_host_isa() {
       __builtin_cpu_supports("avx512vnni")) {
     return Isa::kAvx512;
   }
-  if (__builtin_cpu_supports("avx2")) return Isa::kAvx2;
+  if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma"))
+    return Isa::kAvx2;
 #endif
   return Isa::kScalar;
 }

@@ -18,7 +18,7 @@ namespace qserve::cpu {
 // Ordered by capability: every level can execute the levels below it.
 enum class Isa : int {
   kScalar = 0,
-  kAvx2 = 1,    // vpmaddwd 16-bit-widened dot products
+  kAvx2 = 1,    // vpmaddwd 16-bit-widened dot products (+ FMA, F16C)
   kAvx512 = 2,  // AVX-512 VNNI vpdpbusd dot products
 };
 

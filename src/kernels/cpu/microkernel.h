@@ -1,4 +1,5 @@
-// INT8 dot-product microkernels behind the runtime ISA dispatch.
+// INT8 dot-product microkernels, and the float row entries around them,
+// behind the runtime ISA dispatch.
 //
 // One microkernel call computes a register tile: `m` tokens x `np` panels of
 // `nr` output channels each, over one run of `kc` input channels (a k-block):
@@ -36,16 +37,45 @@
 //    subtracts 128 * row_sum(w) once per output, restoring the exact sum.
 // Integer addition is associative, so vector-lane and k-block order never
 // matter.
+//
+// Around the tiles, two row entries do the float work of a W4A8 layer: the
+// per-token activation quantizer that feeds the tiles and the FP16 epilogue
+// that scales their sums. The scalar TU holds both as the reference loops;
+// every vector entry returns the reference's bits for every input, NaN, inf,
+// ±0 and subnormals included. What that takes:
+//  * quantize_row — abs-max skips NaN as `a > m` does (`max(a, m)`, in that
+//    operand order); each code is floor(v + 0.5) or ceil(v - 0.5) on an
+//    ordered v >= 0, with v = x * (1 / scale) a plain multiply and no fused
+//    add; truncating conversion (NaN -> INT_MIN), then clamp; the token sum
+//    is one sequential float chain in channel order.
+//  * scale_row — (float(acc) * sx) * scale as two rounded multiplies, the
+//    zero-point term as one fused multiply-add in every ISA (and every build:
+//    the TUs compile with contraction off).
+// Both round their float outputs with row_half: which of several input NaNs
+// an add or fused multiply-add passes on, and with which sign, depends on
+// the operand order and instruction form the compiler picks (and on libm's
+// fmaf where the build has no FMA), so every NaN becomes kRowNan.
 #pragma once
 
 #include <cstdint>
+#include <limits>
 
+#include "common/half.h"
 #include "kernels/cpu/isa.h"
 
 namespace qserve::cpu {
 
 // Input channels per packed k-group (vpdpbusd granularity).
 inline constexpr int kKGroup = 4;
+
+// The one NaN the row entries write: x86's default NaN (bits 0xFFC00000),
+// the one 0 * inf gives, as from a row whose FP16 scale overflowed.
+inline constexpr float kRowNan = -std::numeric_limits<float>::quiet_NaN();
+
+// to_half_precision, with every NaN mapped to kRowNan.
+inline float row_half(float v) {
+  return v != v ? kRowNan : to_half_precision(v);
+}
 
 // Operands of one tile call (see the contract above).
 struct TileArgs {
@@ -74,6 +104,18 @@ struct Microkernel {
   // UINT4-code tiles never need compensation.
   bool bias_compensated;
   void (*tile)(const TileArgs& a);
+  // One token's symmetric quantization: *scale = fp16_scale(abs_max(x),
+  // qmax), q[c] = clamp(round_half_away(x[c] * (1 / *scale)), lo, hi), and
+  // *token_sum = row_half of the float sum of x[0..k) in order.
+  void (*quantize_row)(const float* x, int64_t k, float qmax, int lo, int hi,
+                       int8_t* q, float* scale, float* token_sum);
+  // GEMM epilogue of one output row segment: y[i] = FP16 of
+  // (float(acc[i]) * sx) * scale[i], minus token_sum * zp_term[i] fused into
+  // one rounding when zp_term is non-null (the per-channel W4A8 zero point,
+  // subtracted after multiplication: Eq. 12/13), through row_half.
+  void (*scale_row)(const int32_t* acc, int64_t count, float sx,
+                    float token_sum, const float* scale, const float* zp_term,
+                    float* y);
 };
 
 // Dispatch table lookup; falls back to the scalar kernel if `isa` was not

@@ -12,15 +12,21 @@
 //    128*row_sum(w) once per output (bias_compensated), which is exact in
 //    two's-complement int32 for any operand values — including the -128
 //    weight codes the naive-range overflow repro emits.
+//
+// The row entries run 16 floats per step with masked tails (see the row
+// rules in microkernel.h).
 #include "kernels/cpu/microkernel.h"
 
 #if defined(__x86_64__) && defined(__GNUC__)
 
 #include <immintrin.h>
 
+#include <algorithm>
 #include <array>
 #include <cstring>
 #include <utility>
+
+#include "common/half.h"
 
 namespace qserve::cpu {
 
@@ -91,12 +97,89 @@ void tile_avx512(const TileArgs& a) {
   tiles[static_cast<size_t>((a.m - 1) * kNp + a.np - 1)](a);
 }
 
+// Lanes [0, n) of a 16-lane step, n in [0, 16].
+QS_AVX512_TARGET inline __mmask16 lanes(int64_t n) {
+  return n >= 16 ? __mmask16(0xFFFF) : __mmask16((1u << n) - 1);
+}
+
+// round_half_away(v) clamped to [lo, hi]: floor(v + 0.5) where v >= 0
+// (ordered, so NaN takes the ceil side), else ceil(v - 0.5), then the
+// truncating conversion that maps NaN to INT_MIN as cvttss2si does.
+QS_AVX512_TARGET inline __m512i round_clamp(__m512 v, __m512i lo,
+                                            __m512i hi) {
+  const __m512 half = _mm512_set1_ps(0.5f);
+  const __m512 up = _mm512_roundscale_ps(_mm512_add_ps(v, half),
+                                         _MM_FROUND_TO_NEG_INF);
+  const __m512 down = _mm512_roundscale_ps(_mm512_sub_ps(v, half),
+                                           _MM_FROUND_TO_POS_INF);
+  const __mmask16 nonneg =
+      _mm512_cmp_ps_mask(v, _mm512_setzero_ps(), _CMP_GE_OQ);
+  const __m512i r = _mm512_cvttps_epi32(_mm512_mask_blend_ps(nonneg, down, up));
+  return _mm512_min_epi32(_mm512_max_epi32(r, lo), hi);
+}
+
+QS_AVX512_TARGET void quantize_row_avx512(const float* x, int64_t k,
+                                          float qmax, int lo, int hi,
+                                          int8_t* q, float* scale,
+                                          float* token_sum) {
+  // max(a, m) returns m when a is NaN, so NaN never enters a lane.
+  __m512 m = _mm512_setzero_ps();
+  for (int64_t c = 0; c < k; c += 16)
+    m = _mm512_max_ps(
+        _mm512_abs_ps(_mm512_maskz_loadu_ps(lanes(k - c), x + c)), m);
+  m = _mm512_max_ps(m, _mm512_shuffle_f32x4(m, m, 0x4E));  // swap halves
+  m = _mm512_max_ps(m, _mm512_shuffle_f32x4(m, m, 0xB1));  // swap quarters
+  __m128 m4 = _mm512_castps512_ps128(m);
+  m4 = _mm_max_ps(m4, _mm_movehl_ps(m4, m4));
+  m4 = _mm_max_ss(m4, _mm_movehdup_ps(m4));
+  const float s = fp16_scale(_mm_cvtss_f32(m4), qmax);
+  const __m512 inv = _mm512_set1_ps(1.0f / s);
+  const __m512i vlo = _mm512_set1_epi32(lo), vhi = _mm512_set1_epi32(hi);
+  float sum = 0.0f;
+  for (int64_t c = 0; c < k; c += 16) {
+    const __mmask16 live = lanes(k - c);
+    const __m512 v = _mm512_mul_ps(_mm512_maskz_loadu_ps(live, x + c), inv);
+    _mm512_mask_cvtepi32_storeu_epi8(q + c, live, round_clamp(v, vlo, vhi));
+    const int64_t end = std::min<int64_t>(c + 16, k);
+    for (int64_t j = c; j < end; ++j) sum += x[j];
+  }
+  *scale = s;
+  *token_sum = row_half(sum);
+}
+
+// row_half on 16 lanes: F16C round-to-nearest-even, every NaN lane kRowNan.
+QS_AVX512_TARGET inline __m512 row_half16(__m512 v) {
+  const __m512 r = _mm512_cvtph_ps(
+      _mm512_cvtps_ph(v, _MM_FROUND_TO_NEAREST_INT));
+  return _mm512_mask_blend_ps(_mm512_cmp_ps_mask(v, v, _CMP_UNORD_Q), r,
+                              _mm512_set1_ps(kRowNan));
+}
+
+QS_AVX512_TARGET void scale_row_avx512(const int32_t* acc, int64_t count,
+                                       float sx, float token_sum,
+                                       const float* scale,
+                                       const float* zp_term, float* y) {
+  const __m512 vsx = _mm512_set1_ps(sx), ts = _mm512_set1_ps(token_sum);
+  for (int64_t i = 0; i < count; i += 16) {
+    const __mmask16 live = lanes(count - i);
+    __m512 v = _mm512_mul_ps(
+        _mm512_mul_ps(
+            _mm512_cvtepi32_ps(_mm512_maskz_loadu_epi32(live, acc + i)), vsx),
+        _mm512_maskz_loadu_ps(live, scale + i));
+    if (zp_term)
+      v = _mm512_fnmadd_ps(ts, _mm512_maskz_loadu_ps(live, zp_term + i), v);
+    _mm512_mask_storeu_ps(y + i, live, row_half16(v));
+  }
+}
+
 #undef QS_AVX512_TARGET
 
 constexpr Microkernel kAvx512Kernel = {
     Isa::kAvx512, kNr, kMr, kNp,
     /*bias_compensated=*/true,
     tile_avx512,
+    quantize_row_avx512,
+    scale_row_avx512,
 };
 
 }  // namespace

@@ -1,9 +1,14 @@
-// Scalar reference microkernel + the dispatch table.
+// Scalar reference microkernel and row entries + the dispatch table.
 //
 // This file is compiled with auto-vectorization disabled (see CMakeLists) so
 // that QSERVE_ISA=scalar measures a genuine one-MAC-at-a-time baseline and
 // the bench regression numbers stay comparable across compiler versions.
+#include <cmath>
+
+#include "common/half.h"
+#include "common/math_util.h"
 #include "kernels/cpu/microkernel.h"
+#include "tensor/tensor.h"
 
 namespace qserve::cpu {
 
@@ -43,6 +48,29 @@ void tile_scalar(const TileArgs& a) {
   }
 }
 
+void quantize_row_scalar(const float* x, int64_t k, float qmax, int lo,
+                         int hi, int8_t* q, float* scale, float* token_sum) {
+  const float s = fp16_scale(abs_max(x, k), qmax);
+  const float inv = 1.0f / s;
+  float sum = 0.0f;
+  for (int64_t c = 0; c < k; ++c) {
+    q[c] = static_cast<int8_t>(clamp(round_half_away(x[c] * inv), lo, hi));
+    sum += x[c];
+  }
+  *scale = s;
+  *token_sum = row_half(sum);
+}
+
+void scale_row_scalar(const int32_t* acc, int64_t count, float sx,
+                      float token_sum, const float* scale,
+                      const float* zp_term, float* y) {
+  for (int64_t i = 0; i < count; ++i) {
+    float v = float(acc[i]) * sx * scale[i];
+    if (zp_term) v = std::fma(-token_sum, zp_term[i], v);
+    y[i] = row_half(v);
+  }
+}
+
 constexpr Microkernel kScalarKernel = {
     Isa::kScalar,
     /*nr=*/8,  // shares the AVX2 panel layout so ISA flips stay compatible
@@ -50,6 +78,8 @@ constexpr Microkernel kScalarKernel = {
     /*np=*/4,
     /*bias_compensated=*/false,
     tile_scalar,
+    quantize_row_scalar,
+    scale_row_scalar,
 };
 
 }  // namespace

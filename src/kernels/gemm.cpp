@@ -47,20 +47,6 @@ int32_t* partial_sums(size_t n) {
   return buf.data();
 }
 
-// Epilogue of one output row segment: outer-product scaling, FP16 output;
-// the per-channel W4A8 zero-point term -tX * (z*s) is subtracted after
-// multiplication (Eq. 12/13) when `zp_term` is non-null. gemm_blocked and
-// gemm_blocked_epilogue both run it, so sharded and one-shard outputs round
-// identically.
-void scale_row(const int32_t* acc, int64_t count, float sx, float token_sum,
-               const float* scale, const float* zp_term, float* y) {
-  for (int64_t i = 0; i < count; ++i) {
-    float v = float(acc[i]) * sx * scale[i];
-    if (zp_term) v -= token_sum * zp_term[i];
-    y[i] = to_half_precision(v);
-  }
-}
-
 // Core blocked driver. Calls epilogue(t, r0, count, acc) exactly once per
 // (token, panel block) with the exact scalar INT32 accumulators of outputs
 // r0 .. r0 + count - 1 of token t; epilogue must be safe to call
@@ -228,9 +214,14 @@ I32Tensor gemm_i8i8_i32(const I8Tensor& x, const I8Tensor& w) {
   return y;
 }
 
+// Both epilogues below scale through the active ISA's scale_row (FP16
+// output; the per-channel W4A8 zero-point term -tX * (z*s) subtracted after
+// multiplication, Eq. 12/13, when zp_term is non-empty), so sharded and
+// one-shard outputs round identically.
 Tensor gemm_blocked(const QuantizedActs& x, const PackedGemmB& w) {
   Tensor y({x.m(), w.n});
   const bool has_zp = !w.zp_term.empty();
+  const auto scale_row = cpu::microkernel_for(cpu::active_isa()).scale_row;
   run_blocked(x, w, [&](int64_t t, int64_t r0, int64_t count,
                         const int32_t* acc) {
     scale_row(acc, count, x.s[t], has_zp ? x.token_sum[t] : 0.0f,
@@ -257,6 +248,7 @@ Tensor gemm_blocked_epilogue(const I32Tensor& acc, const QuantizedActs& x,
   QS_CHECK_EQ(n, static_cast<int64_t>(scale.size()));
   const bool has_zp = !zp_term.empty();
   if (has_zp) QS_CHECK_EQ(n, static_cast<int64_t>(zp_term.size()));
+  const auto scale_row = cpu::microkernel_for(cpu::active_isa()).scale_row;
   Tensor y({m, n});
   parallel_for(0, m, 1, [&](int64_t t0, int64_t t1) {
     for (int64_t t = t0; t < t1; ++t)

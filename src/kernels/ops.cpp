@@ -1,6 +1,7 @@
 #include "kernels/ops.h"
 
 #include <cmath>
+#include <vector>
 
 #include "common/half.h"
 #include "common/math_util.h"
@@ -72,15 +73,27 @@ void rope_inplace(Tensor& x, const std::vector<int>& positions, int head_dim,
   const int64_t m = x.rows();
   const int64_t heads = x.cols() / head_dim;
   const int half = head_dim / 2;
+  // Every head of a token turns by the same angles: the frequencies once per
+  // call, cos/sin once per (token, pair) — the same libm calls on the same
+  // arguments as evaluating them per head.
+  std::vector<float> freq(static_cast<size_t>(half));
+  std::vector<float> cos_t(freq.size()), sin_t(freq.size());
+  for (int i = 0; i < half; ++i)
+    freq[static_cast<size_t>(i)] =
+        std::pow(theta, -2.0f * float(i) / float(head_dim));
   for (int64_t t = 0; t < m; ++t) {
     const float pos = static_cast<float>(positions[static_cast<size_t>(t)]);
+    for (size_t i = 0; i < freq.size(); ++i) {
+      const float c = std::cos(pos * freq[i]), s = std::sin(pos * freq[i]);
+      cos_t[i] = c;
+      sin_t[i] = s;
+    }
     float* xr = x.row(t);
     for (int64_t h = 0; h < heads; ++h) {
       float* hp = xr + h * head_dim;
       for (int i = 0; i < half; ++i) {
-        const float freq =
-            std::pow(theta, -2.0f * float(i) / float(head_dim));
-        const float c = std::cos(pos * freq), s = std::sin(pos * freq);
+        const float c = cos_t[static_cast<size_t>(i)];
+        const float s = sin_t[static_cast<size_t>(i)];
         const float a = hp[i], b = hp[i + half];
         hp[i] = a * c - b * s;
         hp[i + half] = a * s + b * c;

@@ -6,18 +6,33 @@
 #include "common/half.h"
 #include "common/math_util.h"
 #include "common/parallel.h"
+#include "kernels/cpu/isa.h"
+#include "kernels/cpu/microkernel.h"
 
 namespace qserve {
 
 namespace {
 
-// FP16-precision scale, guarded against zero rows.
-float fp16_scale(float abs_max, float qmax) {
-  float s = abs_max / qmax;
-  if (s <= 0.0f) s = 1.0f;
-  s = to_half_precision(s);
-  if (s <= 0.0f) s = 6.103515625e-05f;  // smallest normal half
-  return s;
+// Per-token symmetric quantization of every row of x to codes in [lo, hi]
+// on the active ISA's row entry. Each token row quantizes independently
+// (scale, codes, and token sum are all per-row), so the batched step
+// executor's stacked activation buffer — decode tokens and prefill chunks
+// from many requests — parallelizes here without changing a single bit.
+QuantizedActs quantize_acts_rows(const Tensor& x, float qmax, int lo, int hi) {
+  QS_CHECK_EQ(x.ndim(), 2);
+  const int64_t m = x.rows(), k = x.cols();
+  QuantizedActs out;
+  out.q = I8Tensor({m, k});
+  out.s = Tensor({m});
+  out.token_sum = Tensor({m});
+  const auto quantize_row =
+      cpu::microkernel_for(cpu::active_isa()).quantize_row;
+  parallel_for(0, m, 4, [&](int64_t t0, int64_t t1) {
+    for (int64_t t = t0; t < t1; ++t)
+      quantize_row(x.row(t), k, qmax, lo, hi, out.q.row(t), &out.s[t],
+                   &out.token_sum[t]);
+  });
+  return out;
 }
 
 }  // namespace
@@ -209,30 +224,7 @@ Tensor dequantize(const W4A4PerGroup& q) {
 // --- activations ---------------------------------------------------------------
 
 QuantizedActs quantize_acts_per_token(const Tensor& x) {
-  QS_CHECK_EQ(x.ndim(), 2);
-  const int64_t m = x.rows(), k = x.cols();
-  QuantizedActs out;
-  out.q = I8Tensor({m, k});
-  out.s = Tensor({m});
-  out.token_sum = Tensor({m});
-  // Each token row quantizes independently (scale, codes, and token sum are
-  // all per-row), so the batched step executor's stacked activation buffer —
-  // decode tokens and prefill chunks from many requests — parallelizes here
-  // without changing a single bit.
-  parallel_for(0, m, 4, [&](int64_t lo, int64_t hi) {
-    for (int64_t t = lo; t < hi; ++t) {
-      const float s = fp16_scale(abs_max(x.row(t), k), 127.0f);
-      out.s[t] = s;
-      const float inv = 1.0f / s;
-      float sum = 0.0f;
-      for (int64_t c = 0; c < k; ++c) {
-        out.q.at2(t, c) = clamp_i8(round_half_away(x.at2(t, c) * inv));
-        sum += x.at2(t, c);
-      }
-      out.token_sum[t] = to_half_precision(sum);
-    }
-  });
-  return out;
+  return quantize_acts_rows(x, 127.0f, -128, 127);
 }
 
 Tensor dequantize(const QuantizedActs& q) {
@@ -244,25 +236,7 @@ Tensor dequantize(const QuantizedActs& q) {
 }
 
 QuantizedActs quantize_acts_per_token_int4(const Tensor& x) {
-  QS_CHECK_EQ(x.ndim(), 2);
-  const int64_t m = x.rows(), k = x.cols();
-  QuantizedActs out;
-  out.q = I8Tensor({m, k});
-  out.s = Tensor({m});
-  out.token_sum = Tensor({m});
-  for (int64_t t = 0; t < m; ++t) {
-    const float s = fp16_scale(abs_max(x.row(t), k), 7.0f);
-    out.s[t] = s;
-    const float inv = 1.0f / s;
-    float sum = 0.0f;
-    for (int64_t c = 0; c < k; ++c) {
-      out.q.at2(t, c) = static_cast<int8_t>(
-          clamp(round_half_away(x.at2(t, c) * inv), -7, 7));
-      sum += x.at2(t, c);
-    }
-    out.token_sum[t] = to_half_precision(sum);
-  }
-  return out;
+  return quantize_acts_rows(x, 7.0f, -7, 7);
 }
 
 // --- VSQuant/DoubleQuant-style two-level baseline --------------------------------

@@ -9,11 +9,16 @@
 // the same bits alone as inside any stack. Also covers the QSERVE_ISA
 // override plumbing and the FP16-weight gemm_fp16 (LM head): bitwise across
 // ISA x threads x m, batch-invariant per row, and within a stated
-// float-summation bound of gemm_f32_ref.
+// float-summation bound of gemm_f32_ref. The row entries around the tiles
+// (the per-token activation quantizer and the FP16 epilogue) match the
+// scalar reference bit for bit on every ISA, at every vector tail, on
+// half-way products, NaN, inf, ±0 and subnormals; the epilogue's zero-point
+// term is one fused multiply-add.
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -427,6 +432,235 @@ TEST(GemmFp16, RejectsMismatchedWidth) {
   EXPECT_THROW(gemm_fp16(random_acts(2, 31, 3001), w), CheckError);
 }
 
+// --- row entries: activation quantizer and FP16 epilogue ---------------------
+
+// Row lengths around both vector widths (8 and 16 lanes) plus the model's.
+const int64_t kRowLengths[] = {1, 7, 8, 9, 15, 16, 17, 33, 512, 1536};
+
+uint32_t bits_of(float f) { return detail::bit_cast<uint32_t>(f); }
+
+float step_ulps(float x, int n) {
+  for (; n > 0; --n) x = std::nextafter(x, std::numeric_limits<float>::max());
+  for (; n < 0; ++n) x = std::nextafter(x, -std::numeric_limits<float>::max());
+  return x;
+}
+
+// Whether round_half_away(x * inv) changes when v + 0.5 (or v - 0.5) is
+// fused with the multiply. The rows below must hold such codes on both
+// sides of zero, so a kernel that fuses either cannot match the reference.
+bool fusing_changes_code(float x, float inv) {
+  volatile float v = x * inv;  // rounded on its own, as the reference does
+  const float unfused = v >= 0.0f ? std::floor(v + 0.5f) : std::ceil(v - 0.5f);
+  const float fused = v >= 0.0f ? std::floor(std::fma(x, inv, 0.5f))
+                                : std::ceil(std::fma(x, inv, -0.5f));
+  return unfused != fused && unfused == unfused;  // NaN never differs
+}
+
+// Rows of length k that each stress one quantizer rule.
+std::vector<std::vector<float>> quantizer_rows(int64_t k, uint64_t seed) {
+  constexpr float kNan = std::numeric_limits<float>::quiet_NaN();
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  constexpr float kSub = std::numeric_limits<float>::denorm_min();
+  Rng rng(seed);
+  std::vector<std::vector<float>> rows;
+  const auto add = [&](const auto& value_at) {
+    std::vector<float> row(static_cast<size_t>(k));
+    for (int64_t c = 0; c < k; ++c) row[static_cast<size_t>(c)] = value_at(c);
+    rows.push_back(std::move(row));
+  };
+  // Exactly half-way products: abs-max 127 * 2^-3 gives the scale 2^-3, so
+  // x = (n + 0.5) * 2^-3 makes x * (1 / scale) exactly n + 0.5.
+  add([&](int64_t c) {
+    return c == k / 2 ? -127.0f * 0.125f
+                      : (float((c * 37) % 255 - 127) + 0.5f) * 0.125f;
+  });
+  // Near half-way products under scales with inexact reciprocals: runs of x
+  // stepping ulp by ulp across ±0.5 * s (where v ± 0.5 leaves v's binade, so
+  // a fused multiply-add rounds differently) and across ±(n + 0.5) * s.
+  for (int j = 0; j < 6; ++j) {
+    const float s = to_half_precision(0.1f + 0.0371f * float(j));
+    add([&](int64_t c) {
+      if (c == 0) return 127.0f * s;
+      const int64_t run = c / 64;
+      const float n = run % 4 < 2 ? 0.0f : float((c * 7) % 9);
+      const float x = step_ulps((n + 0.5f) * s, int(c % 64) - 32);
+      return run % 2 ? -x : x;
+    });
+  }
+  // ±0, NaN, subnormals and normals, then the same with ±inf.
+  const float specials[] = {0.0f,  -0.0f, kNan,  -kNan, kSub,
+                            -kSub, 1e-40f, -3.0f, 2.5f,  0.75f};
+  add([&](int64_t c) { return specials[c % 10]; });
+  add([&](int64_t c) { return c % 5 == 3 ? (c % 2 ? kInf : -kInf)
+                                         : specials[c % 10]; });
+  // NaN behind the row's outlier in the same vector lane (every 8th
+  // element), so a NaN that entered a lane's running max would drop it.
+  add([&](int64_t c) {
+    if (c == 0) return 100.0f;
+    return c % 8 == 0 ? kNan : rng.normal();
+  });
+  add([&](int64_t c) { return c == k - 1 ? kNan : rng.normal(); });
+  // All-zero rows (the scale falls back to 1 / 127 in FP16).
+  add([](int64_t) { return 0.0f; });
+  add([](int64_t) { return -0.0f; });
+  // Single outliers over zeros and over noise.
+  add([&](int64_t c) { return c == (k * 2) / 3 ? 1e30f : 0.0f; });
+  add([&](int64_t c) { return c == k / 3 ? -5e3f : rng.normal(); });
+  // Scales in FP16's subnormal range and below it, and past its max.
+  for (const float mag : {1e-5f, 3e-7f, 1e-12f, 1e36f})
+    add([&](int64_t) { return mag * rng.normal(); });
+  add([&](int64_t) { return rng.heavy_tailed(3.0f); });
+  return rows;
+}
+
+TEST(RowKernelIsaEquivalence, QuantizeRowMatchesScalarBitForBit) {
+  const cpu::Microkernel& ref = cpu::microkernel_for(Isa::kScalar);
+  const struct {
+    float qmax;
+    int lo, hi;
+  } ranges[] = {{127.0f, -128, 127}, {7.0f, -7, 7}};
+  int fused_differs[2] = {0, 0};  // codes >= 0, codes < 0
+  uint64_t seed = 4000;
+  for (const int64_t k : kRowLengths) {
+    for (const auto& row : quantizer_rows(k, seed++)) {
+      for (const auto& range : ranges) {
+        std::vector<int8_t> q_ref(static_cast<size_t>(k));
+        float s_ref = 0.0f, sum_ref = 0.0f;
+        ref.quantize_row(row.data(), k, range.qmax, range.lo, range.hi,
+                         q_ref.data(), &s_ref, &sum_ref);
+        if (sum_ref != sum_ref) {
+          EXPECT_EQ(0xFFC00000u, bits_of(sum_ref));  // kRowNan
+        }
+        for (const float x : row)
+          fused_differs[x < 0.0f] += fusing_changes_code(x, 1.0f / s_ref);
+        for (const Isa isa : supported_isas()) {
+          SCOPED_TRACE(std::string(cpu::isa_name(isa)) + " k=" +
+                       std::to_string(k) + " qmax=" +
+                       std::to_string(range.qmax));
+          std::vector<int8_t> q(static_cast<size_t>(k), 99);
+          float s = -1.0f, sum = -1.0f;
+          cpu::microkernel_for(isa).quantize_row(row.data(), k, range.qmax,
+                                                 range.lo, range.hi, q.data(),
+                                                 &s, &sum);
+          EXPECT_EQ(bits_of(s_ref), bits_of(s));
+          EXPECT_EQ(bits_of(sum_ref), bits_of(sum));
+          EXPECT_EQ(q_ref, q);
+        }
+      }
+    }
+  }
+  EXPECT_GT(fused_differs[0], 0) << "no input where a fused v + 0.5 shows";
+  EXPECT_GT(fused_differs[1], 0) << "no input where a fused v - 0.5 shows";
+}
+
+// Epilogue tails with and without the zero-point term; NaN and inf in the
+// accumulator scales, the token scale, the token sum and the z*s terms. The
+// NaNs have both signs and payloads FP16 would keep; every NaN output must
+// be the one kRowNan.
+TEST(RowKernelIsaEquivalence, ScaleRowMatchesScalarBitForBit) {
+  const float kNan = detail::bit_cast<float>(0x7FE5A5A5u);
+  const float kNegNan = detail::bit_cast<float>(0xFFD0F00Du);
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  const cpu::Microkernel& ref = cpu::microkernel_for(Isa::kScalar);
+  const float token_scales[] = {0.0123f, 3e-3f, kNan, kInf, 0.0f};
+  const float token_sums[] = {3.5f, -1e4f, kNegNan, kInf};
+  Rng rng(4100);
+  for (const int64_t n : kRowLengths) {
+    const size_t un = static_cast<size_t>(n);
+    std::vector<int32_t> acc(un);
+    std::vector<float> scale(un), zp(un);
+    for (size_t i = 0; i < un; ++i) {
+      const int kind = static_cast<int>(i % 11);
+      acc[i] = kind == 0   ? std::numeric_limits<int32_t>::min()
+               : kind == 1 ? std::numeric_limits<int32_t>::max()
+               : kind == 2 ? 0
+                           : rng.uniform_int(-(1 << 20), 1 << 20);
+      // Outputs past FP16's max, in its subnormal range, and NaN / inf.
+      scale[i] = kind == 3   ? 40.0f
+                 : kind == 4 ? 1e-9f
+                 : kind == 5 ? kNan
+                 : kind == 6 ? -kInf
+                             : rng.uniform(1e-3f, 2e-2f);
+      zp[i] = kind == 7 ? kNegNan : kind == 8 ? kInf : rng.uniform(-2.0f, 2.0f);
+    }
+    for (const float sx : token_scales)
+      for (const float ts : token_sums)
+        for (const bool with_zp : {false, true}) {
+          const float* zp_term = with_zp ? zp.data() : nullptr;
+          std::vector<float> y_ref(un);
+          ref.scale_row(acc.data(), n, sx, ts, scale.data(), zp_term,
+                        y_ref.data());
+          for (const float y : y_ref) {
+            if (y != y) {
+              EXPECT_EQ(0xFFC00000u, bits_of(y));
+            }
+          }
+          for (const Isa isa : supported_isas()) {
+            std::vector<float> y(un + 1, -7.0f);  // one guard element
+            cpu::microkernel_for(isa).scale_row(acc.data(), n, sx, ts,
+                                                scale.data(), zp_term,
+                                                y.data());
+            EXPECT_EQ(0, std::memcmp(y_ref.data(), y.data(),
+                                     un * sizeof(float)))
+                << cpu::isa_name(isa) << " n=" << n << " sx=" << sx
+                << " token_sum=" << ts << " zp=" << with_zp;
+            EXPECT_EQ(-7.0f, y[un]) << cpu::isa_name(isa) << " n=" << n;
+          }
+        }
+  }
+}
+
+// The per-channel zero-point term -token_sum * (z*s) is one fused
+// multiply-add in every ISA and every build (the epilogue's bits must not
+// depend on whether -march=native lets the compiler contract it). The inputs
+// nearly cancel, so a separately rounded product changes the FP16 output.
+TEST(RowKernelIsaEquivalence, EpilogueFusesTheZeroPointTerm) {
+  constexpr int64_t n = 1536;
+  const float ts = 37.3125f;
+  Rng rng(4200);
+  std::vector<int32_t> acc(n);
+  std::vector<float> scale(n, 1.0f), zp(n), fused(n);
+  int unfused_differs = 0;
+  for (int64_t i = 0; i < n; ++i) {
+    zp[i] = rng.uniform(-30.0f, 30.0f);
+    acc[i] = static_cast<int32_t>(std::lround(ts * zp[i]));
+    const float v = float(acc[i]) * 1.0f * 1.0f;
+    fused[i] = to_half_precision(std::fma(-ts, zp[i], v));
+    volatile float product = ts * zp[i];  // rounded on its own
+    unfused_differs +=
+        bits_of(to_half_precision(v - product)) != bits_of(fused[i]);
+  }
+  ASSERT_GT(unfused_differs, 0);
+  for (const Isa isa : supported_isas()) {
+    std::vector<float> y(n);
+    cpu::microkernel_for(isa).scale_row(acc.data(), n, 1.0f, ts,
+                                        scale.data(), zp.data(), y.data());
+    EXPECT_EQ(0, std::memcmp(fused.data(), y.data(), n * sizeof(float)))
+        << cpu::isa_name(isa);
+  }
+
+  // The GEMM epilogue is that entry: per-channel W4A8 outputs are the fused
+  // form of their own accumulators.
+  const QuantizedActs qx = quantize_acts_per_token(random_acts(5, 260, 4201));
+  const W4PerChannel w = quantize_w4_per_channel(random_weights(40, 260, 4202));
+  for (const Isa isa : supported_isas()) {
+    IsaGuard guard(isa);
+    const PackedGemmB packed = pack_gemm_b(w, cpu::microkernel_for(isa).nr);
+    ASSERT_FALSE(packed.zp_term.empty());
+    const I32Tensor a = gemm_blocked_acc(qx, packed);
+    const Tensor y = gemm_blocked(qx, packed);
+    for (int64_t t = 0; t < qx.m(); ++t)
+      for (int64_t r = 0; r < packed.n; ++r) {
+        const size_t ur = static_cast<size_t>(r);
+        const float v = float(a.at2(t, r)) * qx.s[t] * packed.scale[ur];
+        EXPECT_EQ(bits_of(to_half_precision(std::fma(
+                      -qx.token_sum[t], packed.zp_term[ur], v))),
+                  bits_of(y.at2(t, r)))
+            << cpu::isa_name(isa) << " t=" << t << " r=" << r;
+      }
+  }
+}
+
 // --- dispatch plumbing -------------------------------------------------------
 
 TEST(IsaDispatch, ParseAndNames) {
@@ -476,6 +710,8 @@ TEST(IsaDispatch, MicrokernelTableIsConsistent) {
     EXPECT_GT(mk.mr, 0);
     EXPECT_GT(mk.np, 0);
     EXPECT_NE(nullptr, mk.tile);
+    EXPECT_NE(nullptr, mk.quantize_row);
+    EXPECT_NE(nullptr, mk.scale_row);
   }
   // Unsupported ISAs resolve to a usable kernel rather than nullptr.
   const cpu::Microkernel& fallback = cpu::microkernel_for(Isa::kAvx512);

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <vector>
 
 #include "common/rng.h"
 #include "quant/quantize.h"
@@ -131,6 +134,28 @@ TEST(Rope, PairsChannelIWithIPlusHalf) {
   // Pair (1,5) stays zero; other channels moved.
   EXPECT_EQ(rot[1], 0.0f);
   EXPECT_EQ(rot[5], 0.0f);
+}
+
+TEST(Rope, EachHeadAndTokenMatchesItsOwnCall) {
+  // The angles are shared across heads and cached per token: a stacked
+  // call over 10 heads and 5 positions must give every (token, head) slice
+  // the bits a call on that slice alone gives.
+  constexpr int kHeadDim = 64, kHeads = 10;
+  const std::vector<int> positions = {0, 3, 7, 100, 4095};
+  const int64_t m = static_cast<int64_t>(positions.size());
+  const Tensor x = random_tensor(m, kHeads * kHeadDim, 8);
+  Tensor stacked = x;
+  rope_inplace(stacked, positions, kHeadDim);
+  for (int64_t t = 0; t < m; ++t)
+    for (int h = 0; h < kHeads; ++h) {
+      Tensor one({1, kHeadDim});
+      std::copy(x.row(t) + h * kHeadDim, x.row(t) + (h + 1) * kHeadDim,
+                one.data());
+      rope_inplace(one, {positions[static_cast<size_t>(t)]}, kHeadDim);
+      EXPECT_EQ(0, std::memcmp(one.data(), stacked.row(t) + h * kHeadDim,
+                               kHeadDim * sizeof(float)))
+          << "token " << t << " head " << h;
+    }
 }
 
 TEST(AddInplace, Adds) {

@@ -215,6 +215,33 @@ TEST(ActQuant, TokenSumMatchesUnquantizedInput) {
   }
 }
 
+TEST(ActQuant, HalfwayProductsRoundAwayFromZero) {
+  // abs-max 127 * 2^-3 (INT8) or 7 * 2^-3 (INT4) makes the scale 2^-3, so
+  // x = (n + 0.5) * 2^-3 quantizes from exactly n + 0.5: away from zero,
+  // and ±0 to 0. 35 channels leave a vector tail on every ISA.
+  for (const bool int4 : {false, true}) {
+    const float qmax = int4 ? 7.0f : 127.0f;
+    Tensor x({2, 35});
+    for (int64_t c = 0; c < 35; ++c) {
+      const float n = float(c % 7);
+      x.at2(0, c) = (c % 2 ? -1.0f : 1.0f) * (n + 0.5f) * 0.125f;
+      x.at2(1, c) = c % 2 ? -0.0f : 0.0f;
+    }
+    x.at2(0, 34) = qmax * 0.125f;
+    x.at2(1, 34) = -qmax * 0.125f;
+    const auto q = int4 ? quantize_acts_per_token_int4(x)
+                        : quantize_acts_per_token(x);
+    for (int64_t t = 0; t < 2; ++t) EXPECT_EQ(0.125f, q.s[t]);
+    for (int64_t c = 0; c < 34; ++c) {
+      const int away = int(c % 7) + 1;
+      EXPECT_EQ(c % 2 ? -away : away, q.q.at2(0, c)) << "c=" << c;
+      EXPECT_EQ(0, q.q.at2(1, c)) << "c=" << c;
+    }
+    EXPECT_EQ(int(qmax), q.q.at2(0, 34));
+    EXPECT_EQ(-int(qmax), q.q.at2(1, 34));
+  }
+}
+
 TEST(ActQuant, Int4CodesInRange) {
   const Tensor x = random_tensor(4, 32, 15);
   const auto q = quantize_acts_per_token_int4(x);

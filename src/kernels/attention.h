@@ -81,7 +81,7 @@ void attend_spans(const std::vector<AttentionSpan>& spans,
 // Causal self-attention for a chunk of `n` new tokens whose keys/values have
 // already been appended. q is [n, H*D], the query rows are logical positions
 // s_total-n .. s_total-1, and K, V hold the gathered rows of a logically
-// `s_total`-token sequence — exactly what PagedKvCache::gather_heads returns:
+// `s_total`-token sequence — exactly what PagedKvCache::gather returns:
 //   rows [0, sink_eff)                    = logical tokens [0, sink_eff)
 //   rows [sink_eff, k.rows())             = logical tokens [tail0, s_total)
 // with sink_eff = min(sink, s_total). Rows attend as in AttentionSpan —

@@ -4,14 +4,15 @@
 // Three kernels. `dequant` decodes a contiguous slice of one head's page
 // run — nibble-packed INT4, INT8 codes, FP16 bits, or floats — into a small
 // float tile; it is the only function per ISA that dispatches on the storage
-// form. `qk_dot` and `sv_accum` then work on float rows only: the QK dots of
-// one query head-vector against the tile's keys, and the probability-weighted
-// accumulation of its values. The attention executor (kernels/attention.h)
-// dequantizes each page run once per (KV head, block of query rows) and runs
-// every row and GQA query head of the block on the tile, so no dequantized
-// K/V matrix of the context is ever materialized — the CPU counterpart of
-// the QServe CUDA kernel that walks pages and dequantizes per head-vector
-// (§5.3).
+// form, and the paged cache's only decoder (PagedKvCache::gather runs the
+// scalar entry over the same page runs). `qk_dot` and `sv_accum` then work
+// on float rows only: the QK dots of one query head-vector against the
+// tile's keys, and the probability-weighted accumulation of its values.
+// The attention executor (kernels/attention.h) dequantizes each page run
+// once per (KV head, block of query rows) and runs every row and GQA query
+// head of the block on the tile, so no dequantized K/V matrix of the
+// context is ever materialized — the CPU counterpart of the QServe CUDA
+// kernel that walks pages and dequantizes per head-vector (§5.3).
 //
 // Numerics contract: float summation is not associative, so — unlike the
 // INT32 GEMM microkernels — vector-lane order matters. Every implementation
@@ -63,11 +64,10 @@ inline float fold_qk_lanes(const float* lanes) {
 // Storage form of one KV head run (mirrors PagedKvCache's page layout plus
 // the float form of a gathered K/V matrix).
 enum class KvRunKind : int {
-  kF32 = 0,     // dequantized floats (gather_heads rows)
-  kFp16,        // binary16 bits (KvPrecision::kFp16 pages)
-  kInt8Dyn,     // unsigned INT8 codes + per-(token,head) FP16 scale/zero
-  kInt8Static,  // signed INT8 codes + one static scale (TRT-LLM baseline)
-  kInt4Dyn,     // nibble-packed UINT4 codes + per-(token,head) FP16 params
+  kF32 = 0,  // dequantized floats (PagedKvCache::gather rows)
+  kFp16,     // binary16 bits (KvPrecision::kFp16 pages)
+  kInt8Dyn,  // unsigned INT8 codes + per-(token,head) FP16 scale/zero
+  kInt4Dyn,  // nibble-packed UINT4 codes + per-(token,head) FP16 params
 };
 
 // One head's slice of a contiguous run of tokens (at most one KV page): the
@@ -84,7 +84,6 @@ struct KvHeadRun {
   int64_t stride = 0;
   const uint16_t* params = nullptr;
   int64_t param_stride = 0;
-  float static_scale = 1.0f;
 };
 
 struct AttentionKernels {

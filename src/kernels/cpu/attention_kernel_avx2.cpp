@@ -53,12 +53,6 @@ QS_AVX2_TARGET inline Dequant16 load16(const uint8_t* ct, const uint16_t* ht,
         _mm256_cvtepi32_ps(_mm256_cvtepu8_epi32(_mm_srli_si128(b, 8)));
     return {_mm256_add_ps(_mm256_mul_ps(f0, vs), vz),
             _mm256_add_ps(_mm256_mul_ps(f1, vs), vz)};
-  } else if constexpr (K == KvRunKind::kInt8Static) {
-    const __m128i b = _mm_loadu_si128(reinterpret_cast<const __m128i*>(ct + d));
-    const __m256 f0 = _mm256_cvtepi32_ps(_mm256_cvtepi8_epi32(b));
-    const __m256 f1 =
-        _mm256_cvtepi32_ps(_mm256_cvtepi8_epi32(_mm_srli_si128(b, 8)));
-    return {_mm256_mul_ps(f0, vs), _mm256_mul_ps(f1, vs)};
   } else {  // kInt4Dyn: 8 bytes hold the 16 nibble-packed codes
     const __m128i b = _mm_loadl_epi64(
         reinterpret_cast<const __m128i*>(ct + (d >> 1)));

@@ -44,10 +44,6 @@ QS_AVX512_TARGET inline __m512 load16(const uint8_t* ct, const uint16_t* ht,
     const __m128i b = _mm_loadu_si128(reinterpret_cast<const __m128i*>(ct + d));
     const __m512 f = _mm512_cvtepi32_ps(_mm512_cvtepu8_epi32(b));
     return _mm512_add_ps(_mm512_mul_ps(f, vs), vz);
-  } else if constexpr (K == KvRunKind::kInt8Static) {
-    const __m128i b = _mm_loadu_si128(reinterpret_cast<const __m128i*>(ct + d));
-    const __m512 f = _mm512_cvtepi32_ps(_mm512_cvtepi8_epi32(b));
-    return _mm512_mul_ps(f, vs);
   } else {  // kInt4Dyn: 8 bytes hold the 16 nibble-packed codes
     const __m128i b =
         _mm_loadl_epi64(reinterpret_cast<const __m128i*>(ct + (d >> 1)));

@@ -15,9 +15,8 @@
 
 namespace qserve::cpu::attn_inline {
 
-// Per-token dequant parameters: dynamic kinds read the in-page FP16
-// scale/zero pair, the static-INT8 kind carries its one tensor-wide scale,
-// and the float kinds need none.
+// Per-token dequant parameters: the quantized kinds read the in-page FP16
+// scale/zero pair, and the float kinds need none.
 struct TokenParams {
   float scale = 0.0f;
   float zero = 0.0f;
@@ -29,8 +28,6 @@ inline TokenParams token_params(const KvHeadRun& run, int64_t t) {
     const uint16_t* p = run.params + t * run.param_stride;
     return {detail::half_bits_to_float(p[0]),
             detail::half_bits_to_float(p[1])};
-  } else if constexpr (K == KvRunKind::kInt8Static) {
-    return {run.static_scale, 0.0f};
   } else {
     (void)run;
     (void)t;
@@ -49,9 +46,6 @@ inline float run_element(const uint8_t* codes_t, const uint16_t* half_t,
     return detail::half_bits_to_float(half_t[d]);
   } else if constexpr (K == KvRunKind::kInt8Dyn) {
     return float(codes_t[d]) * scale + zero;
-  } else if constexpr (K == KvRunKind::kInt8Static) {
-    (void)zero;
-    return float(static_cast<int8_t>(codes_t[d])) * scale;
   } else {  // kInt4Dyn: two codes per byte, even index in the low nibble
     const uint8_t c = (codes_t[d >> 1] >> ((d & 1) * 4)) & 0xF;
     return float(c) * scale + zero;
@@ -68,8 +62,6 @@ inline void with_kind(KvRunKind kind, Fn&& fn) {
     case K::kF32: return fn(std::integral_constant<K, K::kF32>{});
     case K::kFp16: return fn(std::integral_constant<K, K::kFp16>{});
     case K::kInt8Dyn: return fn(std::integral_constant<K, K::kInt8Dyn>{});
-    case K::kInt8Static:
-      return fn(std::integral_constant<K, K::kInt8Static>{});
     case K::kInt4Dyn: return fn(std::integral_constant<K, K::kInt4Dyn>{});
   }
 }

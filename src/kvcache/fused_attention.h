@@ -37,7 +37,7 @@ struct DecodeAttentionItem {
 // Rows attend with the sequence's sink/window policy, each row its own
 // trailing window. Each unit writes only its own output slices, so the
 // result is bitwise identical to one call per item in any order, at any
-// thread count, on any ISA, and to gather_heads + attention_prefill.
+// thread count, on any ISA, and to gather + attention_prefill.
 // q/out rows are the q width apart: n_heads * head_dim.
 void batched_fused_decode_attention(const PagedKvCache& cache,
                                     const std::vector<DecodeAttentionItem>& items,

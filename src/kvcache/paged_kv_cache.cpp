@@ -20,7 +20,7 @@ int64_t kv_page_bytes(const KvCacheConfig& cfg) {
     default: code_bits = 16; break;
   }
   int64_t bytes = 2 * tokens * span * code_bits / 8;  // K and V codes
-  if (cfg.precision != KvPrecision::kFp16 && !cfg.static_scales) {
+  if (cfg.precision != KvPrecision::kFp16) {
     // FP16 scale + zero point per (token, head) for both K and V (§5.1).
     bytes += 2 * tokens * cfg.n_kv_heads * 2 * 2;
   }
@@ -37,12 +37,9 @@ void PagedKvCache::Page::resize(const KvCacheConfig& cfg) {
     const size_t code_bytes = span * static_cast<int>(cfg.precision) / 8;
     k_codes.assign(code_bytes, 0);
     v_codes.assign(code_bytes, 0);
-    if (!cfg.static_scales) {
-      const size_t heads =
-          static_cast<size_t>(cfg.page_size) * cfg.n_kv_heads;
-      k_params.assign(heads, {});
-      v_params.assign(heads, {});
-    }
+    const size_t heads = static_cast<size_t>(cfg.page_size) * cfg.n_kv_heads;
+    k_params.assign(heads, {});
+    v_params.assign(heads, {});
   }
 }
 
@@ -78,8 +75,6 @@ PagedKvCache::PagedKvCache(const KvCacheConfig& cfg) : cfg_(cfg) {
   // span whole bytes.
   if (cfg_.precision == KvPrecision::kInt4)
     QS_CHECK_MSG(cfg_.head_dim % 2 == 0, "INT4 KV needs an even head_dim");
-  if (cfg_.static_scales)
-    QS_CHECK(cfg_.precision == KvPrecision::kInt8);
 }
 
 int PagedKvCache::alloc_sequence() {
@@ -585,20 +580,6 @@ void PagedKvCache::write_token_heads(Page& page, int64_t slot, const float* k,
             detail::float_to_half_bits(vs[i]);
       }
     }
-  } else if (cfg_.static_scales) {
-    StaticKv8Params pk{cfg_.static_scale_k}, pv{cfg_.static_scale_v};
-    for (int h = head0; h < head1; ++h) {
-      const int64_t off = slot * head_span() + int64_t(h) * dim;
-      const float* ks = k + int64_t(h - head0) * dim;
-      const float* vs = v + int64_t(h - head0) * dim;
-      for (int64_t i = 0; i < dim; ++i) {
-        int8_t ck, cv;
-        kv8_static_quantize(ks + i, 1, pk, &ck);
-        kv8_static_quantize(vs + i, 1, pv, &cv);
-        page.k_codes[static_cast<size_t>(off + i)] = static_cast<uint8_t>(ck);
-        page.v_codes[static_cast<size_t>(off + i)] = static_cast<uint8_t>(cv);
-      }
-    }
   } else {
     const int bits = static_cast<int>(cfg_.precision);
     // kv_quantize emits one code per byte; INT4 packs pairs into the page.
@@ -626,66 +607,6 @@ void PagedKvCache::write_token_heads(Page& page, int64_t slot, const float* k,
   }
 }
 
-const PagedKvCache::Page* PagedKvCache::locate(int seq, int64_t token,
-                                               int head) const {
-  std::lock_guard<std::mutex> lk(mu_);
-  QS_CHECK(is_live_locked(seq));
-  const auto& s = seqs_[static_cast<size_t>(seq)];
-  QS_CHECK(token >= 0 && token < s.length);
-  QS_CHECK(head >= 0 && head < cfg_.n_kv_heads);
-  // A windowed sequence only holds the sinks and the retained tail; reading
-  // a recycled position is a caller bug, not a silent garbage read.
-  QS_CHECK_MSG(s.window == 0 || token < s.sink || token >= s.tail0,
-               "read of recycled position " << token
-                                            << " (resident: [0, " << s.sink
-                                            << ") and [" << s.tail0 << ", "
-                                            << s.length << "))");
-  return &pages_[static_cast<size_t>(
-      s.page_table[static_cast<size_t>(page_slot(s, token / cfg_.page_size))])];
-}
-
-void PagedKvCache::read_head(const Page& page, int64_t token, int head,
-                             bool is_k, float* out) const {
-  const int64_t slot = token % cfg_.page_size;
-  if (cfg_.precision == KvPrecision::kFp16) {
-    const int64_t hoff = slot * head_span() + int64_t(head) * cfg_.head_dim;
-    const auto& fp = is_k ? page.k_half : page.v_half;
-    for (int i = 0; i < cfg_.head_dim; ++i)
-      out[i] = detail::half_bits_to_float(fp[static_cast<size_t>(hoff + i)]);
-  } else if (cfg_.static_scales) {
-    const int64_t hoff = code_offset(slot, head);
-    StaticKv8Params p{is_k ? cfg_.static_scale_k : cfg_.static_scale_v};
-    const auto& codes = is_k ? page.k_codes : page.v_codes;
-    for (int i = 0; i < cfg_.head_dim; ++i) {
-      const int8_t c =
-          static_cast<int8_t>(codes[static_cast<size_t>(hoff + i)]);
-      kv8_static_dequantize(&c, 1, p, out + i);
-    }
-  } else {
-    const int64_t hoff = code_offset(slot, head);
-    const size_t pidx = static_cast<size_t>(slot * cfg_.n_kv_heads + head);
-    const auto& codes = is_k ? page.k_codes : page.v_codes;
-    const auto& stored = (is_k ? page.k_params : page.v_params)[pidx];
-    const KvQuantParams p{detail::half_bits_to_float(stored.scale_bits),
-                          detail::half_bits_to_float(stored.zero_bits)};
-    if (cfg_.precision == KvPrecision::kInt4) {
-      kv_dequantize_packed4(codes.data() + hoff, cfg_.head_dim, p, out);
-    } else {
-      kv_dequantize(codes.data() + hoff, cfg_.head_dim, p, out);
-    }
-  }
-}
-
-void PagedKvCache::read_k(int seq, int64_t token, int head,
-                          float* out) const {
-  read_head(*locate(seq, token, head), token, head, /*is_k=*/true, out);
-}
-
-void PagedKvCache::read_v(int seq, int64_t token, int head,
-                          float* out) const {
-  read_head(*locate(seq, token, head), token, head, /*is_k=*/false, out);
-}
-
 PagedKvCache::SeqView PagedKvCache::view(int seq) const {
   SeqView v;
   v.cache_ = this;
@@ -695,8 +616,8 @@ PagedKvCache::SeqView PagedKvCache::view(int seq) const {
   v.length_ = s.length;
   v.sink_ = s.sink;
   v.window_ = s.window;
-  // The resident positions, exactly gather_heads' rows: the sinks, then the
-  // retained tail (a plain sequence is sink = tail0 = 0).
+  // The resident positions: the sinks, then the retained tail (a plain
+  // sequence is sink = tail0 = 0).
   const int64_t sink_eff = std::min(s.sink, s.length);
   v.tail0_ = std::min(std::max(s.tail0, sink_eff), s.length);
   auto add_range = [&](int64_t t0, int64_t t1) {
@@ -717,45 +638,6 @@ PagedKvCache::SeqView PagedKvCache::view(int seq) const {
   add_range(0, sink_eff);
   add_range(v.tail0_, s.length);
   return v;
-}
-
-const PagedKvCache::SeqView::Run& PagedKvCache::SeqView::run_for(
-    int64_t token) const {
-  QS_CHECK(token >= 0 && token < length_);
-  // Runs are ordered by token0; find the last run starting at or before
-  // `token` and check it actually covers it (a windowed view has a gap
-  // between the sinks and the retained tail).
-  size_t lo = 0, hi = runs_.size();
-  while (lo + 1 < hi) {
-    const size_t mid = (lo + hi) / 2;
-    if (runs_[mid].token0 <= token) lo = mid;
-    else hi = mid;
-  }
-  QS_CHECK_MSG(!runs_.empty() && runs_[lo].token0 <= token &&
-                   token < runs_[lo].token0 + runs_[lo].n_tokens,
-               "position " << token << " is not resident in this view");
-  return runs_[lo];
-}
-
-void PagedKvCache::SeqView::read_k(int64_t token, int head,
-                                   float* out) const {
-  QS_CHECK(head >= 0 && head < cache_->cfg_.n_kv_heads);
-  const Run& r = run_for(token);
-  // Stale view: the sequence was freed (e.g. preempted) after view().
-  QS_DCHECK(r.page->generation.load(std::memory_order_relaxed) ==
-            r.generation);
-  cache_->read_head(*r.page, r.slot0 + (token - r.token0), head,
-                    /*is_k=*/true, out);
-}
-
-void PagedKvCache::SeqView::read_v(int64_t token, int head,
-                                   float* out) const {
-  QS_CHECK(head >= 0 && head < cache_->cfg_.n_kv_heads);
-  const Run& r = run_for(token);
-  QS_DCHECK(r.page->generation.load(std::memory_order_relaxed) ==
-            r.generation);
-  cache_->read_head(*r.page, r.slot0 + (token - r.token0), head,
-                    /*is_k=*/false, out);
 }
 
 int64_t PagedKvCache::SeqView::run_token0(int run) const {
@@ -784,12 +666,6 @@ cpu::KvHeadRun PagedKvCache::SeqView::head_run(int run, int head,
     r.half_bits =
         half.data() + ri.slot0 * span + int64_t(head) * cfg.head_dim;
     r.stride = span;  // elements
-  } else if (cfg.static_scales) {
-    r.kind = cpu::KvRunKind::kInt8Static;
-    const auto& codes = is_k ? page.k_codes : page.v_codes;
-    r.codes = codes.data() + cache_->code_offset(ri.slot0, head);
-    r.stride = span;  // bytes (one INT8 code per element)
-    r.static_scale = is_k ? cfg.static_scale_k : cfg.static_scale_v;
   } else {
     r.kind = cfg.precision == KvPrecision::kInt4 ? cpu::KvRunKind::kInt4Dyn
                                                  : cpu::KvRunKind::kInt8Dyn;
@@ -815,56 +691,33 @@ cpu::KvHeadRun PagedKvCache::SeqView::v_run(int run, int head) const {
 }
 
 int64_t PagedKvCache::gather(int seq, Tensor& k_out, Tensor& v_out) const {
-  return gather_heads(seq, k_out, v_out, 0, cfg_.n_kv_heads);
-}
-
-int64_t PagedKvCache::gather_heads(int seq, Tensor& k_out, Tensor& v_out,
-                                   int head0, int head1) const {
-  QS_CHECK(head0 >= 0 && head0 <= head1 && head1 <= cfg_.n_kv_heads);
-  // One locked pass resolves (page, slot) for every resident token — the
-  // sinks and the retained tail, NOT just the last query's window, so a
-  // prefill span's earliest row still finds its whole trailing window — then
-  // the dequantization runs unlocked (the arithmetic of read_k/read_v). A
-  // plain sequence is the sink = tail0 = 0 case: every row, in order.
-  struct Src {
-    const Page* page;
-    int64_t slot;
-  };
-  std::vector<Src> srcs;
-  int64_t tail0 = 0;
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    QS_CHECK(is_live_locked(seq));
-    const auto& s = seqs_[static_cast<size_t>(seq)];
-    const int64_t sink_eff = std::min(s.sink, s.length);
-    tail0 = std::min(std::max(s.tail0, sink_eff), s.length);
-    srcs.reserve(static_cast<size_t>(sink_eff + s.length - tail0));
-    auto push_tok = [&](int64_t t) {
-      const int pid = s.page_table[static_cast<size_t>(
-          page_slot(s, t / cfg_.page_size))];
-      QS_CHECK_GE(pid, 0);
-      srcs.push_back(
-          {&pages_[static_cast<size_t>(pid)], t % cfg_.page_size});
-    };
-    for (int64_t t = 0; t < sink_eff; ++t) push_tok(t);
-    for (int64_t t = tail0; t < s.length; ++t) push_tok(t);
-  }
-  const int64_t span = int64_t(head1 - head0) * cfg_.head_dim;
-  const int64_t rows = static_cast<int64_t>(srcs.size());
-  k_out = Tensor({rows, span});
-  v_out = Tensor({rows, span});
-  for (int64_t r = 0; r < rows; ++r) {
-    const Src& src = srcs[static_cast<size_t>(r)];
-    float* kr = k_out.row(r);
-    float* vr = v_out.row(r);
-    for (int h = head0; h < head1; ++h) {
-      read_head(*src.page, src.slot, h, /*is_k=*/true,
-                kr + int64_t(h - head0) * cfg_.head_dim);
-      read_head(*src.page, src.slot, h, /*is_k=*/false,
-                vr + int64_t(h - head0) * cfg_.head_dim);
+  // The view's runs are the resident rows in position order — the sinks,
+  // then the retained tail, NOT just the last query's window, so a prefill
+  // span's earliest row still finds its whole trailing window. A plain
+  // sequence is the sink = tail0 = 0 case: every row, in order.
+  const SeqView sv = view(seq);
+  const cpu::AttentionKernels& ker =
+      cpu::attention_kernel_for(cpu::Isa::kScalar);
+  const int dim = cfg_.head_dim;
+  int64_t rows = 0;
+  for (const SeqView::Run& r : sv.runs_) rows += r.n_tokens;
+  k_out = Tensor({rows, head_span()});
+  v_out = Tensor({rows, head_span()});
+  std::vector<float> tile(static_cast<size_t>(cfg_.page_size) * dim);
+  int64_t row0 = 0;
+  for (int r = 0; r < sv.num_page_runs(); ++r) {
+    const int64_t n = sv.runs_[static_cast<size_t>(r)].n_tokens;
+    for (int h = 0; h < cfg_.n_kv_heads; ++h) {
+      for (const bool is_k : {true, false}) {
+        ker.dequant(sv.head_run(r, h, is_k), 0, n, dim, tile.data());
+        Tensor& out = is_k ? k_out : v_out;
+        for (int64_t i = 0; i < n; ++i)
+          std::copy_n(tile.data() + i * dim, dim, out.row(row0 + i) + h * dim);
+      }
     }
+    row0 += n;
   }
-  return tail0;
+  return sv.tail0();
 }
 
 }  // namespace qserve

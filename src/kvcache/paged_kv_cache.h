@@ -5,23 +5,24 @@
 // (token, head) immediately after the quantized features in each page and
 // updates them on the fly — the requirement for KV4 accuracy. This module is
 // the storage substrate; the attention numerics (FP16 accumulation) live in
-// kernels/attention.h and walk either the pages (SeqView runs) or the
-// dequantized gather.
+// kernels/attention.h and walk the pages as SeqView runs.
 //
-// One write path and one gather. Every write is append_reserve (locked
+// One write path and one read path. Every write is append_reserve (locked
 // bookkeeping) followed by append_write_heads (unlocked quantize-into-page);
 // append_batch is the full-head composition of the two, and a single token is
-// the n = 1 span. Every dequantized read of a whole sequence is gather_heads,
-// which returns the resident rows — all of them for a plain sequence, the
-// sinks plus the retained tail for a windowed one; gather is its full-head
-// case.
+// the n = 1 span. Every read goes through a SeqView's page runs, decoded by
+// the attention kernel table's `dequant` (kernels/cpu/attention_kernel.h) —
+// there is no per-(token, head) reader. gather, the float form of a whole
+// sequence, is that decode over view(seq)'s runs: the resident rows, all of
+// them for a plain sequence, the sinks plus the retained tail for a windowed
+// one.
 //
 // Threading contract: one batched forward touches many sequences at once —
 // pool workers write each span's reserved slots and gather/attend over
 // distinct sequences, tensor-parallel shards write disjoint head ranges of
 // the same reserved slots (append_write_heads) and take their own views from
 // their own threads, and batched decode attention reads every sequence's
-// pages in one region. So append/read/gather on *distinct* sequences may run
+// pages in one region. So append/view/gather on *distinct* sequences may run
 // concurrently: pool bookkeeping (page allocation, free lists, refcounts,
 // usage counters) is guarded by an internal mutex — which also orders the
 // structural mutations (copy-on-write, ring recycling, and the
@@ -53,11 +54,6 @@ struct KvCacheConfig {
   int head_dim = 64;
   int page_size = 64;  // tokens per page
   KvPrecision precision = KvPrecision::kInt4;
-  // Static per-tensor scales (TRT-LLM KV8 baseline) instead of per-head
-  // dynamic parameters. Only meaningful for kInt8.
-  bool static_scales = false;
-  float static_scale_k = 1.0f;
-  float static_scale_v = 1.0f;
   int64_t max_pages = 1 << 20;
 };
 
@@ -169,7 +165,7 @@ class PagedKvCache {
   // capacity check, page allocation and ring recycling, copy-on-write of a
   // shared tail page, length growth — and returns the position of the first
   // reserved token. append_write_heads then quantizes (per (token, head),
-  // dynamic scales or static per config) the K/V of heads [head0, head1)
+  // dynamic FP16 scale and zero) the K/V of heads [head0, head1)
   // into those reserved slots: k/v point at row 0 of
   // [n, (head1 - head0) * head_dim] row-major slices whose rows are
   // `row_stride` floats apart. The writes run unlocked — the slots belong to
@@ -219,38 +215,32 @@ class PagedKvCache {
   // Would appending `tokens` more tokens to `seq` fit in the pool?
   bool can_grow(int seq, int64_t tokens) const;
 
-  // The gather: dequantize every RESIDENT token's heads [head0, head1) —
-  // the sinks [0, sink_eff) followed by the retained tail [tail0, len), with
-  // sink_eff = min(sink, len) — into [sink_eff + len - tail0,
-  // (head1 - head0) * head_dim] matrices, and return tail0 (the oldest
-  // post-sink logical position whose page has not been recycled). A plain
-  // sequence has sink = tail0 = 0: every row, in position order. A windowed
-  // one's retained tail is a superset of any row's attention window,
-  // including every row of an append span up to slack tokens, so a windowed
-  // prefill kernel can mask per row against logical positions: gathered row
-  // of logical t is t for t < sink_eff and sink_eff + (t - tail0) for
-  // t >= tail0. A head range is bitwise the matching columns of the
-  // full-head gather.
-  int64_t gather_heads(int seq, Tensor& k_out, Tensor& v_out, int head0,
-                       int head1) const;
+  // The gather: dequantize every RESIDENT token — the sinks [0, sink_eff)
+  // followed by the retained tail [tail0, len), with sink_eff = min(sink,
+  // len) — into [sink_eff + len - tail0, n_kv_heads * head_dim] matrices,
+  // and return tail0 (the oldest post-sink logical position whose page has
+  // not been recycled). A plain sequence has sink = tail0 = 0: every row, in
+  // position order. A windowed one's retained tail is a superset of any
+  // row's attention window, including every row of an append span up to
+  // slack tokens, so a windowed prefill kernel can mask per row against
+  // logical positions: gathered row of logical t is t for t < sink_eff and
+  // sink_eff + (t - tail0) for t >= tail0. Built on the read path: each of
+  // view(seq)'s runs and KV heads is decoded by the *scalar* kernel table's
+  // `dequant` into a tile and copied into that head's columns, so the rows
+  // are the same on every host and a fused result on a vector ISA is
+  // compared against a fixed reference.
   int64_t gather(int seq, Tensor& k_out, Tensor& v_out) const;
 
-  // Dequantize a single (token, head) K or V vector into out[head_dim] —
-  // the inline access pattern of the fused attention kernel (§5.3). Exactly
-  // the same arithmetic as gather(). Reading a recycled position QS_CHECKs.
-  void read_k(int seq, int64_t token, int head, float* out) const;
-  void read_v(int seq, int64_t token, int head, float* out) const;
-
-  // Lock-free repeated reads over one sequence: resolves the page table
-  // once under the lock, then every read_k/read_v dequantizes without
-  // synchronization — the access pattern of a fused attention kernel that
-  // must not take a mutex per (token, head). Valid while the sequence is
-  // live and not concurrently appended (the same same-sequence
-  // serialization contract as the locked readers above). The view snapshots
-  // each page's generation counter; once preemption free_sequence()s the
-  // sequence mid-flight, any page may be recycled, and a stale read trips a
-  // QS_DCHECK (Debug builds) instead of silently reading another request's
-  // KV data.
+  // The read path: a snapshot of one sequence's resident pages. The page
+  // table is resolved once under the lock; afterwards the runs are read
+  // without synchronization — the access pattern of a fused attention
+  // kernel that must not take a mutex per (token, head). Valid while the
+  // sequence is live and not concurrently appended (the same-sequence
+  // serialization contract above). The view snapshots each page's
+  // generation counter; once preemption free_sequence()s the sequence
+  // mid-flight, any page may be recycled, and a stale k_run/v_run trips a
+  // QS_DCHECK (Debug builds) instead of silently handing out another
+  // request's KV data.
   class SeqView {
    public:
     int64_t length() const { return length_; }
@@ -262,20 +252,17 @@ class PagedKvCache {
     int64_t sink() const { return sink_; }
     int64_t window() const { return window_; }
     int64_t tail0() const { return tail0_; }
-    void read_k(int64_t token, int head, float* out) const;
-    void read_v(int64_t token, int head, float* out) const;
 
-    // Page-run API: the sequence's resident tokens as contiguous in-page
-    // spans the attention microkernels walk directly — raw code/param
-    // pointers into the page, no per-(token, head) dequant copies. Run r
-    // covers logical positions [run_token0(r), run_token0(r) + n_tokens), in
-    // position order, one run per page piece; a windowed view's first tail
-    // run may start mid-page, so kernels never touch recycled pages. Every
-    // row of an append span up to slack tokens finds its whole trailing
-    // window here. The returned KvHeadRun's kind reflects the cache
-    // precision (kFp16 / kInt8Dyn / kInt8Static / kInt4Dyn); pointers stay
-    // valid under the same snapshot/staleness contract as read_k/read_v
-    // (generation-checked).
+    // The sequence's resident tokens as contiguous in-page spans the
+    // attention microkernels walk directly — raw code/param pointers into
+    // the page, decoded by `dequant`. Run r covers logical positions
+    // [run_token0(r), run_token0(r) + n_tokens), in position order, one run
+    // per page piece; a windowed view's first tail run may start mid-page,
+    // so kernels never touch recycled pages. Every row of an append span up
+    // to slack tokens finds its whole trailing window here. The returned
+    // KvHeadRun's kind reflects the cache precision (kFp16 / kInt8Dyn /
+    // kInt4Dyn); run and head are bounds-checked, and the page's generation
+    // is checked against the snapshot (QS_DCHECK).
     int num_page_runs() const { return static_cast<int>(runs_.size()); }
     int64_t run_token0(int run) const;
     cpu::KvHeadRun k_run(int run, int head) const;
@@ -291,7 +278,6 @@ class PagedKvCache {
       int64_t n_tokens = 0;
     };
     cpu::KvHeadRun head_run(int run, int head, bool is_k) const;
-    const Run& run_for(int64_t token) const;
     friend class PagedKvCache;
     const PagedKvCache* cache_ = nullptr;
     std::vector<Run> runs_;
@@ -389,12 +375,6 @@ class PagedKvCache {
   // sequence.
   void write_token_heads(Page& page, int64_t slot, const float* k,
                          const float* v, int head0, int head1);
-  // Resolve the page holding (seq, token) under mu_, with bounds checks.
-  const Page* locate(int seq, int64_t token, int head) const;
-  // Dequantize one (token, head) K or V vector out of `page` (no locking;
-  // pages of a live sequence are immutable except via same-seq append).
-  void read_head(const Page& page, int64_t token, int head, bool is_k,
-                 float* out) const;
 
   KvCacheConfig cfg_;
   // Deques keep references to live pages/sequences stable while the pool

@@ -122,7 +122,6 @@ void accumulate(std::atomic<double>& total, double v) {
 QuantSchemeConfig QuantSchemeConfig::qserve_w4a8kv4_g128() {
   QuantSchemeConfig c;
   c.weights = WeightScheme::kW4PerGroupProgressive;
-  c.acts = ActScheme::kInt8PerToken;
   c.kv = KvPrecision::kInt4;
   return c;
 }
@@ -136,7 +135,6 @@ QuantSchemeConfig QuantSchemeConfig::qserve_w4a8kv4_per_channel() {
 QuantSchemeConfig QuantSchemeConfig::trt_w8a8() {
   QuantSchemeConfig c;
   c.weights = WeightScheme::kW8PerChannel;
-  c.acts = ActScheme::kInt8PerToken;
   c.kv = KvPrecision::kInt8;
   c.fp16_attention = false;
   return c;
@@ -145,7 +143,6 @@ QuantSchemeConfig QuantSchemeConfig::trt_w8a8() {
 QuantSchemeConfig QuantSchemeConfig::trt_w4a16() {
   QuantSchemeConfig c;
   c.weights = WeightScheme::kW4A16Group;
-  c.acts = ActScheme::kFp16;
   c.kv = KvPrecision::kFp16;
   c.fp16_attention = false;
   return c;
@@ -154,7 +151,6 @@ QuantSchemeConfig QuantSchemeConfig::trt_w4a16() {
 QuantSchemeConfig QuantSchemeConfig::atom_w4a4() {
   QuantSchemeConfig c;
   c.weights = WeightScheme::kW4A4Group;
-  c.acts = ActScheme::kInt4PerToken;
   c.kv = KvPrecision::kInt4;
   c.fp16_attention = false;
   return c;
@@ -163,7 +159,6 @@ QuantSchemeConfig QuantSchemeConfig::atom_w4a4() {
 QuantSchemeConfig QuantSchemeConfig::fp16() {
   QuantSchemeConfig c;
   c.weights = WeightScheme::kFp16;
-  c.acts = ActScheme::kFp16;
   c.kv = KvPrecision::kFp16;
   c.fp16_attention = false;
   return c;
@@ -348,7 +343,6 @@ QuantizedModel::QuantizedModel(const ModelWeights& weights,
   // The LM head stays FP16 in all configurations (standard practice).
   QuantSchemeConfig head_cfg = cfg;
   head_cfg.weights = WeightScheme::kFp16;
-  head_cfg.acts = ActScheme::kFp16;
   lm_head_ = QuantizedLinear(weights.lm_head, head_cfg);
 
   KvCacheConfig kcfg;

@@ -30,6 +30,9 @@ struct TpConfig {
   int n_shards = 0;
 };
 
+// The weight scheme also fixes the activation format: FP16 activations for
+// kFp16 / kW4A16Group, INT8 per-token for the W8/W4 A8 schemes, INT4
+// per-token for kW4A4Group (QuantizedLinear::quantize).
 enum class WeightScheme {
   kFp16,
   kW8PerChannel,          // SmoothQuant / TRT-LLM W8A8
@@ -39,11 +42,8 @@ enum class WeightScheme {
   kW4A4Group,             // Atom/QuaRot-style
 };
 
-enum class ActScheme { kFp16, kInt8PerToken, kInt4PerToken };
-
 struct QuantSchemeConfig {
   WeightScheme weights = WeightScheme::kW4PerGroupProgressive;
-  ActScheme acts = ActScheme::kInt8PerToken;
   KvPrecision kv = KvPrecision::kInt4;
   int group = 128;
   int level1_range = 119;  // kProtectiveRange; 127 = naive (overflow repro)

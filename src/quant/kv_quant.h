@@ -7,12 +7,10 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "common/check.h"
 #include "common/half.h"
 #include "common/math_util.h"
-#include "tensor/tensor.h"
 
 namespace qserve {
 
@@ -56,41 +54,6 @@ inline void kv_pack_nibbles(const uint8_t* codes, int d, uint8_t* packed) {
   for (int i = 0; i < d; i += 2)
     packed[i >> 1] =
         static_cast<uint8_t>((codes[i] & 0xF) | (codes[i + 1] << 4));
-}
-
-// Dequantize `d` INT4 codes straight out of their nibble-packed storage —
-// same arithmetic as kv_dequantize on unpacked codes.
-inline void kv_dequantize_packed4(const uint8_t* packed, int d,
-                                  const KvQuantParams& p, float* out) {
-  for (int i = 0; i < d; ++i) {
-    const uint8_t c = (packed[i >> 1] >> ((i & 1) * 4)) & 0xF;
-    out[i] = float(c) * p.scale + p.zero;
-  }
-}
-
-// Static per-tensor symmetric INT8 KV quantization (the TRT-LLM/vLLM KV8
-// baseline): one offline scale for the whole cache.
-struct StaticKv8Params {
-  float scale = 1.0f;
-};
-
-inline StaticKv8Params kv8_static_calibrate(const Tensor& sample) {
-  StaticKv8Params p;
-  p.scale = to_half_precision(abs_max(sample.data(), sample.numel()) / 127.0f);
-  if (p.scale <= 0.0f) p.scale = 1.0f;
-  return p;
-}
-
-inline void kv8_static_quantize(const float* x, int d,
-                                const StaticKv8Params& p, int8_t* codes) {
-  const float inv = 1.0f / p.scale;
-  for (int i = 0; i < d; ++i)
-    codes[i] = clamp_i8(round_half_away(x[i] * inv));
-}
-
-inline void kv8_static_dequantize(const int8_t* codes, int d,
-                                  const StaticKv8Params& p, float* out) {
-  for (int i = 0; i < d; ++i) out[i] = float(codes[i]) * p.scale;
 }
 
 }  // namespace qserve

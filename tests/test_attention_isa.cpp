@@ -1,11 +1,12 @@
 // Cross-ISA equivalence of the attention microkernel subsystem: the scalar,
 // AVX2 and AVX-512 paths must produce bitwise-identical attention outputs —
 // and identical engine token streams — for every KV storage form
-// (INT4/INT8 dynamic, INT8 static-scale, FP16), decode rows, verify spans and
-// prefill chunks over plain and recycled windowed sequences, odd sequence
-// lengths that cross page boundaries, GQA head ratios, head_dims off the
-// 16-lane grid, and FP16-accumulation on/off — all equal to the
-// gather_heads + attention_prefill oracle. Also pins the batched executor to
+// (INT4/INT8 dynamic, FP16), decode rows, verify spans and prefill chunks
+// over plain and recycled windowed sequences, odd sequence lengths that
+// cross page boundaries, GQA head ratios, head_dims off the 16-lane grid,
+// and FP16-accumulation on/off — all equal to the gather +
+// attention_prefill oracle; and every ISA's `dequant` equal to the KV
+// quantizer's reference decode. Also pins the batched executor to
 // per-sequence calls under preemption churn and to solo runs in a mixed model
 // step, the one-dispatch-per-layer counter contract, and the QSERVE_ISA
 // override plumbing.
@@ -18,6 +19,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/half.h"
 #include "common/rng.h"
 #include "kernels/attention.h"
 #include "kernels/cpu/attention_kernel.h"
@@ -25,6 +27,7 @@
 #include "kvcache/fused_attention.h"
 #include "model/quantized_model.h"
 #include "model/weights.h"
+#include "quant/kv_quant.h"
 #include "serving/engine.h"
 
 namespace qserve {
@@ -72,10 +75,10 @@ struct CacheFixture {
   WindowSpec win;
   std::vector<float> q;
 
-  CacheFixture(KvPrecision p, bool static_scales, int n_heads, int n_kv_heads,
-               int head_dim, int tokens, bool fp16_accum, uint64_t seed,
-               int64_t rows = 1, WindowSpec w = {})
-      : ccfg{n_kv_heads, head_dim, 8, p, static_scales, 0.25f, 0.5f, 4096},
+  CacheFixture(KvPrecision p, int n_heads, int n_kv_heads, int head_dim,
+               int tokens, bool fp16_accum, uint64_t seed, int64_t rows = 1,
+               WindowSpec w = {})
+      : ccfg{n_kv_heads, head_dim, 8, p, 4096},
         acfg{n_heads, n_kv_heads, head_dim, fp16_accum},
         cache(ccfg),
         seq(cache.alloc_sequence()),
@@ -105,8 +108,7 @@ struct CacheFixture {
   // The float oracle: gather the resident rows, attend with the window.
   std::vector<float> gather_reference() const {
     Tensor k, v;
-    const int64_t tail0 =
-        cache.gather_heads(seq, k, v, 0, ccfg.n_kv_heads);
+    const int64_t tail0 = cache.gather(seq, k, v);
     Tensor qt({n_rows, int64_t(acfg.n_heads) * acfg.head_dim});
     std::copy(q.begin(), q.end(), qt.data());
     const Tensor out = attention_prefill(qt, k, v, acfg, cache.seq_len(seq),
@@ -119,8 +121,7 @@ struct CacheFixture {
   // [0, min(p+1, sink)) ∪ [max(sink, p+1-window), p+1).
   std::vector<float> naive_reference() const {
     Tensor k, v;
-    const int64_t tail0 =
-        cache.gather_heads(seq, k, v, 0, ccfg.n_kv_heads);
+    const int64_t tail0 = cache.gather(seq, k, v);
     const int64_t len = cache.seq_len(seq);
     const int64_t sink = win.sink, w = win.window > 0 ? win.window : len;
     const int d_head = acfg.head_dim, group = acfg.n_heads / acfg.n_kv_heads;
@@ -158,15 +159,13 @@ struct CacheFixture {
 
 struct KvForm {
   KvPrecision precision;
-  bool static_scales;
   const char* name;
 };
 
 const KvForm kKvForms[] = {
-    {KvPrecision::kInt4, false, "int4"},
-    {KvPrecision::kInt8, false, "int8"},
-    {KvPrecision::kInt8, true, "int8_static"},
-    {KvPrecision::kFp16, false, "fp16"},
+    {KvPrecision::kInt4, "int4"},
+    {KvPrecision::kInt8, "int8"},
+    {KvPrecision::kFp16, "fp16"},
 };
 
 TEST(AttentionIsaEquivalence, FusedBitwiseAcrossIsasAllKvForms) {
@@ -183,8 +182,8 @@ TEST(AttentionIsaEquivalence, FusedBitwiseAcrossIsasAllKvForms) {
       for (const bool fp16 : {false, true}) {
         for (const int64_t rows : {1, 3, 37}) {
           for (const bool is_windowed : {false, true}) {
-            CacheFixture s(f.precision, f.static_scales, n_heads, n_kv_heads,
-                           32, is_windowed ? 150 : 45, fp16, seed++, rows,
+            CacheFixture s(f.precision, n_heads, n_kv_heads, 32,
+                           is_windowed ? 150 : 45, fp16, seed++, rows,
                            is_windowed ? windowed : WindowSpec{});
             ASSERT_EQ(is_windowed, s.cache.recycled_pages() > 0);
             std::vector<float> ref;
@@ -209,7 +208,8 @@ TEST(AttentionIsaEquivalence, FusedBitwiseAcrossIsasAllKvForms) {
                            cpu::isa_name(isa));
               expect_bitwise_equal(ref, s.fused(), "fused");
               // Cross-path: every ISA's fused result must also equal the
-              // gather-then-attend oracle (itself running on `isa`).
+              // gather-then-attend oracle (the gather decodes with the
+              // scalar `dequant`; the attention runs on `isa`).
               expect_bitwise_equal(ref, s.gather_reference(), "gather");
             }
           }
@@ -226,8 +226,7 @@ TEST(AttentionIsaEquivalence, HeadDimsOffTheLaneGrid) {
   uint64_t seed = 150;
   for (const int head_dim : {8, 24, 48}) {
     for (const KvForm& f : kKvForms) {
-      CacheFixture s(f.precision, f.static_scales, 4, 2, head_dim, 21, true,
-                     seed++);
+      CacheFixture s(f.precision, 4, 2, head_dim, 21, true, seed++);
       std::vector<float> ref;
       {
         IsaGuard guard(Isa::kScalar);
@@ -278,8 +277,7 @@ TEST(AttentionIsaEquivalence, BatchedMatchesPerSequenceUnderChurn) {
   // rows, a verify-sized span, a whole-sequence chunk). The batched executor
   // must reproduce one-item (per-sequence) calls bitwise on every ISA.
   for (const KvForm& f : kKvForms) {
-    KvCacheConfig ccfg{2, 32, 8, f.precision, f.static_scales,
-                       0.25f, 0.5f, 4096};
+    KvCacheConfig ccfg{2, 32, 8, f.precision, 4096};
     const AttentionConfig acfg{4, 2, 32, true};
     PagedKvCache cache(ccfg);
     Rng rng(901);
@@ -545,6 +543,113 @@ TEST(AttentionIsaEquivalence, FloatKernelsMatchScalarAtEveryTileLength) {
   }
 }
 
+TEST(AttentionIsaEquivalence, DequantMatchesKvQuantReference) {
+  // `dequant` is the cache's one decoder, so pin it to the quantizer's own
+  // reference: kv_dequantize on the unpacked codes with the stored FP16
+  // scale/zero, the binary16 -> float conversion, or the identity — bit for
+  // bit, for every ISA, storage form, tile offset and length within a page,
+  // and head_dim on and off the 16-lane grid. float(code) * scale is exact
+  // (8-bit code times 11-bit significand), so FP contraction in this TU
+  // cannot move the expected bits. The run is head 1 of a 3-head page, so
+  // token and param strides differ from the head vector's own size.
+  constexpr int kPage = 8, kHeads = 3, kHead = 1;
+  const auto bits_of = [](float x) { return detail::bit_cast<uint32_t>(x); };
+  Rng rng(23);
+  const std::pair<cpu::KvRunKind, const char*> kinds[] = {
+      {cpu::KvRunKind::kInt4Dyn, "int4"},
+      {cpu::KvRunKind::kInt8Dyn, "int8"},
+      {cpu::KvRunKind::kFp16, "fp16"},
+      {cpu::KvRunKind::kF32, "f32"}};
+  for (const auto& [kind, kind_name] : kinds) {
+    for (const int head_dim : {8, 30, 64, 128}) {
+      const int64_t span = int64_t(kHeads) * head_dim;
+      std::vector<uint8_t> codes;
+      std::vector<uint16_t> halves(static_cast<size_t>(kPage * span));
+      std::vector<uint16_t> params(static_cast<size_t>(kPage * 2 * kHeads));
+      std::vector<float> f32(static_cast<size_t>(kPage * span));
+      std::vector<float> expect(static_cast<size_t>(kPage * head_dim));
+      cpu::KvHeadRun run;
+      run.kind = kind;
+      run.n_tokens = kPage;
+      if (kind == cpu::KvRunKind::kInt4Dyn ||
+          kind == cpu::KvRunKind::kInt8Dyn) {
+        const int bits = kind == cpu::KvRunKind::kInt4Dyn ? 4 : 8;
+        const int64_t stride = span * bits / 8;  // bytes per token
+        const int64_t head_off = int64_t(kHead) * head_dim * bits / 8;
+        codes.assign(static_cast<size_t>(kPage * stride), 0);
+        run.codes = codes.data() + head_off;
+        run.stride = stride;
+        run.params = params.data() + 2 * kHead;
+        run.param_stride = 2 * kHeads;
+        std::vector<uint8_t> unpacked(static_cast<size_t>(head_dim));
+        for (int t = 0; t < kPage; ++t) {
+          for (auto& c : unpacked)
+            c = static_cast<uint8_t>(rng.uniform_int(0, (1 << bits) - 1));
+          uint8_t* dst = codes.data() + head_off + t * stride;
+          if (bits == 4)
+            kv_pack_nibbles(unpacked.data(), head_dim, dst);
+          else
+            std::copy(unpacked.begin(), unpacked.end(), dst);
+          // Scales from FP16 subnormals up to 16; zeros of either sign.
+          const uint16_t sb = detail::float_to_half_bits(
+              std::ldexp(rng.uniform(1.0f, 2.0f), rng.uniform_int(-24, 4)));
+          const uint16_t zb = detail::float_to_half_bits(
+              rng.normal() * std::ldexp(1.0f, rng.uniform_int(-20, 6)));
+          params[static_cast<size_t>(t * run.param_stride + 2 * kHead)] = sb;
+          params[static_cast<size_t>(t * run.param_stride + 2 * kHead + 1)] =
+              zb;
+          const KvQuantParams p{detail::half_bits_to_float(sb),
+                                detail::half_bits_to_float(zb)};
+          kv_dequantize(unpacked.data(), head_dim, p,
+                        expect.data() + t * head_dim);
+        }
+      } else {
+        run.stride = span;  // elements
+        for (int t = 0; t < kPage; ++t) {
+          for (int d = 0; d < head_dim; ++d) {
+            const size_t at =
+                static_cast<size_t>(t * span + kHead * head_dim + d);
+            float& e = expect[static_cast<size_t>(t * head_dim + d)];
+            if (kind == cpu::KvRunKind::kFp16) {
+              // Any binary16 pattern but a signalling NaN (the write path
+              // stores only quiet ones): zeros, subnormals, infinities.
+              uint16_t h = static_cast<uint16_t>(rng.uniform_int(0, 0xFFFF));
+              if ((h & 0x7C00) == 0x7C00 && (h & 0x3FF) != 0) h |= 0x200;
+              halves[at] = h;
+              e = detail::half_bits_to_float(h);
+            } else {
+              f32[at] = e = rng.normal();
+            }
+          }
+        }
+        if (kind == cpu::KvRunKind::kFp16)
+          run.half_bits = halves.data() + kHead * head_dim;
+        else
+          run.f32 = f32.data() + kHead * head_dim;
+      }
+      for (Isa isa : supported_isas()) {
+        const cpu::AttentionKernels& ker = cpu::attention_kernel_for(isa);
+        for (int64_t t0 = 0; t0 <= kPage; ++t0) {
+          for (int64_t n = 0; t0 + n <= kPage; ++n) {
+            SCOPED_TRACE(std::string(cpu::isa_name(isa)) + " " + kind_name +
+                         " head_dim=" + std::to_string(head_dim) + " t0=" +
+                         std::to_string(t0) + " n=" + std::to_string(n));
+            // One sentinel past the tile: dequant writes n rows, no more.
+            std::vector<float> tile(static_cast<size_t>(n * head_dim + 1),
+                                    -7.0f);
+            ker.dequant(run, t0, n, head_dim, tile.data());
+            for (int64_t i = 0; i < n * head_dim; ++i)
+              ASSERT_EQ(bits_of(expect[static_cast<size_t>(t0 * head_dim + i)]),
+                        bits_of(tile[static_cast<size_t>(i)]))
+                  << "element " << i;
+            ASSERT_EQ(-7.0f, tile.back());
+          }
+        }
+      }
+    }
+  }
+}
+
 // --- dispatch plumbing -------------------------------------------------------
 
 TEST(AttentionIsaDispatch, KernelTableIsConsistent) {
@@ -562,7 +667,7 @@ TEST(AttentionIsaDispatch, KernelTableIsConsistent) {
 }
 
 TEST(AttentionIsaDispatch, EnvOverridePinsTheFusedKernel) {
-  CacheFixture s(KvPrecision::kInt4, false, 4, 2, 32, 19, true, 999);
+  CacheFixture s(KvPrecision::kInt4, 4, 2, 32, 19, true, 999);
   std::vector<float> scalar_ref;
   {
     IsaGuard guard(Isa::kScalar);

@@ -20,7 +20,7 @@ struct FusedFixture {
 
   FusedFixture(KvPrecision p, int n_heads, int n_kv_heads, int tokens,
         bool fp16_accum, uint64_t seed)
-      : cache_cfg{n_kv_heads, 32, 8, p, false, 1.0f, 1.0f, 1024},
+      : cache_cfg{n_kv_heads, 32, 8, p, 1024},
         attn_cfg{n_heads, n_kv_heads, 32, fp16_accum},
         cache(cache_cfg),
         seq(cache.alloc_sequence()) {
@@ -85,25 +85,8 @@ TEST(FusedAttention, SpansMultiplePages) {
   for (size_t i = 0; i < a.size(); ++i) EXPECT_EQ(a[i], b[i]);
 }
 
-TEST(FusedAttention, ReadKvMatchesGatherEntries) {
-  FusedFixture s(KvPrecision::kInt4, 4, 2, 19, false, 5);
-  Tensor k, v;
-  s.cache.gather(s.seq, k, v);
-  std::vector<float> buf(32);
-  for (int64_t t = 0; t < 19; ++t) {
-    for (int h = 0; h < 2; ++h) {
-      s.cache.read_k(s.seq, t, h, buf.data());
-      for (int d = 0; d < 32; ++d)
-        EXPECT_EQ(buf[size_t(d)], k.at2(t, h * 32 + d));
-      s.cache.read_v(s.seq, t, h, buf.data());
-      for (int d = 0; d < 32; ++d)
-        EXPECT_EQ(buf[size_t(d)], v.at2(t, h * 32 + d));
-    }
-  }
-}
-
 TEST(FusedAttention, RejectsEmptySequence) {
-  KvCacheConfig cfg{2, 32, 8, KvPrecision::kInt4, false, 1.0f, 1.0f, 16};
+  KvCacheConfig cfg{2, 32, 8, KvPrecision::kInt4, 16};
   PagedKvCache cache(cfg);
   const int seq = cache.alloc_sequence();
   AttentionConfig acfg{2, 2, 32, false};
@@ -125,11 +108,17 @@ TEST(FusedAttention, RejectsMismatchedHeadDim) {
 }
 
 TEST(FusedAttention, ReadRejectsOutOfRangeToken) {
+  // 5 tokens at page size 8: one run. The read path bounds-checks the run
+  // index and the KV head of every k_run/v_run.
   FusedFixture s(KvPrecision::kInt4, 4, 2, 5, false, 9);
-  std::vector<float> buf(32);
-  EXPECT_THROW(s.cache.read_k(s.seq, 5, 0, buf.data()), CheckError);
-  EXPECT_THROW(s.cache.read_k(s.seq, -1, 0, buf.data()), CheckError);
-  EXPECT_THROW(s.cache.read_k(s.seq, 0, 2, buf.data()), CheckError);
+  const PagedKvCache::SeqView view = s.cache.view(s.seq);
+  ASSERT_EQ(view.num_page_runs(), 1);
+  EXPECT_EQ(view.k_run(0, 1).n_tokens, 5);
+  EXPECT_THROW(view.k_run(1, 0), CheckError);
+  EXPECT_THROW(view.k_run(-1, 0), CheckError);
+  EXPECT_THROW(view.k_run(0, 2), CheckError);
+  EXPECT_THROW(view.v_run(0, -1), CheckError);
+  EXPECT_THROW(view.run_token0(1), CheckError);
 }
 
 }  // namespace

@@ -198,10 +198,8 @@ TEST(PagedKvCache, PageBytesLayout) {
   // 2 * 4 * 2 heads * 4B = 64 + 64.
   const auto cfg = small_cfg(KvPrecision::kInt4);
   EXPECT_EQ(kv_page_bytes(cfg), 64 + 64);
-  // INT8 static: codes only.
-  auto cfg8 = small_cfg(KvPrecision::kInt8);
-  cfg8.static_scales = true;
-  EXPECT_EQ(kv_page_bytes(cfg8), 2 * 4 * 16);
+  // INT8: one code per byte plus the same params.
+  EXPECT_EQ(kv_page_bytes(small_cfg(KvPrecision::kInt8)), 2 * 4 * 16 + 64);
 }
 
 TEST(PagedKvCache, ModeledPageBytesMatchMeasuredStorage) {
@@ -215,23 +213,6 @@ TEST(PagedKvCache, ModeledPageBytesMatchMeasuredStorage) {
     EXPECT_EQ(kv_page_bytes(cache.config()), cache.measured_page_bytes())
         << "precision " << static_cast<int>(p);
   }
-  auto cfg8 = small_cfg(KvPrecision::kInt8);
-  cfg8.static_scales = true;
-  PagedKvCache static8(cfg8);
-  EXPECT_EQ(kv_page_bytes(cfg8), static8.measured_page_bytes());
-}
-
-TEST(KvQuant, NibblePackedDequantMatchesUnpacked) {
-  Rng rng(12);
-  const auto x = random_vec(rng, 32);
-  std::vector<uint8_t> codes(32), packed(16);
-  const auto p = kv_quantize(x.data(), 32, 4, codes.data());
-  kv_pack_nibbles(codes.data(), 32, packed.data());
-  std::vector<float> from_codes(32), from_packed(32);
-  kv_dequantize(codes.data(), 32, p, from_codes.data());
-  kv_dequantize_packed4(packed.data(), 32, p, from_packed.data());
-  for (int i = 0; i < 32; ++i)
-    EXPECT_EQ(from_packed[size_t(i)], from_codes[size_t(i)]) << i;
 }
 
 TEST(PagedKvCache, Int4RequiresEvenHeadDim) {
@@ -253,39 +234,18 @@ TEST(PagedKvCache, StaleSeqViewDetectedAfterFree) {
   const auto k = random_vec(rng, 16);
   cache.append_batch(a, k.data(), k.data(), 1);
   const PagedKvCache::SeqView view = cache.view(a);
-  std::vector<float> out(8);
-  view.read_k(0, 0, out.data());  // live view reads fine
+  view.k_run(0, 0);  // live view reads fine
   cache.free_sequence(a);
 #ifndef NDEBUG
-  EXPECT_THROW(view.read_k(0, 0, out.data()), CheckError);
+  EXPECT_THROW(view.k_run(0, 0), CheckError);
   // The page may since have been recycled into another sequence; the stale
   // view must still trip even though the page is live again.
   const int b = cache.alloc_sequence();
   cache.append_batch(b, k.data(), k.data(), 1);
-  EXPECT_THROW(view.read_v(0, 0, out.data()), CheckError);
+  EXPECT_THROW(view.v_run(0, 0), CheckError);
 #else
   GTEST_SKIP() << "generation checks are QS_DCHECK (compiled out in NDEBUG)";
 #endif
-}
-
-TEST(PagedKvCache, StaticKv8MatchesStaticQuantizer) {
-  auto cfg = small_cfg(KvPrecision::kInt8);
-  cfg.static_scales = true;
-  cfg.static_scale_k = 0.1f;
-  cfg.static_scale_v = 0.1f;
-  PagedKvCache cache(cfg);
-  const int seq = cache.alloc_sequence();
-  std::vector<float> kvec(16, 1.0f), vvec(16, -2.0f);
-  cache.append_batch(seq, kvec.data(), vvec.data(), 1);
-  Tensor k, v;
-  cache.gather(seq, k, v);
-  EXPECT_NEAR(k.at2(0, 0), 1.0f, 0.05f);
-  EXPECT_NEAR(v.at2(0, 0), -2.0f, 0.05f);
-  // Static scale clips out-of-range values (the KV8 baseline's weakness).
-  std::vector<float> big(16, 100.0f);
-  cache.append_batch(seq, big.data(), big.data(), 1);
-  cache.gather(seq, k, v);
-  EXPECT_NEAR(k.at2(1, 0), 12.7f, 0.1f);  // clamped at 127 * 0.1
 }
 
 TEST(PagedKvCache, AppendBatchMatchesSingleAppendsBitwise) {
@@ -544,18 +504,18 @@ TEST(PagedKvCache, StaleSeqViewDetectedAfterTruncate) {
     kv.insert(kv.end(), x.begin(), x.end());
   }
   cache.append_batch(seq, kv.data(), kv.data(), 7);
+  // Run r of a plain view is page r: run 0 = tokens 0-3, run 1 = 4-6.
   const PagedKvCache::SeqView before = cache.view(seq);
-  std::vector<float> out(8);
-  before.read_k(6, 0, out.data());  // live view reads fine
+  before.k_run(1, 0);  // live view reads fine
 
   cache.truncate_sequence(seq, 2);  // frees page 1, cuts into page 0
 #ifndef NDEBUG
-  EXPECT_THROW(before.read_k(5, 0, out.data()), CheckError);  // freed page
-  EXPECT_THROW(before.read_k(1, 0, out.data()), CheckError);  // cut page
+  EXPECT_THROW(before.k_run(1, 0), CheckError);  // freed page
+  EXPECT_THROW(before.k_run(0, 0), CheckError);  // cut page
   // A view taken AFTER the rollback snapshots the bumped generation and
   // reads the surviving prefix fine.
   const PagedKvCache::SeqView after = cache.view(seq);
-  after.read_k(1, 0, out.data());
+  after.k_run(0, 0);
   EXPECT_EQ(after.length(), 2);
 
   // Boundary-exact truncation leaves kept pages untouched: the old view
@@ -565,8 +525,8 @@ TEST(PagedKvCache, StaleSeqViewDetectedAfterTruncate) {
   c2.append_batch(s2, kv.data(), kv.data(), 7);
   const PagedKvCache::SeqView v2 = c2.view(s2);
   c2.truncate_sequence(s2, 4);  // exact page boundary
-  v2.read_k(3, 0, out.data());                               // kept page: ok
-  EXPECT_THROW(v2.read_k(4, 0, out.data()), CheckError);     // freed page
+  v2.k_run(0, 0);                                // kept page: ok
+  EXPECT_THROW(v2.k_run(1, 0), CheckError);      // freed page
 #else
   GTEST_SKIP() << "generation checks are QS_DCHECK (compiled out in NDEBUG)";
 #endif
@@ -677,8 +637,7 @@ TEST(PagedKvCache, CowWriterGetsPrivateCopySourceUnchanged) {
   cache.gather(src, ks1, vs1);
   EXPECT_EQ(max_abs_diff(ks0, ks1), 0.0f);
   EXPECT_EQ(max_abs_diff(vs0, vs1), 0.0f);
-  std::vector<float> out(8);
-  src_view.read_k(5, 1, out.data());
+  src_view.k_run(1, 1);  // the shared tail page (tokens 4-5)
 
   // Fork content == replay without sharing.
   const int rep = replay.alloc_sequence();
@@ -751,8 +710,7 @@ TEST(PagedKvCache, TruncateNeverTouchesSharedBoundaryPage) {
   EXPECT_EQ(cache.seq_len(fork), 8);
   EXPECT_EQ(cache.pages_in_use(), 2);   // nothing freed (both refs live)
   EXPECT_EQ(cache.shared_pages(), 2);   // still shared
-  std::vector<float> out(8);
-  fork_view.read_k(7, 0, out.data());   // no generation bump
+  fork_view.k_run(1, 0);                // page 1: no generation bump
 
   // Appending after the shared-boundary truncate copies the page first;
   // the fork still sees the ORIGINAL tokens 6 and 7.
@@ -764,7 +722,7 @@ TEST(PagedKvCache, TruncateNeverTouchesSharedBoundaryPage) {
   Tensor kf1, vf1;
   cache.gather(fork, kf1, vf1);
   EXPECT_EQ(max_abs_diff(kf0, kf1), 0.0f);
-  fork_view.read_k(7, 0, out.data());
+  fork_view.k_run(1, 0);
 
   // Truncating the tail page AWAY entirely just drops a reference: the fork
   // keeps the page; the source's table shrinks.

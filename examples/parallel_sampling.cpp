@@ -89,7 +89,7 @@ int main() {
   const int fork = model.fork_sequence(src, /*upto_len=*/10);  // mid-page
   const int64_t shared = model.kv_cache().shared_pages();
   // First write into the shared tail page: the cache copies it privately.
-  model.prefill_chunk(fork, {1, 2, 3}, /*pos0=*/10);
+  model.prefill(fork, {1, 2, 3});  // positions 10-12
   const int64_t copies = model.kv_cache().cow_page_copies() - copies_before;
   std::printf("\nunaligned model-level fork at token 10: %lld shared pages, "
               "appending to the fork copied %lld page(s) on write\n",

@@ -34,34 +34,18 @@ QuantizedActs rms_norm_quant(const Tensor& x, const Tensor& gamma, float eps) {
   return quantize_acts_per_token(rms_norm(x, gamma, eps));
 }
 
-Tensor silu(const Tensor& x) {
-  Tensor y = x;
-  for (int64_t i = 0; i < y.numel(); ++i) {
-    const float v = y[i];
-    y[i] = v / (1.0f + std::exp(-v));
-  }
-  return y;
-}
-
-Tensor swiglu(const Tensor& gate_up) {
-  QS_CHECK_EQ(gate_up.ndim(), 2);
-  QS_CHECK_EQ(gate_up.cols() % 2, 0);
-  const int64_t m = gate_up.rows(), d = gate_up.cols() / 2;
-  Tensor y({m, d});
-  for (int64_t t = 0; t < m; ++t) {
-    const float* g = gate_up.row(t);
-    const float* u = g + d;
-    float* yr = y.row(t);
-    for (int64_t c = 0; c < d; ++c) {
-      const float v = g[c];
-      yr[c] = (v / (1.0f + std::exp(-v))) * u[c];
-    }
-  }
-  return y;
-}
-
-QuantizedActs swiglu_quant(const Tensor& gate_up) {
-  return quantize_acts_per_token(swiglu(gate_up));
+Tensor swiglu(const Tensor& gate, const Tensor& up) {
+  QS_CHECK_EQ(gate.ndim(), 2);
+  QS_CHECK(gate.same_shape(up));
+  Tensor act({gate.rows(), gate.cols()});
+  parallel_for(0, gate.rows(), 4, [&](int64_t lo, int64_t hi) {
+    for (int64_t t = lo; t < hi; ++t)
+      for (int64_t c = 0; c < gate.cols(); ++c) {
+        const float g = gate.at2(t, c);
+        act.at2(t, c) = (g / (1.0f + std::exp(-g))) * up.at2(t, c);
+      }
+  });
+  return act;
 }
 
 void rope_inplace(Tensor& x, const std::vector<int>& positions, int head_dim,

@@ -15,13 +15,10 @@ Tensor rms_norm(const Tensor& x, const Tensor& gamma, float eps = 1e-5f);
 QuantizedActs rms_norm_quant(const Tensor& x, const Tensor& gamma,
                              float eps = 1e-5f);
 
-// SiLU and the SwiGLU gate: out = silu(gate) * up, both halves of the FFN-1
-// output ([m, 2*d] -> [m, d]).
-Tensor silu(const Tensor& x);
-Tensor swiglu(const Tensor& gate_up);  // concatenated [gate | up]
-
-// Fused SwiGLU + per-token INT8 quantization (FFN-2 input in Fig. 11).
-QuantizedActs swiglu_quant(const Tensor& gate_up);
+// The SwiGLU gate over the two [m, d] halves of the FFN-1 output:
+// out = silu(gate) * up with silu(g) = g / (1 + exp(-g)). Rows are
+// independent, so stacked batch rows parallelize bitwise-identically.
+Tensor swiglu(const Tensor& gate, const Tensor& up);
 
 // Rotary positional embedding applied in-place to a [tokens, heads*dim]
 // matrix; `positions[t]` is the absolute position of token t. Pairs channel i

@@ -88,21 +88,6 @@ I32Tensor reduce_partials(const std::vector<I32Tensor>& parts) {
   return out;
 }
 
-// SwiGLU over column-aligned gate/up slices. Row-independent like the
-// norm/quant loops, so the stacked rows of a batched step parallelize
-// bitwise-identically.
-Tensor swiglu(const Tensor& gate, const Tensor& up) {
-  Tensor act({gate.rows(), gate.cols()});
-  parallel_for(0, gate.rows(), 4, [&](int64_t lo, int64_t hi) {
-    for (int64_t t = lo; t < hi; ++t)
-      for (int64_t c = 0; c < gate.cols(); ++c) {
-        const float g = gate.at2(t, c);
-        act.at2(t, c) = (g / (1.0f + std::exp(-g))) * up.at2(t, c);
-      }
-  });
-  return act;
-}
-
 double seconds_since(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
       .count();
@@ -677,13 +662,8 @@ Tensor QuantizedModel::forward_step(const BatchedStep& step) {
 }
 
 Tensor QuantizedModel::prefill(int seq, const std::vector<int>& tokens) {
-  return prefill_chunk(seq, tokens, static_cast<int>(seq_pos(seq)));
-}
-
-Tensor QuantizedModel::prefill_chunk(int seq, const std::vector<int>& tokens,
-                                     int pos0) {
   BatchedStep step;
-  step.chunks.push_back({seq, tokens, pos0, 1});
+  step.chunks.push_back({seq, tokens, static_cast<int>(seq_pos(seq)), 1});
   return forward_step(step).reshaped({cfg_.vocab});
 }
 

@@ -165,15 +165,13 @@ class QuantizedModel {
   int begin_sequence();                       // KV sequence handle
   void end_sequence(int seq);
   // Single-chunk wrappers over forward_step(), validated the same way.
-  // prefill() appends `tokens` at the sequence's current position;
-  // prefill_chunk() additionally requires `pos0` to equal it (the engine
-  // tracks it per request) — a chunked prompt is bitwise identical to a
-  // monolithic prefill, since every GEMM row, norm, and attention score is
-  // per position and the causal mask offsets against the cached prefix.
-  // decode_step() appends one token. Each returns the logits of the last
-  // appended position ([vocab]).
+  // prefill() appends `tokens` at the sequence's current position, so a
+  // prompt fed in several calls is bitwise identical to one monolithic
+  // prefill: every GEMM row, norm, and attention score is per position and
+  // the causal mask offsets against the cached prefix. decode_step() appends
+  // one token. Each returns the logits of the last appended position
+  // ([vocab]).
   Tensor prefill(int seq, const std::vector<int>& tokens);
-  Tensor prefill_chunk(int seq, const std::vector<int>& tokens, int pos0);
   Tensor decode_step(int seq, int token);
   // The model's one forward: run every chunk's rows through the block stack
   // in ONE stacked forward — a single GEMM call per projection, layer and
@@ -185,7 +183,7 @@ class QuantizedModel {
   // `logit_rows` positions, in chunk order, positions ascending within a
   // chunk (logit_rows = 0 chunks contribute nothing and skip the LM head).
   // Each row of the result, and every KV entry written, is bitwise identical
-  // to executing the chunks one token at a time via prefill_chunk() /
+  // to executing the chunks one token at a time via prefill() /
   // decode_step(), at any thread count and ISA — a multi-row chunk's row at
   // position p sees exactly the cached prefix [0, p) through the causal
   // mask, which is what makes a k+1-row speculative verify span score every

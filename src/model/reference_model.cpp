@@ -1,6 +1,5 @@
 #include "model/reference_model.h"
 
-#include <cmath>
 
 #include "common/math_util.h"
 #include "common/rng.h"
@@ -64,13 +63,7 @@ Tensor ReferenceModel::forward_calibrate(const std::vector<int>& tokens,
     if (calib) calib->ffn_input.push_back(h2);
     Tensor gate = gemm_f32_ref(h2, layer.w_gate);
     Tensor up = gemm_f32_ref(h2, layer.w_up);
-    Tensor act({n, cfg.ffn_dim});
-    for (int64_t t = 0; t < n; ++t) {
-      for (int64_t c = 0; c < cfg.ffn_dim; ++c) {
-        const float g = gate.at2(t, c);
-        act.at2(t, c) = (g / (1.0f + std::exp(-g))) * up.at2(t, c);
-      }
-    }
+    Tensor act = swiglu(gate, up);
     if (calib) calib->ffn_act.push_back(act);
     Tensor down = gemm_f32_ref(act, layer.w_down);
     add_inplace(x, down);

@@ -15,13 +15,6 @@
 
 namespace qserve {
 
-enum class Granularity {
-  kPerTensor,
-  kPerChannel,  // per output channel (weights) / per token (activations)
-  kPerGroup,
-  kPerHead,  // KV cache
-};
-
 // ---------------------------------------------------------------------------
 // Weight formats
 // ---------------------------------------------------------------------------

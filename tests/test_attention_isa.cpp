@@ -13,42 +13,22 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/half.h"
-#include "common/rng.h"
+#include "harness.h"
 #include "kernels/attention.h"
 #include "kernels/cpu/attention_kernel.h"
-#include "kernels/cpu/isa.h"
 #include "kvcache/fused_attention.h"
-#include "model/quantized_model.h"
-#include "model/weights.h"
 #include "quant/kv_quant.h"
-#include "serving/engine.h"
 
 namespace qserve {
 namespace {
 
 using cpu::Isa;
-
-// RAII: pin an ISA for a scope, always return control to env/detection.
-struct IsaGuard {
-  explicit IsaGuard(Isa isa) { cpu::set_isa(isa); }
-  ~IsaGuard() { cpu::clear_isa_override(); }
-};
-
-std::vector<Isa> supported_isas() {
-  std::vector<Isa> v{Isa::kScalar};
-  if (static_cast<int>(cpu::detected_isa()) >= static_cast<int>(Isa::kAvx2))
-    v.push_back(Isa::kAvx2);
-  if (static_cast<int>(cpu::detected_isa()) >= static_cast<int>(Isa::kAvx512))
-    v.push_back(Isa::kAvx512);
-  return v;
-}
 
 void expect_bitwise_equal(const std::vector<float>& a,
                           const std::vector<float>& b, const char* tag) {
@@ -188,7 +168,7 @@ TEST(AttentionIsaEquivalence, FusedBitwiseAcrossIsasAllKvForms) {
             ASSERT_EQ(is_windowed, s.cache.recycled_pages() > 0);
             std::vector<float> ref;
             {
-              IsaGuard guard(Isa::kScalar);
+              ConfigGuard guard(Isa::kScalar);
               ref = s.fused();
             }
             // The shared executor against an independent float reading of
@@ -198,7 +178,7 @@ TEST(AttentionIsaEquivalence, FusedBitwiseAcrossIsasAllKvForms) {
               ASSERT_NEAR(naive[i], ref[i], 2e-2) << f.name << " rows="
                                                   << rows << " i=" << i;
             for (Isa isa : supported_isas()) {
-              IsaGuard guard(isa);
+              ConfigGuard guard(isa);
               SCOPED_TRACE(std::string(f.name) + " heads=" +
                            std::to_string(n_heads) + "/" +
                            std::to_string(n_kv_heads) + " fp16=" +
@@ -229,11 +209,11 @@ TEST(AttentionIsaEquivalence, HeadDimsOffTheLaneGrid) {
       CacheFixture s(f.precision, 4, 2, head_dim, 21, true, seed++);
       std::vector<float> ref;
       {
-        IsaGuard guard(Isa::kScalar);
+        ConfigGuard guard(Isa::kScalar);
         ref = s.fused();
       }
       for (Isa isa : supported_isas()) {
-        IsaGuard guard(isa);
+        ConfigGuard guard(isa);
         SCOPED_TRACE(std::string(f.name) + " head_dim=" +
                      std::to_string(head_dim) + " isa=" + cpu::isa_name(isa));
         expect_bitwise_equal(ref, s.fused(), "odd_head_dim");
@@ -258,11 +238,11 @@ TEST(AttentionIsaEquivalence, PrefillGatherPathAcrossIsas) {
 
   Tensor ref;
   {
-    IsaGuard guard(Isa::kScalar);
+    ConfigGuard guard(Isa::kScalar);
     ref = attention_prefill(q, k, v, cfg);
   }
   for (Isa isa : supported_isas()) {
-    IsaGuard guard(isa);
+    ConfigGuard guard(isa);
     const Tensor got = attention_prefill(q, k, v, cfg);
     SCOPED_TRACE(cpu::isa_name(isa));
     ASSERT_TRUE(ref.same_shape(got));
@@ -316,7 +296,7 @@ TEST(AttentionIsaEquivalence, BatchedMatchesPerSequenceUnderChurn) {
 
     std::vector<float> ref;  // scalar per-sequence results, concatenated
     {
-      IsaGuard guard(Isa::kScalar);
+      ConfigGuard guard(Isa::kScalar);
       ref.resize(off.back());
       for (size_t i = 0; i < live.size(); ++i)
         batched_fused_decode_attention(
@@ -324,7 +304,7 @@ TEST(AttentionIsaEquivalence, BatchedMatchesPerSequenceUnderChurn) {
             acfg);
     }
     for (Isa isa : supported_isas()) {
-      IsaGuard guard(isa);
+      ConfigGuard guard(isa);
       SCOPED_TRACE(std::string(f.name) + " isa=" + cpu::isa_name(isa));
       std::vector<float> got(off.back());
       std::vector<DecodeAttentionItem> items;
@@ -338,14 +318,10 @@ TEST(AttentionIsaEquivalence, BatchedMatchesPerSequenceUnderChurn) {
 
 // --- model / engine level ----------------------------------------------------
 
-const ModelWeights& toy_weights() {
-  static ModelWeights* w =
-      new ModelWeights(make_synthetic_weights(toy_config(2)));
-  return *w;
-}
+const ModelWeights& weights() { return toy_weights(toy_config(2)); }
 
 TEST(BatchedAttentionExecutor, OneDispatchPerLayerPerStep) {
-  QuantizedModel m(toy_weights(), QuantSchemeConfig::qserve_w4a8kv4_g128());
+  QuantizedModel m(weights(), QuantSchemeConfig::qserve_w4a8kv4_g128());
   // Every forward dispatches the attention executor once per layer and
   // shard, whatever its spans are — prefill chunks, verify spans and decode
   // rows alike, never a per-sequence fan-out (QSERVE_TP_SHARDS picks the
@@ -417,10 +393,10 @@ TEST(BatchedAttentionExecutor, MixedStepMatchesSoloRunsAcrossShards) {
                      {s[3], {12}, 30, 1}};
       return step;
     };
-    QuantizedModel mixed(toy_weights(),
+    QuantizedModel mixed(weights(),
                          QuantSchemeConfig::qserve_w4a8kv4_g128(),
                          TpConfig{shards});
-    QuantizedModel solo(toy_weights(), QuantSchemeConfig::qserve_w4a8kv4_g128(),
+    QuantizedModel solo(weights(), QuantSchemeConfig::qserve_w4a8kv4_g128(),
                         TpConfig{shards});
     ASSERT_EQ(shards, mixed.tp_shards());
     const Tensor got = mixed.forward_step(setup(mixed));
@@ -438,46 +414,26 @@ TEST(BatchedAttentionExecutor, MixedStepMatchesSoloRunsAcrossShards) {
   }
 }
 
-struct EngineRun {
-  std::vector<std::vector<int>> streams;
-  EngineStats stats;
-};
-
-EngineRun run_workload(bool speculative) {
-  QuantizedModel model(toy_weights(),
-                       QuantSchemeConfig::qserve_w4a8kv4_g128());
-  std::unique_ptr<QuantizedModel> draft;
-  if (speculative)
-    draft = std::make_unique<QuantizedModel>(
-        toy_weights(), QuantSchemeConfig::qserve_w4a8kv4_g128());
-  EngineConfig cfg;
-  cfg.scheduler.max_batch = 3;
-  cfg.scheduler.prefill_chunk = 8;
-  cfg.speculative.lookahead_k = 3;
-  ServingEngine engine(&model, draft.get(), cfg);
-
+EngineOutcome run_workload(bool speculative) {
   Rng rng(31);
-  std::vector<int> ids;
-  for (int i = 0; i < 5; ++i) {
-    std::vector<int> prompt(static_cast<size_t>(rng.uniform_int(1, 20)));
-    for (auto& t : prompt) t = rng.uniform_int(0, 511);
-    ids.push_back(engine.submit(prompt, rng.uniform_int(1, 8)));
-  }
-  EngineRun out;
-  out.stats = engine.run_to_completion();
-  for (int id : ids) out.streams.push_back(engine.request(id).generated);
-  return out;
+  EngineRun run;
+  run.target = &weights();
+  run.draft = speculative ? &weights() : nullptr;
+  run.cfg.scheduler.max_batch = 3;
+  run.cfg.scheduler.prefill_chunk = 8;
+  run.cfg.speculative.lookahead_k = 3;
+  return run_engine(run, random_workload(rng, 5, {1, 20}, {1, 8}));
 }
 
 TEST(AttentionIsaEquivalence, EngineTokenStreamsIdenticalAcrossIsas) {
   for (const bool speculative : {false, true}) {
     std::vector<std::vector<int>> ref;
     {
-      IsaGuard guard(Isa::kScalar);
+      ConfigGuard guard(Isa::kScalar);
       ref = run_workload(speculative).streams;
     }
     for (Isa isa : supported_isas()) {
-      IsaGuard guard(isa);
+      ConfigGuard guard(isa);
       SCOPED_TRACE(std::string(speculative ? "spec" : "batched") + " isa=" +
                    cpu::isa_name(isa));
       EXPECT_EQ(ref, run_workload(speculative).streams);
@@ -486,7 +442,7 @@ TEST(AttentionIsaEquivalence, EngineTokenStreamsIdenticalAcrossIsas) {
 }
 
 TEST(EngineStats, AttentionSecondsSplitOutOfStepTime) {
-  const EngineRun r = run_workload(/*speculative=*/false);
+  const EngineOutcome r = run_workload(/*speculative=*/false);
   EXPECT_GT(r.stats.attention_seconds, 0.0);
   EXPECT_GT(r.stats.attention_share, 0.0);
   EXPECT_LE(r.stats.attention_share, 1.0);
@@ -670,7 +626,7 @@ TEST(AttentionIsaDispatch, EnvOverridePinsTheFusedKernel) {
   CacheFixture s(KvPrecision::kInt4, 4, 2, 32, 19, true, 999);
   std::vector<float> scalar_ref;
   {
-    IsaGuard guard(Isa::kScalar);
+    ConfigGuard guard(Isa::kScalar);
     scalar_ref = s.fused();
   }
   cpu::clear_isa_override();

@@ -25,36 +25,17 @@
 #include <gtest/gtest.h>
 
 #include "common/half.h"
-#include "common/parallel.h"
-#include "common/rng.h"
+#include "harness.h"
 #include "kernels/cpu/attention_kernel.h"
-#include "kernels/cpu/isa.h"
 #include "kernels/cpu/microkernel.h"
 #include "kernels/gemm.h"
 #include "kernels/weight_layout.h"
-#include "model/quantized_model.h"
-#include "model/weights.h"
 #include "quant/quantize.h"
 
 namespace qserve {
 namespace {
 
 using cpu::Isa;
-
-// RAII: pin an ISA for a scope, always return control to env/detection.
-struct IsaGuard {
-  explicit IsaGuard(Isa isa) { cpu::set_isa(isa); }
-  ~IsaGuard() { cpu::clear_isa_override(); }
-};
-
-std::vector<Isa> supported_isas() {
-  std::vector<Isa> v{Isa::kScalar};
-  if (static_cast<int>(cpu::detected_isa()) >= static_cast<int>(Isa::kAvx2))
-    v.push_back(Isa::kAvx2);
-  if (static_cast<int>(cpu::detected_isa()) >= static_cast<int>(Isa::kAvx512))
-    v.push_back(Isa::kAvx512);
-  return v;
-}
 
 // Activations spanning ~12 orders of magnitude across rows: tiny rows push
 // the FP16 subnormal scale path where codes can clamp to -128, exercising
@@ -91,11 +72,6 @@ void expect_bitwise_equal(const I32Tensor& a, const I32Tensor& b,
                            sizeof(int32_t) * static_cast<size_t>(a.numel())))
       << tag;
 }
-
-struct ThreadGuard {
-  explicit ThreadGuard(int n) { set_num_threads(n); }
-  ~ThreadGuard() { set_num_threads(0); }
-};
 
 // Rows [r0, r0 + m) of x.
 Tensor take_rows(const Tensor& x, int64_t r0, int64_t m) {
@@ -138,8 +114,7 @@ void check_all_isas(const QuantizedActs& qx, const Weights& qw,
   Tensor y_scalar;
   I32Tensor acc_scalar;
   {
-    IsaGuard guard(Isa::kScalar);
-    ThreadGuard threads(1);
+    ConfigGuard pin(Isa::kScalar, /*threads=*/1);
     y_scalar = gemm(qx, qw);
     const PackedGemmB packed =
         pack_gemm_b(qw, cpu::microkernel_for(Isa::kScalar).nr);
@@ -147,10 +122,10 @@ void check_all_isas(const QuantizedActs& qx, const Weights& qw,
     expect_bitwise_equal(reference_acc(qx, packed), acc_scalar, tag);
   }
   for (Isa isa : supported_isas()) {
-    IsaGuard guard(isa);
+    ConfigGuard guard(isa);
     const PackedGemmB packed = pack_gemm_b(qw, cpu::microkernel_for(isa).nr);
     for (int n_threads : kThreadCounts) {
-      ThreadGuard threads(n_threads);
+      set_num_threads(n_threads);
       SCOPED_TRACE(std::string(tag) + " isa=" + cpu::isa_name(isa) +
                    " threads=" + std::to_string(n_threads) +
                    " m=" + std::to_string(qx.m()) + " n=" +
@@ -242,18 +217,18 @@ TEST(GemmIsaEquivalence, ModelLogitsBitwiseIdentical) {
   // End-to-end: a toy model quantized+packed under each ISA produces
   // bit-identical logits (attention/normalization are FP paths shared by all
   // ISAs; every INT8 GEMM goes through the dispatched blocked driver).
-  const ModelWeights weights = make_synthetic_weights(toy_config(2));
+  const ModelWeights& weights = toy_weights(toy_config(2));
   std::vector<int> tokens;
   for (int i = 0; i < 12; ++i) tokens.push_back((7 * i + 3) % 512);
 
   Tensor ref;
   {
-    IsaGuard guard(Isa::kScalar);
+    ConfigGuard guard(Isa::kScalar);
     QuantizedModel qm(weights, QuantSchemeConfig::qserve_w4a8kv4_g128());
     ref = qm.forward(tokens);
   }
   for (Isa isa : supported_isas()) {
-    IsaGuard guard(isa);
+    ConfigGuard guard(isa);
     QuantizedModel qm(weights, QuantSchemeConfig::qserve_w4a8kv4_g128());
     SCOPED_TRACE(cpu::isa_name(isa));
     expect_bitwise_equal(ref, qm.forward(tokens), "model_logits");
@@ -268,12 +243,12 @@ TEST(GemmIsaEquivalence, MismatchedPackWidthFallsBackCorrectly) {
   Tensor ref;
   PackedGemmB packed;
   {
-    IsaGuard guard(Isa::kScalar);
+    ConfigGuard guard(Isa::kScalar);
     ref = gemm_w8a8(qx, qw);
     packed = pack_gemm_b(qw, cpu::microkernel_for(Isa::kScalar).nr);
   }
   for (Isa isa : supported_isas()) {
-    IsaGuard guard(isa);
+    ConfigGuard guard(isa);
     SCOPED_TRACE(cpu::isa_name(isa));
     expect_bitwise_equal(ref, gemm_blocked(qx, packed), "fallback");
   }
@@ -298,17 +273,16 @@ TEST(GemmIsaEquivalence, RowsAreBatchInvariant) {
   for (bool channel : {false, true}) {
     Tensor solo({pool, n});
     {
-      IsaGuard isa(Isa::kScalar);
-      ThreadGuard threads(1);
+      ConfigGuard pin(Isa::kScalar, /*threads=*/1);
       for (int64_t r = 0; r < pool; ++r) {
         const Tensor y = run(take_rows(x, r, 1), channel);
         std::copy(y.data(), y.data() + n, solo.row(r));
       }
     }
     for (Isa isa : supported_isas()) {
-      IsaGuard isa_guard(isa);
+      ConfigGuard isa_guard(isa);
       for (int n_threads : kThreadCounts) {
-        ThreadGuard thread_guard(n_threads);
+        set_num_threads(n_threads);
         for (int64_t m : {1, 3, 4, 5, 13, 128}) {
           const int64_t r0 = (7 * m) % (pool - m + 1);
           SCOPED_TRACE(std::string(channel ? "per_channel" : "per_group") +
@@ -352,8 +326,7 @@ TEST(GemmFp16, BitwiseAcrossIsaThreadsAndBatch) {
     const U16Tensor w = to_half_bits(random_weights(s.n, s.k, seed++));
     Tensor solo({pool, s.n}), canonical({pool, s.n});
     {
-      IsaGuard isa(Isa::kScalar);
-      ThreadGuard threads(1);
+      ConfigGuard pin(Isa::kScalar, /*threads=*/1);
       for (int64_t r = 0; r < pool; ++r) {
         const Tensor y = gemm_fp16(take_rows(x, r, 1), w);
         std::copy(y.data(), y.data() + s.n, solo.row(r));
@@ -369,9 +342,9 @@ TEST(GemmFp16, BitwiseAcrossIsaThreadsAndBatch) {
     }
     expect_bitwise_equal(canonical, solo, "fp16 canonical order");
     for (Isa isa : supported_isas()) {
-      IsaGuard isa_guard(isa);
+      ConfigGuard isa_guard(isa);
       for (int threads : {1, 2, 8}) {
-        ThreadGuard thread_guard(threads);
+        set_num_threads(threads);
         for (int64_t m : kFp16Ms) {
           const int64_t r0 = (7 * m) % (pool - m + 1);
           SCOPED_TRACE("n=" + std::to_string(s.n) + " k=" +
@@ -644,7 +617,7 @@ TEST(RowKernelIsaEquivalence, EpilogueFusesTheZeroPointTerm) {
   const QuantizedActs qx = quantize_acts_per_token(random_acts(5, 260, 4201));
   const W4PerChannel w = quantize_w4_per_channel(random_weights(40, 260, 4202));
   for (const Isa isa : supported_isas()) {
-    IsaGuard guard(isa);
+    ConfigGuard guard(isa);
     const PackedGemmB packed = pack_gemm_b(w, cpu::microkernel_for(isa).nr);
     ASSERT_FALSE(packed.zp_term.empty());
     const I32Tensor a = gemm_blocked_acc(qx, packed);
@@ -696,7 +669,7 @@ TEST(IsaDispatch, EnvOverrideForcesIsaAndClampsToDetected) {
 TEST(IsaDispatch, SetIsaWinsOverEnv) {
   ASSERT_EQ(0, setenv("QSERVE_ISA", "avx2", 1));
   {
-    IsaGuard guard(Isa::kScalar);
+    ConfigGuard guard(Isa::kScalar);
     EXPECT_EQ(Isa::kScalar, cpu::active_isa());
   }
   ASSERT_EQ(0, unsetenv("QSERVE_ISA"));

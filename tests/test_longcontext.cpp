@@ -12,16 +12,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <memory>
 #include <vector>
 
 #include "common/check.h"
-#include "common/fault_injection.h"
-#include "common/parallel.h"
-#include "common/rng.h"
-#include "kernels/cpu/isa.h"
+#include "harness.h"
 #include "kvcache/paged_kv_cache.h"
-#include "serving/engine.h"
 
 namespace qserve {
 namespace {
@@ -41,15 +36,6 @@ std::vector<float> random_vec(Rng& rng, int n) {
   for (auto& x : v) x = rng.normal();
   return v;
 }
-
-struct EnvGuard {
-  ~EnvGuard() {
-    set_num_threads(0);
-    set_tp_shards(0);
-    cpu::clear_isa_override();
-    fault::clear();
-  }
-};
 
 // --- cache layer: page ring ---------------------------------------------------
 
@@ -208,8 +194,8 @@ TEST(ModelWindow, WindowCoveringContextIsBitwiseFullAttention) {
   // Every row of a windowed sequence whose context never exceeds sinks +
   // window attends the identical adjacent range as full attention, so the
   // logits must match bitwise — prefill chunks and decode steps alike.
-  EnvGuard guard;
-  const ModelWeights weights = make_synthetic_weights(toy_config(1));
+  ConfigGuard guard;
+  const ModelWeights& weights = toy_weights(toy_config(1));
   const QuantSchemeConfig scheme = QuantSchemeConfig::qserve_w4a8kv4_g128();
   std::vector<int> prompt(24);
   Rng rng(15);
@@ -236,120 +222,78 @@ TEST(ModelWindow, WindowCoveringContextIsBitwiseFullAttention) {
 
 // --- engine layer -------------------------------------------------------------
 
-struct StreamSetup {
-  std::vector<std::vector<int>> prompts;
-  std::vector<int> max_new;
-  RequestOptions opts;
-};
-
-StreamSetup windowed_workload(Rng& rng, int n_requests) {
-  StreamSetup w;
-  for (int i = 0; i < n_requests; ++i) {
-    std::vector<int> prompt(static_cast<size_t>(rng.uniform_int(4, 40)));
-    for (auto& t : prompt) t = rng.uniform_int(0, 511);
-    w.prompts.push_back(std::move(prompt));
-    // Long enough that context crosses sink + window = 48 and recycles.
-    w.max_new.push_back(rng.uniform_int(30, 60));
-  }
-  w.opts.attention_window = 32;
-  w.opts.sink_tokens = 16;
-  return w;
+// Long enough that context crosses sink + window = 48 and recycles.
+Workload windowed_workload(Rng& rng, int n_requests) {
+  return random_workload(rng, n_requests, {4, 40}, {30, 60});
 }
 
-struct RunOutcome {
-  std::vector<std::vector<int>> streams;
-  EngineStats stats;
-};
-
-RunOutcome run_windowed(const ModelWeights& weights, const StreamSetup& w,
-                        int shards, const EngineConfig& cfg,
-                        const QuantSchemeConfig& scheme,
-                        const ModelWeights* draft_weights = nullptr) {
-  QuantizedModel model(weights, scheme, TpConfig{shards});
-  std::unique_ptr<QuantizedModel> draft;
-  if (draft_weights)
-    draft = std::make_unique<QuantizedModel>(*draft_weights, scheme,
-                                             TpConfig{shards});
-  ServingEngine engine(&model, draft.get(), cfg);
-  std::vector<int> ids;
-  for (size_t i = 0; i < w.prompts.size(); ++i) {
-    RequestOptions opts = w.opts;
-    opts.max_new_tokens = w.max_new[i];
-    ids.push_back(engine.submit(w.prompts[i], opts, nullptr, nullptr));
-  }
-  RunOutcome out;
-  out.stats = engine.run_to_completion();
-  for (int id : ids) out.streams.push_back(engine.request(id).generated);
-  EXPECT_EQ(model.kv_cache().pages_in_use(), 0);
-  return out;
+// Windowed requests (16 sinks, window 32) on the 1-layer toy model.
+EngineOutcome run_windowed(const Workload& w, int shards,
+                           const EngineConfig& cfg,
+                           const QuantSchemeConfig& scheme,
+                           const ModelWeights* draft_weights = nullptr) {
+  EngineRun run;
+  run.target = &toy_weights(toy_config(1));
+  run.scheme = scheme;
+  run.draft = draft_weights;
+  run.draft_scheme = scheme;
+  run.tp = TpConfig{shards};
+  run.cfg = cfg;
+  run.opts.attention_window = 32;
+  run.opts.sink_tokens = 16;
+  return run_engine(run, w);
 }
 
 TEST(EngineWindow, StreamsBitwiseAcrossIsaThreadsAndShards) {
-  EnvGuard guard;
-  const ModelWeights weights = make_synthetic_weights(toy_config(1));
   Rng rng(1600);
-  const StreamSetup w = windowed_workload(rng, 4);
+  const Workload w = windowed_workload(rng, 4);
   EngineConfig cfg;
   cfg.scheduler.max_batch = 3;
   cfg.scheduler.prefill_chunk = 16;
   const QuantSchemeConfig scheme = QuantSchemeConfig::qserve_w4a8kv4_g128();
-  std::vector<cpu::Isa> isas = {cpu::Isa::kScalar};
-  if (cpu::detected_isa() != cpu::Isa::kScalar)
-    isas.push_back(cpu::detected_isa());
-  set_num_threads(1);
-  cpu::set_isa(cpu::Isa::kScalar);
-  const RunOutcome base = run_windowed(weights, w, 1, cfg, scheme);
+  EngineOutcome base;
+  {
+    ConfigGuard pin(cpu::Isa::kScalar, /*threads=*/1);
+    base = run_windowed(w, 1, cfg, scheme);
+  }
   EXPECT_EQ(base.stats.windowed_requests, 4);
   EXPECT_GT(base.stats.kv_recycled_pages, 0);
-  for (const cpu::Isa isa : isas) {
-    cpu::set_isa(isa);
-    for (const int threads : {1, 8}) {
-      set_num_threads(threads);
-      for (const int shards : {1, 2}) {
-        const RunOutcome run = run_windowed(weights, w, shards, cfg, scheme);
-        EXPECT_EQ(base.streams, run.streams)
-            << "isa=" << cpu::isa_name(isa) << " threads=" << threads
-            << " shards=" << shards;
-      }
-    }
-  }
+  for_each_config(supported_isas(), {1, 8}, {1, 2}, [&](const ConfigCell& c) {
+    EXPECT_EQ(base.streams, run_windowed(w, c.shards, cfg, scheme).streams);
+  });
 }
 
 TEST(EngineWindow, PreemptionChurnPreservesWindowedStreams) {
   // A tiny pool forces eviction + recompute-on-resume re-prefill of windowed
   // requests; per-row windows make the re-derived ring state, and thus the
   // streams, bitwise identical to the uncontended run.
-  EnvGuard guard;
-  const ModelWeights weights = make_synthetic_weights(toy_config(1));
+  ConfigGuard guard;
   Rng rng(1601);
-  const StreamSetup w = windowed_workload(rng, 3);
+  const Workload w = windowed_workload(rng, 3);
   EngineConfig cfg;
   cfg.scheduler.max_batch = 3;
   cfg.scheduler.prefill_chunk = 16;
-  QuantSchemeConfig roomy = QuantSchemeConfig::qserve_w4a8kv4_g128();
-  const RunOutcome base = run_windowed(weights, w, 1, cfg, roomy);
-  QuantSchemeConfig tight = roomy;
+  const EngineOutcome base =
+      run_windowed(w, 1, cfg, QuantSchemeConfig::qserve_w4a8kv4_g128());
   // Enough for one windowed request's ring (sink 1 + window 2 + slack 1 + 1
   // boundary = 5 pages/layer) plus a little contention headroom.
-  tight.kv_max_pages = 8;
-  const RunOutcome churn = run_windowed(weights, w, 1, cfg, tight);
+  const EngineOutcome churn = run_windowed(w, 1, cfg, pool_scheme(8));
   EXPECT_GE(churn.stats.preemptions, 1);
   EXPECT_EQ(base.streams, churn.streams);
 }
 
 TEST(EngineWindow, FaultInjectionPreservesWindowedStreams) {
-  EnvGuard guard;
+  ConfigGuard guard;
   set_num_threads(1);
-  const ModelWeights weights = make_synthetic_weights(toy_config(1));
   Rng rng(1602);
-  const StreamSetup w = windowed_workload(rng, 3);
+  const Workload w = windowed_workload(rng, 3);
   EngineConfig cfg;
   cfg.scheduler.max_batch = 3;
   cfg.scheduler.prefill_chunk = 16;
   const QuantSchemeConfig scheme = QuantSchemeConfig::qserve_w4a8kv4_g128();
-  const RunOutcome base = run_windowed(weights, w, 1, cfg, scheme);
+  const EngineOutcome base = run_windowed(w, 1, cfg, scheme);
   fault::set_site(fault::kKvAppend, 0.05, 21);
-  const RunOutcome faulted = run_windowed(weights, w, 1, cfg, scheme);
+  const EngineOutcome faulted = run_windowed(w, 1, cfg, scheme);
   fault::clear();
   EXPECT_GE(faulted.stats.faulted_steps, 1);
   EXPECT_EQ(base.streams, faulted.streams);
@@ -358,24 +302,18 @@ TEST(EngineWindow, FaultInjectionPreservesWindowedStreams) {
 TEST(EngineWindow, SpeculativeWindowedStreamsMatchBaseline) {
   // Greedy draft/verify over windowed requests: rollbacks truncate across
   // the ring, and the streams must still equal the non-speculative engine's.
-  EnvGuard guard;
-  const ModelWeights weights = make_synthetic_weights(toy_config(1));
-  const ModelWeights draft = make_synthetic_weights(toy_config(1), [] {
-    SyntheticOptions o;
-    o.seed = 777;
-    return o;
-  }());
+  ConfigGuard guard;
+  const ModelWeights& draft = toy_weights(toy_config(1), 777);
   Rng rng(1603);
-  const StreamSetup w = windowed_workload(rng, 3);
+  const Workload w = windowed_workload(rng, 3);
   EngineConfig cfg;
   cfg.scheduler.max_batch = 3;
   cfg.scheduler.prefill_chunk = 16;
   const QuantSchemeConfig scheme = QuantSchemeConfig::qserve_w4a8kv4_g128();
-  const RunOutcome base = run_windowed(weights, w, 1, cfg, scheme);
+  const EngineOutcome base = run_windowed(w, 1, cfg, scheme);
   EngineConfig spec_cfg = cfg;
   spec_cfg.speculative.lookahead_k = 3;
-  const RunOutcome spec =
-      run_windowed(weights, w, 1, spec_cfg, scheme, &draft);
+  const EngineOutcome spec = run_windowed(w, 1, spec_cfg, scheme, &draft);
   // Every rejected draft token is a truncate across the ring; acceptance is
   // incidental (the toy draft rarely agrees with the target).
   EXPECT_GT(spec.stats.proposed_tokens, 0);
@@ -383,8 +321,8 @@ TEST(EngineWindow, SpeculativeWindowedStreamsMatchBaseline) {
 }
 
 TEST(EngineWindow, WindowCoveringContextMatchesFullAttention) {
-  EnvGuard guard;
-  const ModelWeights weights = make_synthetic_weights(toy_config(1));
+  ConfigGuard guard;
+  const ModelWeights& weights = toy_weights(toy_config(1));
   const QuantSchemeConfig scheme = QuantSchemeConfig::qserve_w4a8kv4_g128();
   std::vector<int> prompt(20, 9);
   EngineConfig cfg;
@@ -405,8 +343,8 @@ TEST(EngineWindow, WindowCoveringContextMatchesFullAttention) {
 }
 
 TEST(EngineWindow, InvalidOptionsRejectLoudly) {
-  EnvGuard guard;
-  const ModelWeights weights = make_synthetic_weights(toy_config(1));
+  ConfigGuard guard;
+  const ModelWeights& weights = toy_weights(toy_config(1));
   QuantizedModel model(weights, QuantSchemeConfig::qserve_w4a8kv4_g128());
   ServingEngine engine(&model, EngineConfig{});
   auto rejected = [&](RequestOptions opts) {
@@ -439,10 +377,11 @@ TEST(EngineWindow, LongGenerationCompletesInSmallPoolWithFlatFootprint) {
   // under a 64-token window with a flat page footprint, while the same
   // request without a window dies mid-flight once its growth can no longer
   // be placed.
-  EnvGuard guard;
-  const ModelWeights weights = make_synthetic_weights(toy_config(1));
-  QuantSchemeConfig scheme = QuantSchemeConfig::qserve_w4a8kv4_g128();
-  scheme.kv_max_pages = 10;
+  // Disarms QSERVE_FAULT: fault recovery preempts, and this test pins a
+  // preemption-free run with a flat page footprint.
+  ConfigGuard guard(ConfigGuard::kNoFaults);
+  const ModelWeights& weights = toy_weights(toy_config(1));
+  const QuantSchemeConfig scheme = pool_scheme(10);
   EngineConfig cfg;
   cfg.scheduler.prefill_chunk = 16;  // slack 16 -> ring cap 7 pages/layer
   const std::vector<int> prompt(8, 3);
@@ -486,8 +425,8 @@ TEST(EngineWindow, LongGenerationCompletesInSmallPoolWithFlatFootprint) {
 }
 
 TEST(EngineWindow, ParallelSamplingSiblingsInheritWindow) {
-  EnvGuard guard;
-  const ModelWeights weights = make_synthetic_weights(toy_config(1));
+  ConfigGuard guard;
+  const ModelWeights& weights = toy_weights(toy_config(1));
   QuantizedModel model(weights, QuantSchemeConfig::qserve_w4a8kv4_g128());
   EngineConfig cfg;
   cfg.scheduler.prefill_chunk = 16;
@@ -516,8 +455,8 @@ TEST(EngineWindow, PrefixCachingSharesOnlyPolicyIndependentPrefix) {
   // sinks alone once recycling has begun), so later hits reuse only KV bytes
   // that are bitwise what full attention would hold — streams must equal the
   // cache-off run exactly.
-  EnvGuard guard;
-  const ModelWeights weights = make_synthetic_weights(toy_config(1));
+  ConfigGuard guard;
+  const ModelWeights& weights = toy_weights(toy_config(1));
   const std::vector<int> common(20, 7);
   auto run = [&](bool caching) {
     QuantizedModel model(weights, QuantSchemeConfig::qserve_w4a8kv4_g128());
@@ -526,7 +465,7 @@ TEST(EngineWindow, PrefixCachingSharesOnlyPolicyIndependentPrefix) {
     cfg.scheduler.prefill_chunk = 16;
     cfg.prefix_caching = caching;
     ServingEngine engine(&model, cfg);
-    RunOutcome out;
+    EngineOutcome out;
     std::vector<int> ids;
     for (int i = 0; i < 3; ++i) {
       std::vector<int> prompt = common;
@@ -543,8 +482,8 @@ TEST(EngineWindow, PrefixCachingSharesOnlyPolicyIndependentPrefix) {
     EXPECT_EQ(model.kv_cache().pages_in_use(), 0);
     return out;
   };
-  const RunOutcome cold = run(false);
-  const RunOutcome cached = run(true);
+  const EngineOutcome cold = run(false);
+  const EngineOutcome cached = run(true);
   EXPECT_GE(cached.stats.prefix_hits, 1);
   EXPECT_EQ(cold.streams, cached.streams);
 }

@@ -61,28 +61,24 @@ TEST(RmsNormQuant, FusedEqualsSeparate) {
     EXPECT_EQ(fused.q[i], separate.q[i]);
 }
 
-TEST(Silu, KnownValues) {
-  Tensor x({1, 3});
-  x[0] = 0.0f;
-  x[1] = 10.0f;
-  x[2] = -10.0f;
-  const Tensor y = silu(x);
-  EXPECT_NEAR(y[0], 0.0f, 1e-6);
-  EXPECT_NEAR(y[1], 10.0f, 1e-3);
-  EXPECT_NEAR(y[2], 0.0f, 1e-3);
-}
-
 TEST(Swiglu, GateTimesUp) {
-  Tensor gu({1, 4});
-  gu[0] = 1.0f;  // gate
-  gu[1] = -1.0f;
-  gu[2] = 3.0f;  // up
-  gu[3] = 2.0f;
-  const Tensor y = swiglu(gu);
+  // Columns 0-1 scale silu(+-1) by up = 3 and 2; columns 2-4 read silu
+  // itself (up = 1) at 0 and +-10.
+  Tensor gate({1, 5}), up({1, 5});
+  const float g[] = {1.0f, -1.0f, 0.0f, 10.0f, -10.0f};
+  const float u[] = {3.0f, 2.0f, 1.0f, 1.0f, 1.0f};
+  for (int64_t c = 0; c < 5; ++c) {
+    gate[c] = g[c];
+    up[c] = u[c];
+  }
+  const Tensor y = swiglu(gate, up);
   const float silu1 = 1.0f / (1.0f + std::exp(-1.0f));
   const float silum1 = -1.0f / (1.0f + std::exp(1.0f));
   EXPECT_NEAR(y[0], silu1 * 3.0f, 1e-5);
   EXPECT_NEAR(y[1], silum1 * 2.0f, 1e-5);
+  EXPECT_NEAR(y[2], 0.0f, 1e-6);
+  EXPECT_NEAR(y[3], 10.0f, 1e-3);
+  EXPECT_NEAR(y[4], 0.0f, 1e-3);
 }
 
 TEST(Rope, PreservesNorm) {

@@ -15,19 +15,12 @@
 
 #include "common/check.h"
 #include "common/math_util.h"
-#include "common/rng.h"
+#include "harness.h"
 #include "kernels/gemm.h"
 #include "quant/quantize.h"
-#include "serving/engine.h"
 
 namespace qserve {
 namespace {
-
-// Restores the default thread count when a test ends.
-struct ThreadGuard {
-  explicit ThreadGuard(int n) { set_num_threads(n); }
-  ~ThreadGuard() { set_num_threads(0); }
-};
 
 void expect_exact_coverage(int64_t begin, int64_t end, int64_t grain) {
   const int64_t n = end > begin ? end - begin : 0;
@@ -46,7 +39,7 @@ void expect_exact_coverage(int64_t begin, int64_t end, int64_t grain) {
 }
 
 TEST(ParallelFor, CoversEveryIndexExactlyOnce) {
-  ThreadGuard guard(8);
+  ConfigGuard guard(/*threads=*/8);
   const int64_t sizes[] = {1, 2, 7, 64, 1000, 4099};
   const int64_t grains[] = {-5, 0, 1, 2, 3, 7, 63, 64, 65, 1 << 30};
   for (int64_t n : sizes)
@@ -54,13 +47,13 @@ TEST(ParallelFor, CoversEveryIndexExactlyOnce) {
 }
 
 TEST(ParallelFor, CoversNonZeroBasedRanges) {
-  ThreadGuard guard(8);
+  ConfigGuard guard(/*threads=*/8);
   expect_exact_coverage(17, 1003, 3);
   expect_exact_coverage(-50, 50, 7);
 }
 
 TEST(ParallelFor, EmptyRangeNeverInvokesBody) {
-  ThreadGuard guard(8);
+  ConfigGuard guard(/*threads=*/8);
   std::atomic<int> calls{0};
   parallel_for(0, 0, 1, [&](int64_t, int64_t) { calls.fetch_add(1); });
   parallel_for(10, 3, 4, [&](int64_t, int64_t) { calls.fetch_add(1); });
@@ -68,7 +61,7 @@ TEST(ParallelFor, EmptyRangeNeverInvokesBody) {
 }
 
 TEST(ParallelFor, NestedRegionsRunInlineAndStillCover) {
-  ThreadGuard guard(8);
+  ConfigGuard guard(/*threads=*/8);
   constexpr int64_t kOuter = 16, kInner = 32;
   std::vector<std::atomic<int>> hits(kOuter * kInner);
   for (auto& h : hits) h.store(0);
@@ -84,7 +77,7 @@ TEST(ParallelFor, NestedRegionsRunInlineAndStillCover) {
 }
 
 TEST(ParallelFor, PropagatesExceptionsToCaller) {
-  ThreadGuard guard(8);
+  ConfigGuard guard(/*threads=*/8);
   EXPECT_THROW(parallel_for(0, 1000, 1,
                             [&](int64_t lo, int64_t) {
                               QS_CHECK_NE(lo, 500);
@@ -93,7 +86,7 @@ TEST(ParallelFor, PropagatesExceptionsToCaller) {
 }
 
 TEST(ParallelFor, PoolSurvivesAnExceptionalRegion) {
-  ThreadGuard guard(8);
+  ConfigGuard guard(/*threads=*/8);
   try {
     parallel_for(0, 100, 1, [](int64_t, int64_t) { QS_CHECK(false); });
   } catch (const CheckError&) {
@@ -111,7 +104,7 @@ TEST(ParallelConfig, OverrideAndReset) {
 // --- tensor-parallel shard substrate -----------------------------------------
 
 TEST(RunSharded, EveryShardRunsOnceWithItsOwnIdentity) {
-  ThreadGuard guard(8);
+  ConfigGuard guard(/*threads=*/8);
   constexpr int kShards = 4;
   std::vector<std::atomic<int>> calls(kShards);
   for (auto& c : calls) c.store(0);
@@ -139,7 +132,7 @@ TEST(RunSharded, EveryShardRunsOnceWithItsOwnIdentity) {
 }
 
 TEST(RunSharded, ParallelForInsideShardCoversOnShardPool) {
-  ThreadGuard guard(8);
+  ConfigGuard guard(/*threads=*/8);
   constexpr int kShards = 2;
   constexpr int64_t kN = 500;
   std::vector<std::atomic<int>> hits(kShards * kN);
@@ -157,7 +150,7 @@ TEST(RunSharded, NestedShardedRegionsRunInlineInShardOrder) {
   // The no-nesting rule: run_sharded from inside a parallel region or a
   // shard body runs every shard inline on the caller, sequentially — same
   // coverage, no deadlock.
-  ThreadGuard guard(8);
+  ConfigGuard guard(/*threads=*/8);
   std::vector<int> order;
   run_sharded(2, [&](int outer) {
     if (outer != 0) return;
@@ -180,7 +173,7 @@ TEST(RunSharded, NestedShardedRegionsRunInlineInShardOrder) {
 }
 
 TEST(RunSharded, LowestThrowingShardWinsAndGroupSurvives) {
-  ThreadGuard guard(8);
+  ConfigGuard guard(/*threads=*/8);
   try {
     run_sharded(4, [&](int s) {
       QS_CHECK_MSG(s != 1 && s != 3, "shard " << s << " failed");
@@ -196,7 +189,7 @@ TEST(RunSharded, LowestThrowingShardWinsAndGroupSurvives) {
 }
 
 TEST(RunSharded, SingleShardRunsInlineOnCallerPool) {
-  ThreadGuard guard(8);
+  ConfigGuard guard(/*threads=*/8);
   run_sharded(1, [&](int s) {
     EXPECT_EQ(s, 0);
     EXPECT_EQ(current_shard(), 0);
@@ -277,11 +270,10 @@ TEST(ParallelKernels, W4A8PerGroupBitwiseIdenticalAcrossThreadCounts) {
   const auto qx = quantize_acts_per_token(x);
   const auto qw = quantize_progressive(w, {.group = 128});
 
-  set_num_threads(1);
+  ConfigGuard guard(/*threads=*/1);
   const Tensor serial = gemm_w4a8_per_group(qx, qw);
   set_num_threads(8);
   const Tensor parallel = gemm_w4a8_per_group(qx, qw);
-  set_num_threads(0);
 
   ASSERT_TRUE(serial.same_shape(parallel));
   for (int64_t i = 0; i < serial.numel(); ++i)
@@ -294,11 +286,10 @@ TEST(ParallelKernels, W8A8BitwiseIdenticalAcrossThreadCounts) {
   const auto qx = quantize_acts_per_token(x);
   const auto qw = quantize_w8_per_channel(w);
 
-  set_num_threads(1);
+  ConfigGuard guard(/*threads=*/1);
   const Tensor serial = gemm_w8a8(qx, qw);
   set_num_threads(8);
   const Tensor parallel = gemm_w8a8(qx, qw);
-  set_num_threads(0);
 
   for (int64_t i = 0; i < serial.numel(); ++i)
     ASSERT_EQ(serial[i], parallel[i]) << i;
@@ -306,29 +297,20 @@ TEST(ParallelKernels, W8A8BitwiseIdenticalAcrossThreadCounts) {
 
 // --- the serving engine's streams do not depend on the thread count -------------
 
-std::vector<std::vector<int>> run_engine(int threads) {
-  set_num_threads(threads);
-  QuantizedModel model(make_synthetic_weights(toy_config(1)),
-                       QuantSchemeConfig::qserve_w4a8kv4_g128());
-  EngineConfig cfg;
-  cfg.scheduler.max_batch = 4;
-  cfg.temperature = 0.8f;  // exercise the rng-consuming sampling path
-  ServingEngine engine(&model, cfg);
-  std::vector<int> ids;
-  ids.push_back(engine.submit({1, 2, 3, 4}, 5));
-  ids.push_back(engine.submit({5, 6}, 7));
-  ids.push_back(engine.submit({7, 8, 9}, 3));
-  ids.push_back(engine.submit({2, 4, 6, 8, 10}, 4));
-  engine.run_to_completion();
-  std::vector<std::vector<int>> out;
-  for (int id : ids) out.push_back(engine.request(id).generated);
-  set_num_threads(0);
-  return out;
+std::vector<std::vector<int>> run_at(int threads) {
+  ConfigGuard guard(threads);
+  EngineRun run;
+  run.target = &toy_weights(toy_config(1));
+  run.cfg.scheduler.max_batch = 4;
+  run.cfg.temperature = 0.8f;  // exercise the rng-consuming sampling path
+  const Workload w{{{1, 2, 3, 4}, {5, 6}, {7, 8, 9}, {2, 4, 6, 8, 10}},
+                   {5, 7, 3, 4}};
+  return run_engine(run, w).streams;
 }
 
 TEST(ParallelEngine, GeneratedStreamsIdenticalAcrossThreadCounts) {
-  const auto serial = run_engine(1);
-  const auto parallel = run_engine(8);
+  const auto serial = run_at(1);
+  const auto parallel = run_at(8);
   ASSERT_EQ(serial.size(), parallel.size());
   for (size_t i = 0; i < serial.size(); ++i)
     EXPECT_EQ(serial[i], parallel[i]) << "request " << i;

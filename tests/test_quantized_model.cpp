@@ -103,7 +103,7 @@ TEST(QuantizedModel, PrefillThenDecodeMatchesBatchForward) {
 }
 
 TEST(QuantizedModel, ChunkedPrefillBitwiseMatchesMonolithic) {
-  // prefill_chunk over uneven slices must reproduce the monolithic prefill
+  // prefill over uneven slices must reproduce the monolithic prefill
   // exactly: same KV page contents (per-token quantization is independent of
   // chunking), same causal attention (the mask offsets against the cached
   // prefix), same final logits bit for bit.
@@ -120,7 +120,7 @@ TEST(QuantizedModel, ChunkedPrefillBitwiseMatchesMonolithic) {
   for (const int step : {7, 1, 9, 3}) {  // 7+1+9+3 = 20 = |tokens|
     std::vector<int> slice(f.tokens.begin() + pos,
                            f.tokens.begin() + pos + step);
-    lc = chunked.prefill_chunk(sc, slice, pos);
+    lc = chunked.prefill(sc, slice);
     pos += step;
   }
   EXPECT_EQ(chunked.seq_pos(sc), 20);
@@ -138,8 +138,10 @@ TEST(QuantizedModel, PrefillChunkRejectsWrongPosition) {
   const auto& f = fixture();
   QuantizedModel qm(f.weights, QuantSchemeConfig::qserve_w4a8kv4_g128());
   const int seq = qm.begin_sequence();
-  qm.prefill_chunk(seq, {1, 2, 3}, 0);
-  EXPECT_THROW(qm.prefill_chunk(seq, {4}, 1), CheckError);  // must be 3
+  qm.prefill(seq, {1, 2, 3});
+  BatchedStep wrong_pos;
+  wrong_pos.chunks.push_back({seq, {4}, 1, 1});  // pos0 must be 3
+  EXPECT_THROW(qm.forward_step(wrong_pos), CheckError);
   qm.end_sequence(seq);
 }
 
@@ -192,7 +194,9 @@ TEST(QuantizedModel, SequenceHandlesAreChecked) {
     EXPECT_THROW(qm.sequence_page_generations(bad), CheckError);
     EXPECT_THROW(qm.sequence_shared_pages(bad), CheckError);
     EXPECT_THROW(qm.prefill(bad, {1}), CheckError);
-    EXPECT_THROW(qm.prefill_chunk(bad, {1}, 0), CheckError);
+    BatchedStep step;
+    step.chunks.push_back({bad, {1}, 0, 1});
+    EXPECT_THROW(qm.forward_step(step), CheckError);
     EXPECT_THROW(qm.decode_step(bad, 1), CheckError);
   }
   EXPECT_EQ(qm.seq_pos(live), 0);
@@ -208,7 +212,9 @@ TEST(QuantizedModel, EveryEntryPointRejectsOutOfVocabTokens) {
   for (const int bad : {vocab + 5, vocab, -1}) {
     SCOPED_TRACE(bad);
     EXPECT_THROW(qm.prefill(seq, {1, bad}), CheckError);
-    EXPECT_THROW(qm.prefill_chunk(seq, {bad}, 0), CheckError);
+    BatchedStep step;
+    step.chunks.push_back({seq, {bad}, 0, 1});
+    EXPECT_THROW(qm.forward_step(step), CheckError);
     EXPECT_THROW(qm.decode_step(seq, bad), CheckError);
     EXPECT_THROW(qm.forward({1, bad}), CheckError);
     EXPECT_EQ(qm.seq_pos(seq), 0);

@@ -3,6 +3,7 @@
 // the real quantized model and paged KV cache).
 #include <gtest/gtest.h>
 
+#include "harness.h"
 #include "serving/engine.h"
 
 namespace qserve {
@@ -169,18 +170,8 @@ TEST(Scheduler, PrefillSharesClampedToFreePages) {
 
 // --- engine integration ------------------------------------------------------------
 
-struct EngineFixture {
-  ModelWeights weights;
-  EngineFixture() : weights(make_synthetic_weights(toy_config(1))) {}
-};
-
-const EngineFixture& engine_fixture() {
-  static EngineFixture* f = new EngineFixture();
-  return *f;
-}
-
 TEST(ServingEngine, CompletesAllRequests) {
-  QuantizedModel model(engine_fixture().weights,
+  QuantizedModel model(toy_weights(toy_config(1)),
                        QuantSchemeConfig::qserve_w4a8kv4_g128());
   EngineConfig cfg;
   cfg.scheduler.max_batch = 3;
@@ -206,40 +197,27 @@ TEST(ServingEngine, CompletesAllRequests) {
 TEST(ServingEngine, GreedyDecodingMatchesOfflineGeneration) {
   // The engine's greedy output must equal step-by-step greedy decoding on a
   // standalone model instance (token-order preservation).
-  const auto& f = engine_fixture();
-  QuantizedModel m1(f.weights, QuantSchemeConfig::qserve_w4a8kv4_g128());
-  QuantizedModel m2(f.weights, QuantSchemeConfig::qserve_w4a8kv4_g128());
+  const ModelWeights& weights = toy_weights(toy_config(1));
+  QuantizedModel m1(weights, QuantSchemeConfig::qserve_w4a8kv4_g128());
 
   EngineConfig cfg;
   ServingEngine engine(&m1, cfg);
-  const std::vector<int> prompt = {3, 1, 4, 1, 5};
-  const int id = engine.submit(prompt, 6);
+  const Workload w{{{3, 1, 4, 1, 5}}, {6}};
+  const int id = engine.submit(w.prompts[0], w.max_new[0]);
   engine.run_to_completion();
-
-  const int seq = m2.begin_sequence();
-  Tensor logits = m2.prefill(seq, prompt);
-  std::vector<int> expect;
-  for (int i = 0; i < 6; ++i) {
-    int64_t best = 0;
-    for (int64_t v = 1; v < logits.numel(); ++v)
-      if (logits[v] > logits[best]) best = v;
-    expect.push_back(static_cast<int>(best));
-    if (i + 1 < 6) logits = m2.decode_step(seq, expect.back());
-  }
-  m2.end_sequence(seq);
-  EXPECT_EQ(engine.request(id).generated, expect);
+  EXPECT_EQ(engine.request(id).generated, solo_streams(weights, w)[0]);
 }
 
 TEST(ServingEngine, ChunkedPrefillMatchesMonolithicBitwise) {
   // Splitting a prompt into 7-token chunks must reproduce the monolithic
   // prefill's token stream exactly — the causal mask offsets against the
   // cached prefix and every per-token computation is position-local.
-  const auto& f = engine_fixture();
+  const ModelWeights& weights = toy_weights(toy_config(1));
   std::vector<int> prompt;
   for (int i = 0; i < 40; ++i) prompt.push_back((7 * i + 3) % 512);
 
   auto run = [&](int chunk) {
-    QuantizedModel model(f.weights, QuantSchemeConfig::qserve_w4a8kv4_g128());
+    QuantizedModel model(weights, QuantSchemeConfig::qserve_w4a8kv4_g128());
     EngineConfig cfg;
     cfg.scheduler.prefill_chunk = chunk;
     ServingEngine engine(&model, cfg);
@@ -258,8 +236,8 @@ TEST(ServingEngine, ChunkedPrefillMatchesMonolithicBitwise) {
 TEST(ServingEngine, ContinuousBatchingJoinsMidFlight) {
   // max_batch=1 forces the second request to join only after the first
   // finishes; with max_batch=2 it joins while the first is decoding.
-  const auto& f = engine_fixture();
-  QuantizedModel model(f.weights, QuantSchemeConfig::qserve_w4a8kv4_g128());
+  const ModelWeights& weights = toy_weights(toy_config(1));
+  QuantizedModel model(weights, QuantSchemeConfig::qserve_w4a8kv4_g128());
   EngineConfig cfg;
   cfg.scheduler.max_batch = 2;
   ServingEngine engine(&model, cfg);
@@ -277,10 +255,8 @@ TEST(ServingEngine, TinyPoolAdmitsIncrementally) {
   // both pages, but admission is incremental, so B (8 + 8, one page) runs
   // *concurrently* and finishes before A's KV spills into the second page.
   // The old engine serialized them (peak batch 1).
-  const auto& f = engine_fixture();
-  QuantSchemeConfig scheme = QuantSchemeConfig::qserve_w4a8kv4_g128();
-  scheme.kv_max_pages = 2;  // 2 pages x 16 tokens, 1 layer
-  QuantizedModel model(f.weights, scheme);
+  const ModelWeights& weights = toy_weights(toy_config(1));
+  QuantizedModel model(weights, pool_scheme(2));  // 2 pages x 16 tokens
   EngineConfig cfg;
   cfg.scheduler.max_batch = 4;
   ServingEngine engine(&model, cfg);
@@ -316,10 +292,8 @@ TEST(ServingEngine, ConcurrentPrefillsLargerThanPoolComplete) {
   // their prefills together exhaust it mid-flight with nothing decoding.
   // The engine used to abort ("serving stalled"); preemption must instead
   // serialize them and both must finish.
-  const auto& f = engine_fixture();
-  QuantSchemeConfig scheme = QuantSchemeConfig::qserve_w4a8kv4_g128();
-  scheme.kv_max_pages = 2;
-  QuantizedModel model(f.weights, scheme);
+  const ModelWeights& weights = toy_weights(toy_config(1));
+  QuantizedModel model(weights, pool_scheme(2));
   EngineConfig cfg;
   cfg.scheduler.max_batch = 4;
   cfg.scheduler.prefill_chunk = 32;
@@ -339,34 +313,22 @@ TEST(ServingEngine, PreemptionRoundTripBitwiseIdentical) {
   // free, so the younger B is evicted mid-decode, re-queued, re-prefilled
   // (prompt + generated so far), and must finish with a token stream
   // bitwise identical to an uncontended solo run.
-  const auto& f = engine_fixture();
-  const std::vector<int> prompt_a(8, 2), prompt_b(8, 3);
-  const int new_a = 30, new_b = 20;
+  const ModelWeights& weights = toy_weights(toy_config(1));
+  const Workload w{{std::vector<int>(8, 2), std::vector<int>(8, 3)}, {30, 20}};
+  const auto solo = solo_streams(weights, w);
 
-  auto solo = [&](const std::vector<int>& prompt, int max_new) {
-    QuantizedModel model(f.weights, QuantSchemeConfig::qserve_w4a8kv4_g128());
-    ServingEngine engine(&model, EngineConfig{});
-    const int id = engine.submit(prompt, max_new);
-    engine.run_to_completion();
-    return engine.request(id).generated;
-  };
-  const auto solo_a = solo(prompt_a, new_a);
-  const auto solo_b = solo(prompt_b, new_b);
-
-  QuantSchemeConfig scheme = QuantSchemeConfig::qserve_w4a8kv4_g128();
-  scheme.kv_max_pages = 3;
-  QuantizedModel model(f.weights, scheme);
+  QuantizedModel model(weights, pool_scheme(3));
   EngineConfig cfg;
   cfg.scheduler.max_batch = 4;
   ServingEngine engine(&model, cfg);
-  const int a = engine.submit(prompt_a, new_a);
-  const int b = engine.submit(prompt_b, new_b);
+  const int a = engine.submit(w.prompts[0], w.max_new[0]);
+  const int b = engine.submit(w.prompts[1], w.max_new[1]);
   const EngineStats stats = engine.run_to_completion();
 
   EXPECT_GE(stats.preemptions, 1);
   EXPECT_GE(engine.request(b).preemptions, 1);
-  EXPECT_EQ(engine.request(a).generated, solo_a);
-  EXPECT_EQ(engine.request(b).generated, solo_b);
+  EXPECT_EQ(engine.request(a).generated, solo[0]);
+  EXPECT_EQ(engine.request(b).generated, solo[1]);
   EXPECT_EQ(model.kv_cache().pages_in_use(), 0);
 }
 
@@ -374,7 +336,7 @@ TEST(ServingEngine, LongPromptDoesNotDelayShortRequestsTtft) {
   // Acceptance: with prefill_chunk=128, a 1024-token prompt admitted
   // alongside short requests leaves the short requests' mean TTFT within
   // one chunk-step of their solo latency.
-  const auto& f = engine_fixture();
+  const ModelWeights& weights = toy_weights(toy_config(1));
   const auto scheme = QuantSchemeConfig::qserve_w4a8kv4_g128();
   std::vector<int> long_prompt;
   for (int i = 0; i < 1024; ++i) long_prompt.push_back((5 * i + 1) % 512);
@@ -382,7 +344,7 @@ TEST(ServingEngine, LongPromptDoesNotDelayShortRequestsTtft) {
 
   int64_t solo_ttft;
   {
-    QuantizedModel model(f.weights, scheme);
+    QuantizedModel model(weights, scheme);
     ServingEngine engine(&model, EngineConfig{});
     const int id = engine.submit(short_prompt, 4);
     engine.run_to_completion();
@@ -390,7 +352,7 @@ TEST(ServingEngine, LongPromptDoesNotDelayShortRequestsTtft) {
     solo_ttft = r.first_token_step - r.submitted_step;
   }
 
-  QuantizedModel model(f.weights, scheme);
+  QuantizedModel model(weights, scheme);
   EngineConfig cfg;
   cfg.scheduler.prefill_chunk = 128;
   ServingEngine engine(&model, cfg);
@@ -415,8 +377,8 @@ TEST(ServingEngine, LongPromptDoesNotDelayShortRequestsTtft) {
 }
 
 TEST(ServingEngine, StatsSplitPrefillAndDecodeTime) {
-  const auto& f = engine_fixture();
-  QuantizedModel model(f.weights, QuantSchemeConfig::qserve_w4a8kv4_g128());
+  const ModelWeights& weights = toy_weights(toy_config(1));
+  QuantizedModel model(weights, QuantSchemeConfig::qserve_w4a8kv4_g128());
   ServingEngine engine(&model, EngineConfig{});
   engine.submit(std::vector<int>(24, 5), 4);
   engine.submit({1, 2, 3}, 6);
@@ -442,8 +404,8 @@ TEST(ServingEngine, StatsSplitPrefillAndDecodeTime) {
 }
 
 TEST(ServingEngine, FirstTokenLatencyOrderedByArrival) {
-  const auto& f = engine_fixture();
-  QuantizedModel model(f.weights, QuantSchemeConfig::qserve_w4a8kv4_g128());
+  const ModelWeights& weights = toy_weights(toy_config(1));
+  QuantizedModel model(weights, QuantSchemeConfig::qserve_w4a8kv4_g128());
   EngineConfig cfg;
   cfg.scheduler.max_batch = 1;  // strictly serial
   ServingEngine engine(&model, cfg);

@@ -9,89 +9,31 @@
 #include <map>
 #include <utility>
 
-#include "common/parallel.h"
-#include "common/rng.h"
-#include "kernels/cpu/isa.h"
+#include "harness.h"
 #include "serving/engine.h"
 
 namespace qserve {
 namespace {
 
-struct Fixture {
-  ModelWeights weights;
-  Fixture() : weights(make_synthetic_weights(toy_config(1))) {}
-};
+const ModelWeights& weights() { return toy_weights(toy_config(1)); }
 
-const Fixture& fixture() {
-  static Fixture* f = new Fixture();
-  return *f;
-}
-
-struct Workload {
-  std::vector<std::vector<int>> prompts;
-  std::vector<int> max_new;
-};
-
-Workload random_workload(Rng& rng, int n_requests) {
-  Workload w;
-  for (int i = 0; i < n_requests; ++i) {
-    std::vector<int> prompt(static_cast<size_t>(rng.uniform_int(1, 24)));
-    for (auto& t : prompt) t = rng.uniform_int(0, 511);
-    w.prompts.push_back(std::move(prompt));
-    w.max_new.push_back(rng.uniform_int(1, 10));
-  }
-  return w;
-}
-
-std::vector<std::vector<int>> run_engine(
-    const Workload& w, const EngineConfig& cfg,
-    QuantSchemeConfig scheme = QuantSchemeConfig::qserve_w4a8kv4_g128(),
-    EngineStats* stats = nullptr) {
-  QuantizedModel model(fixture().weights, scheme);
-  ServingEngine engine(&model, cfg);
-  std::vector<int> ids;
-  for (size_t i = 0; i < w.prompts.size(); ++i)
-    ids.push_back(engine.submit(w.prompts[i], w.max_new[i]));
-  const EngineStats st = engine.run_to_completion();
-  if (stats != nullptr) *stats = st;
-  std::vector<std::vector<int>> out;
-  for (int id : ids) out.push_back(engine.request(id).generated);
-  EXPECT_EQ(model.kv_cache().pages_in_use(), 0);
-  return out;
-}
-
-int argmax(const Tensor& logits) {
-  int64_t best = 0;
-  for (int64_t v = 1; v < logits.numel(); ++v)
-    if (logits[v] > logits[best]) best = v;
-  return static_cast<int>(best);
-}
-
-// Per-request model-level reference: one prefill of the whole prompt, then
-// greedy decode_step rounds, each request alone on the model — no engine,
-// no batching, no chunking, no scheduler.
-std::vector<std::vector<int>> reference_streams(const Workload& w) {
-  QuantizedModel model(fixture().weights,
-                       QuantSchemeConfig::qserve_w4a8kv4_g128());
-  std::vector<std::vector<int>> out;
-  for (size_t i = 0; i < w.prompts.size(); ++i) {
-    const int seq = model.begin_sequence();
-    std::vector<int> gen = {argmax(model.prefill(seq, w.prompts[i]))};
-    while (static_cast<int>(gen.size()) < w.max_new[i])
-      gen.push_back(argmax(model.decode_step(seq, gen.back())));
-    model.end_sequence(seq);
-    out.push_back(std::move(gen));
-  }
-  return out;
+// The toy model at `scheme` under `cfg`.
+EngineOutcome run(const Workload& w, const EngineConfig& cfg,
+                  const QuantSchemeConfig& scheme =
+                      QuantSchemeConfig::qserve_w4a8kv4_g128()) {
+  EngineRun spec;
+  spec.target = &weights();
+  spec.scheme = scheme;
+  spec.cfg = cfg;
+  return run_engine(spec, w);
 }
 
 // --- model-level identity ----------------------------------------------------
 
 TEST(QuantizedModel, ForwardStepMatchesSequentialCallsBitwise) {
   // One batched step mixing two decode rows and two prefill chunks must
-  // reproduce the logits AND the KV state of per-sequence prefill_chunk /
+  // reproduce the logits AND the KV state of per-sequence prefill /
   // decode_step calls exactly, under every weight/activation/KV scheme.
-  const auto& f = fixture();
   const std::pair<const char*, QuantSchemeConfig> schemes[] = {
       {"qserve_w4a8kv4_g128", QuantSchemeConfig::qserve_w4a8kv4_g128()},
       {"qserve_w4a8kv4_per_channel",
@@ -103,8 +45,8 @@ TEST(QuantizedModel, ForwardStepMatchesSequentialCallsBitwise) {
   };
   for (const auto& [name, scheme] : schemes) {
     SCOPED_TRACE(name);
-    QuantizedModel seq_m(f.weights, scheme);
-    QuantizedModel bat_m(f.weights, scheme);
+    QuantizedModel seq_m(weights(), scheme);
+    QuantizedModel bat_m(weights(), scheme);
 
     const std::vector<int> ctx_a = {3, 1, 4, 1, 5}, ctx_b = {9, 2, 6};
     const std::vector<int> pre_c = {2, 7, 1, 8, 2, 8}, pre_d = {11, 13};
@@ -122,8 +64,8 @@ TEST(QuantizedModel, ForwardStepMatchesSequentialCallsBitwise) {
 
     const Tensor la = seq_m.decode_step(sa, 42);
     const Tensor lb = seq_m.decode_step(sb, 17);
-    const Tensor lc = seq_m.prefill_chunk(sc, pre_c, 0);
-    const Tensor ld = seq_m.prefill_chunk(sd, pre_d, 0);
+    const Tensor lc = seq_m.prefill(sc, pre_c);
+    const Tensor ld = seq_m.prefill(sd, pre_d);
 
     BatchedStep step;
     step.chunks.push_back({ba, {42}, 5});
@@ -149,8 +91,7 @@ TEST(QuantizedModel, ForwardStepMatchesSequentialCallsBitwise) {
 }
 
 TEST(QuantizedModel, ForwardStepValidatesChunks) {
-  const auto& f = fixture();
-  QuantizedModel m(f.weights, QuantSchemeConfig::qserve_w4a8kv4_g128());
+  QuantizedModel m(weights(), QuantSchemeConfig::qserve_w4a8kv4_g128());
   const int s = m.begin_sequence();
   EXPECT_THROW(m.forward_step({}), CheckError);  // no chunks
   BatchedStep dup;
@@ -173,79 +114,55 @@ TEST(ServingEngineBatched, GreedyMatchesModelLevelReferenceAcrossIsasAndThreads)
   // staggered lengths, most steps stack decode rows from some requests with
   // prefill chunks from others. The engine's greedy streams must equal the
   // per-request model-level reference bitwise for every ISA the host can
-  // run (requests above detected_isa() clamp down) and at 1 and 8 threads.
+  // run and at 1 and 8 threads.
   Rng rng(1234);
-  const Workload w = random_workload(rng, 6);
-  for (const cpu::Isa isa :
-       {cpu::Isa::kScalar, cpu::Isa::kAvx2, cpu::Isa::kAvx512}) {
-    cpu::set_isa(isa);
-    for (const int threads : {1, 8}) {
-      set_num_threads(threads);
-      EngineConfig cfg;
-      cfg.scheduler.max_batch = 4;
-      cfg.scheduler.prefill_chunk = 8;
-      EXPECT_EQ(run_engine(w, cfg), reference_streams(w))
-          << "isa=" << cpu::isa_name(isa) << " threads=" << threads;
-    }
-  }
-  set_num_threads(0);
-  cpu::clear_isa_override();
+  const Workload w = random_workload(rng, 6, {1, 24}, {1, 10});
+  EngineConfig cfg;
+  cfg.scheduler.max_batch = 4;
+  cfg.scheduler.prefill_chunk = 8;
+  for_each_config(supported_isas(), {1, 8}, {0}, [&](const ConfigCell&) {
+    EXPECT_EQ(run(w, cfg).streams, solo_streams(weights(), w));
+  });
 }
 
 TEST(ServingEngineBatched, SampledStreamsIdenticalAcrossIsasAndThreads) {
   // Temperature sampling draws from one engine RNG serially in admission
   // order, so a seeded run's streams must not depend on ISA or threads.
   Rng rng(1234);
-  const Workload w = random_workload(rng, 6);
+  const Workload w = random_workload(rng, 6, {1, 24}, {1, 10});
   EngineConfig cfg;
   cfg.scheduler.max_batch = 4;
   cfg.scheduler.prefill_chunk = 8;
   cfg.temperature = 0.8f;
-  cpu::set_isa(cpu::Isa::kScalar);
-  set_num_threads(1);
-  const auto anchor = run_engine(w, cfg);
-  for (const cpu::Isa isa :
-       {cpu::Isa::kScalar, cpu::Isa::kAvx2, cpu::Isa::kAvx512}) {
-    cpu::set_isa(isa);
-    for (const int threads : {1, 8}) {
-      set_num_threads(threads);
-      EXPECT_EQ(run_engine(w, cfg), anchor)
-          << "isa=" << cpu::isa_name(isa) << " threads=" << threads;
-    }
+  std::vector<std::vector<int>> anchor;
+  {
+    ConfigGuard pin(cpu::Isa::kScalar, /*threads=*/1);
+    anchor = run(w, cfg).streams;
   }
-  set_num_threads(0);
-  cpu::clear_isa_override();
+  for_each_config(supported_isas(), {1, 8}, {0}, [&](const ConfigCell&) {
+    EXPECT_EQ(run(w, cfg).streams, anchor);
+  });
 }
 
 TEST(ServingEngineBatched, PreemptionChurnMatchesModelLevelReference) {
   // A 3-page pool forces eviction + re-prefill of prompt + generated tokens;
   // recompute-on-resume must leave every greedy stream equal to the
   // reference, at 1 and 8 threads.
-  Workload w;
-  for (int i = 0; i < 3; ++i) {
-    w.prompts.push_back(std::vector<int>(8, 2 + i));
-    w.max_new.push_back(18 + 4 * i);
-  }
-  QuantSchemeConfig scheme = QuantSchemeConfig::qserve_w4a8kv4_g128();
-  scheme.kv_max_pages = 3;
+  const Workload w = churn_workload();
   EngineConfig cfg;
   cfg.scheduler.max_batch = 4;
-  const auto expect = reference_streams(w);
-  for (const int threads : {1, 8}) {
-    set_num_threads(threads);
-    EngineStats stats;
-    EXPECT_EQ(run_engine(w, cfg, scheme, &stats), expect)
-        << "threads=" << threads;
-    EXPECT_GE(stats.preemptions, 1);
-  }
-  set_num_threads(0);
+  const auto expect = solo_streams(weights(), w);
+  for_each_config({cpu::active_isa()}, {1, 8}, {0}, [&](const ConfigCell&) {
+    const EngineOutcome out = run(w, cfg, pool_scheme(3));
+    EXPECT_EQ(out.streams, expect);
+    EXPECT_GE(out.stats.preemptions, 1);
+  });
 }
 
 // --- streaming API -----------------------------------------------------------
 
 TEST(ServingEngineBatched, StreamingCallbacksArriveInOrderFinishOnce) {
-  const auto& f = fixture();
-  QuantizedModel model(f.weights, QuantSchemeConfig::qserve_w4a8kv4_g128());
+  QuantizedModel model(weights(), QuantSchemeConfig::qserve_w4a8kv4_g128());
   EngineConfig cfg;
   cfg.scheduler.max_batch = 3;
   ServingEngine engine(&model, cfg);
@@ -291,7 +208,7 @@ TEST(ServingEngineBatched, StreamingSurvivesPreemption) {
   // NOT be re-delivered through on_token.
   QuantSchemeConfig scheme = QuantSchemeConfig::qserve_w4a8kv4_g128();
   scheme.kv_max_pages = 3;
-  QuantizedModel model(fixture().weights, scheme);
+  QuantizedModel model(weights(), scheme);
   EngineConfig cfg;
   cfg.scheduler.max_batch = 4;
   ServingEngine engine(&model, cfg);
@@ -313,8 +230,7 @@ TEST(ServingEngineBatched, StreamingSurvivesPreemption) {
 // --- config validation -------------------------------------------------------
 
 TEST(Validation, BadEngineAndSchedulerConfigsThrowAtConstruction) {
-  const auto& f = fixture();
-  QuantizedModel model(f.weights, QuantSchemeConfig::qserve_w4a8kv4_g128());
+  QuantizedModel model(weights(), QuantSchemeConfig::qserve_w4a8kv4_g128());
   {
     EngineConfig bad;
     bad.temperature = -0.5f;
@@ -339,34 +255,32 @@ TEST(Validation, BadEngineAndSchedulerConfigsThrowAtConstruction) {
 }
 
 TEST(Validation, BadSchemeConfigsThrowAtConstruction) {
-  const auto& f = fixture();
   {
     QuantSchemeConfig bad = QuantSchemeConfig::qserve_w4a8kv4_g128();
     bad.kv_max_pages = 0;
-    EXPECT_THROW(QuantizedModel(f.weights, bad), CheckError);
+    EXPECT_THROW(QuantizedModel(weights(), bad), CheckError);
   }
   {
     QuantSchemeConfig bad = QuantSchemeConfig::qserve_w4a8kv4_g128();
     bad.group = 0;
-    EXPECT_THROW(QuantizedModel(f.weights, bad), CheckError);
+    EXPECT_THROW(QuantizedModel(weights(), bad), CheckError);
   }
   {
     QuantSchemeConfig bad = QuantSchemeConfig::qserve_w4a8kv4_g128();
     bad.level1_range = 0;
-    EXPECT_THROW(QuantizedModel(f.weights, bad), CheckError);
+    EXPECT_THROW(QuantizedModel(weights(), bad), CheckError);
   }
   {
     QuantSchemeConfig bad = QuantSchemeConfig::qserve_w4a8kv4_g128();
     bad.level1_range = 128;
-    EXPECT_THROW(QuantizedModel(f.weights, bad), CheckError);
+    EXPECT_THROW(QuantizedModel(weights(), bad), CheckError);
   }
 }
 
 // --- batch occupancy stats ---------------------------------------------------
 
 TEST(ServingEngineBatched, BatchTokenStatsCountRowsNotRequests) {
-  const auto& f = fixture();
-  QuantizedModel model(f.weights, QuantSchemeConfig::qserve_w4a8kv4_g128());
+  QuantizedModel model(weights(), QuantSchemeConfig::qserve_w4a8kv4_g128());
   EngineConfig cfg;
   cfg.scheduler.max_batch = 3;
   ServingEngine engine(&model, cfg);

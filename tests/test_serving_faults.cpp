@@ -10,94 +10,21 @@
 #include <memory>
 #include <set>
 #include <stdexcept>
-#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/check.h"
-#include "common/fault_injection.h"
-#include "common/parallel.h"
-#include "common/rng.h"
-#include "kernels/cpu/isa.h"
-#include "model/quantized_model.h"
-#include "model/weights.h"
-#include "serving/engine.h"
+#include "harness.h"
 
 namespace qserve {
 namespace {
 
-using cpu::Isa;
-
-// RAII: pin an ISA for a scope, always return control to env/detection.
-struct IsaGuard {
-  explicit IsaGuard(Isa isa) { cpu::set_isa(isa); }
-  ~IsaGuard() { cpu::clear_isa_override(); }
-};
-
-std::vector<Isa> supported_isas() {
-  std::vector<Isa> v{Isa::kScalar};
-  if (static_cast<int>(cpu::detected_isa()) >= static_cast<int>(Isa::kAvx2))
-    v.push_back(Isa::kAvx2);
-  if (static_cast<int>(cpu::detected_isa()) >= static_cast<int>(Isa::kAvx512))
-    v.push_back(Isa::kAvx512);
-  return v;
-}
-
-// Disarm fault injection on entry AND exit, so tests compose in any order
-// and never inherit another test's armed sites.
-struct FaultGuard {
-  FaultGuard() { fault::clear(); }
-  ~FaultGuard() { fault::clear(); }
-};
-
-struct Fixture {
-  ModelWeights weights;
-  Fixture() : weights(make_synthetic_weights(toy_config(1))) {}
-};
-
-const Fixture& fixture() {
-  static Fixture* f = new Fixture();
-  return *f;
-}
-
-QuantSchemeConfig tiny_pool_scheme(int64_t pages) {
-  QuantSchemeConfig scheme = QuantSchemeConfig::qserve_w4a8kv4_g128();
-  scheme.kv_max_pages = pages;
-  return scheme;
-}
-
-struct Workload {
-  std::vector<std::vector<int>> prompts;
-  std::vector<int> max_new;
-};
+const ModelWeights& weights() { return toy_weights(toy_config(1)); }
 
 Workload make_workload(int n, uint64_t seed) {
-  Workload w;
   Rng rng(seed);
-  for (int i = 0; i < n; ++i) {
-    std::vector<int> p(static_cast<size_t>(rng.uniform_int(3, 12)));
-    for (auto& t : p) t = rng.uniform_int(0, 511);
-    w.prompts.push_back(std::move(p));
-    w.max_new.push_back(rng.uniform_int(4, 14));
-  }
-  return w;
-}
-
-// Each request served alone in a roomy fault-free pool: the reference
-// streams every churn configuration must reproduce bitwise.
-std::vector<std::vector<int>> solo_streams(const Workload& w) {
-  fault::clear();
-  std::vector<std::vector<int>> out;
-  for (size_t i = 0; i < w.prompts.size(); ++i) {
-    QuantizedModel model(fixture().weights,
-                         QuantSchemeConfig::qserve_w4a8kv4_g128());
-    ServingEngine engine(&model, EngineConfig{});
-    const int id = engine.submit(w.prompts[i], w.max_new[i]);
-    engine.run_to_completion();
-    out.push_back(engine.request(id).generated);
-  }
-  return out;
+  return random_workload(rng, n, {3, 12}, {4, 14});
 }
 
 struct ChurnOutcome {
@@ -174,14 +101,14 @@ bool is_prefix(const std::vector<int>& prefix, const std::vector<int>& full) {
 // ---------------------------------------------------------------------------
 
 TEST(FaultInjection, DisabledIsFreeAndNeverFires) {
-  FaultGuard guard;
+  ConfigGuard guard(ConfigGuard::kNoFaults);
   EXPECT_FALSE(fault::enabled());
   for (int i = 0; i < 100; ++i) EXPECT_FALSE(fault::should_fail("nope"));
   fault::maybe_fail("nope");  // must not throw
 }
 
 TEST(FaultInjection, DeterministicSiteKeyedDraws) {
-  FaultGuard guard;
+  ConfigGuard guard(ConfigGuard::kNoFaults);
   const auto draw_hits = [](double rate, uint64_t seed, int n) {
     fault::set_site("site_a", rate, seed);
     std::set<int> hits;
@@ -207,7 +134,7 @@ TEST(FaultInjection, DeterministicSiteKeyedDraws) {
 }
 
 TEST(FaultInjection, RateEndpointsAndUnknownSites) {
-  FaultGuard guard;
+  ConfigGuard guard(ConfigGuard::kNoFaults);
   fault::set_site("never", 0.0, 1);
   fault::set_site("always", 1.0, 1);
   for (int i = 0; i < 50; ++i) {
@@ -226,7 +153,7 @@ TEST(FaultInjection, RateEndpointsAndUnknownSites) {
 }
 
 TEST(FaultInjection, ConfigureParsesSpecStrings) {
-  FaultGuard guard;
+  ConfigGuard guard(ConfigGuard::kNoFaults);
   fault::configure("kv_alloc:0.5:7, kv_append:0.0 ,engine_step:1.0:3");
   EXPECT_TRUE(fault::enabled());
   bool step_fired = fault::should_fail(fault::kEngineStep);
@@ -245,8 +172,8 @@ TEST(FaultInjection, ConfigureParsesSpecStrings) {
 // ---------------------------------------------------------------------------
 
 TEST(Lifecycle, UnservableSubmissionsRejectNotAbort) {
-  FaultGuard guard;
-  QuantizedModel model(fixture().weights, tiny_pool_scheme(4));
+  ConfigGuard guard(ConfigGuard::kNoFaults);
+  QuantizedModel model(weights(), pool_scheme(4));
   ServingEngine engine(&model, EngineConfig{});
 
   std::vector<FinishReason> seen;
@@ -285,8 +212,8 @@ TEST(Lifecycle, UnservableSubmissionsRejectNotAbort) {
 }
 
 TEST(Lifecycle, BoundedQueueShedsAndTrySubmitReportsBackpressure) {
-  FaultGuard guard;
-  QuantizedModel model(fixture().weights,
+  ConfigGuard guard(ConfigGuard::kNoFaults);
+  QuantizedModel model(weights(),
                        QuantSchemeConfig::qserve_w4a8kv4_g128());
   EngineConfig cfg;
   cfg.max_queued_requests = 2;
@@ -325,8 +252,8 @@ TEST(Lifecycle, BoundedQueueShedsAndTrySubmitReportsBackpressure) {
 }
 
 TEST(Lifecycle, PromptTokenCapShedsIndependentlyOfRequestCap) {
-  FaultGuard guard;
-  QuantizedModel model(fixture().weights,
+  ConfigGuard guard(ConfigGuard::kNoFaults);
+  QuantizedModel model(weights(),
                        QuantSchemeConfig::qserve_w4a8kv4_g128());
   EngineConfig cfg;
   cfg.max_queued_prompt_tokens = 10;
@@ -347,10 +274,10 @@ TEST(Lifecycle, PromptTokenCapShedsIndependentlyOfRequestCap) {
 // ---------------------------------------------------------------------------
 
 TEST(Lifecycle, CancelQueuedRunningAndFinished) {
-  FaultGuard guard;
+  ConfigGuard guard(ConfigGuard::kNoFaults);
   const Workload w = make_workload(3, 11);
-  const auto solo = solo_streams(w);
-  QuantizedModel model(fixture().weights,
+  const auto solo = solo_streams(weights(), w);
+  QuantizedModel model(weights(),
                        QuantSchemeConfig::qserve_w4a8kv4_g128());
   EngineConfig cfg;
   cfg.scheduler.max_batch = 1;  // keeps request 2 queued while 0 runs
@@ -392,10 +319,10 @@ TEST(Lifecycle, CancelQueuedRunningAndFinished) {
 }
 
 TEST(Lifecycle, CancelFromOnTokenMidStream) {
-  FaultGuard guard;
+  ConfigGuard guard(ConfigGuard::kNoFaults);
   const Workload w = make_workload(4, 12);
-  const auto solo = solo_streams(w);
-  QuantizedModel model(fixture().weights,
+  const auto solo = solo_streams(weights(), w);
+  QuantizedModel model(weights(),
                        QuantSchemeConfig::qserve_w4a8kv4_g128());
   ServingEngine engine(&model, EngineConfig{});
   std::vector<int> cancel_at = {2, -1, 3, -1};
@@ -416,7 +343,7 @@ TEST(Lifecycle, CancelFromOnTokenMidStream) {
 }
 
 TEST(Lifecycle, PreemptedThenCancelledLeavesNothingDangling) {
-  FaultGuard guard;
+  ConfigGuard guard(ConfigGuard::kNoFaults);
   // A 4-page pool (64 tokens, page 16) with multi-page prompts forces
   // eviction churn; cancelling mid-churn must work whether the victim is
   // currently running or sitting evicted in the queue, with zero pages left
@@ -427,7 +354,7 @@ TEST(Lifecycle, PreemptedThenCancelledLeavesNothingDangling) {
                                          100 + i));
     w.max_new.push_back(6);
   }
-  QuantizedModel model(fixture().weights, tiny_pool_scheme(4));
+  QuantizedModel model(weights(), pool_scheme(4));
   EngineConfig cfg;
   cfg.scheduler.max_batch = 4;
   ServingEngine engine(&model, cfg);
@@ -462,10 +389,10 @@ TEST(Lifecycle, PreemptedThenCancelledLeavesNothingDangling) {
 // ---------------------------------------------------------------------------
 
 TEST(Lifecycle, DeadlineAndTtftDeadlineExpire) {
-  FaultGuard guard;
+  ConfigGuard guard(ConfigGuard::kNoFaults);
   const Workload w = make_workload(2, 14);
-  const auto solo = solo_streams(w);
-  QuantizedModel model(fixture().weights,
+  const auto solo = solo_streams(weights(), w);
+  QuantizedModel model(weights(),
                        QuantSchemeConfig::qserve_w4a8kv4_g128());
   EngineConfig cfg;
   cfg.scheduler.max_batch = 1;  // the second request waits behind the first
@@ -505,10 +432,10 @@ TEST(Lifecycle, DeadlineAndTtftDeadlineExpire) {
 // ---------------------------------------------------------------------------
 
 TEST(Lifecycle, ThrowingOnTokenFailsOnlyItsRequest) {
-  FaultGuard guard;
+  ConfigGuard guard(ConfigGuard::kNoFaults);
   const Workload w = make_workload(2, 15);
-  const auto solo = solo_streams(w);
-  QuantizedModel model(fixture().weights,
+  const auto solo = solo_streams(weights(), w);
+  QuantizedModel model(weights(),
                        QuantSchemeConfig::qserve_w4a8kv4_g128());
   ServingEngine engine(&model, EngineConfig{});
   int finishes = 0;
@@ -541,8 +468,8 @@ TEST(Lifecycle, ThrowingOnTokenFailsOnlyItsRequest) {
 }
 
 TEST(Lifecycle, ThrowingOnFinishIsContained) {
-  FaultGuard guard;
-  QuantizedModel model(fixture().weights,
+  ConfigGuard guard(ConfigGuard::kNoFaults);
+  QuantizedModel model(weights(),
                        QuantSchemeConfig::qserve_w4a8kv4_g128());
   ServingEngine engine(&model, EngineConfig{});
   const int id = engine.submit({1, 2, 3}, RequestOptions{}, nullptr,
@@ -560,7 +487,7 @@ TEST(Lifecycle, ThrowingOnFinishIsContained) {
 // ---------------------------------------------------------------------------
 
 TEST(Faults, AllocFaultConvertsToPreemptionNotAbort) {
-  FaultGuard guard;
+  ConfigGuard guard(ConfigGuard::kNoFaults);
   set_num_threads(1);
   Workload w;  // multi-page requests: every one crosses page boundaries
   for (int i = 0; i < 6; ++i) {
@@ -568,9 +495,9 @@ TEST(Faults, AllocFaultConvertsToPreemptionNotAbort) {
                                          200 + i));
     w.max_new.push_back(8);
   }
-  const auto solo = solo_streams(w);
+  const auto solo = solo_streams(weights(), w);
   fault::set_site(fault::kKvAlloc, 0.25, 2024);
-  QuantizedModel model(fixture().weights, tiny_pool_scheme(6));
+  QuantizedModel model(weights(), pool_scheme(6));
   EngineConfig cfg;
   cfg.scheduler.max_batch = 4;
   const ChurnOutcome out =
@@ -584,33 +511,31 @@ TEST(Faults, AllocFaultConvertsToPreemptionNotAbort) {
   EXPECT_GT(fault::counters(fault::kKvAlloc).injected, 0)
       << "the schedule must actually inject at this rate/seed";
   EXPECT_GE(out.stats.faulted_steps, 1);
-  set_num_threads(0);
 }
 
 TEST(Faults, EngineStepAndAppendSitesRecoverToo) {
-  FaultGuard guard;
+  ConfigGuard guard(ConfigGuard::kNoFaults);
   set_num_threads(1);
   const Workload w = make_workload(4, 17);
-  const auto solo = solo_streams(w);
+  const auto solo = solo_streams(weights(), w);
   fault::configure("engine_step:0.15:5,kv_append:0.05:6");
-  QuantizedModel model(fixture().weights,
+  QuantizedModel model(weights(),
                        QuantSchemeConfig::qserve_w4a8kv4_g128());
   const ChurnOutcome out =
       run_churn(model, nullptr, EngineConfig{}, w, std::vector<int>(4, -1),
                 std::vector<int64_t>(4, 0));
   for (size_t i = 0; i < 4; ++i) EXPECT_EQ(out.streams[i], solo[i]) << i;
   EXPECT_GE(out.stats.faulted_steps, 1);
-  set_num_threads(0);
 }
 
 TEST(Faults, SpeculativeEngineRecoversWithBothPools) {
-  FaultGuard guard;
+  ConfigGuard guard(ConfigGuard::kNoFaults);
   set_num_threads(1);
   const Workload w = make_workload(4, 18);
-  const auto solo = solo_streams(w);
+  const auto solo = solo_streams(weights(), w);
   fault::set_site(fault::kKvAlloc, 0.08, 31);
-  QuantizedModel model(fixture().weights, tiny_pool_scheme(8));
-  QuantizedModel draft(fixture().weights, tiny_pool_scheme(8));
+  QuantizedModel model(weights(), pool_scheme(8));
+  QuantizedModel draft(weights(), pool_scheme(8));
   EngineConfig cfg;
   cfg.scheduler.max_batch = 2;
   cfg.speculative.lookahead_k = 2;
@@ -624,7 +549,6 @@ TEST(Faults, SpeculativeEngineRecoversWithBothPools) {
     EXPECT_EQ(out.reasons[i], FinishReason::kLength) << i;
     EXPECT_EQ(out.streams[i], solo[i]) << i;
   }
-  set_num_threads(0);
 }
 
 // The acceptance-criteria sweep: randomized cancel/deadline/shed/alloc-fault
@@ -632,10 +556,10 @@ TEST(Faults, SpeculativeEngineRecoversWithBothPools) {
 // requests must match the fault-free solo baseline bitwise in every
 // configuration; every configuration must drain to zero pages.
 TEST(Faults, ChurnSweepAcrossIsasAndThreadCounts) {
-  FaultGuard guard;
+  ConfigGuard guard(ConfigGuard::kNoFaults);
   const int n = 16;
   const Workload w = make_workload(n, 19);
-  const auto solo = solo_streams(w);
+  const auto solo = solo_streams(weights(), w);
 
   std::vector<int> cancel_at(n, -1);
   std::vector<int64_t> deadlines(n, 0);
@@ -644,49 +568,40 @@ TEST(Faults, ChurnSweepAcrossIsasAndThreadCounts) {
     if (i % 7 == 3) deadlines[i] = 6;       // may expire under churn
   }
 
-  for (Isa isa : supported_isas()) {
-    IsaGuard isa_guard(isa);
-    for (int threads : {1, 8}) {
-      set_num_threads(threads);
-      fault::set_site(fault::kKvAlloc, 0.10, 77);
-      QuantizedModel model(fixture().weights, tiny_pool_scheme(6));
-      EngineConfig cfg;
-      cfg.scheduler.max_batch = 4;
-      cfg.max_queued_requests = 12;  // the last submissions shed
-      const ChurnOutcome out =
-          run_churn(model, nullptr, cfg, w, cancel_at, deadlines);
-      const std::string tag = std::string(cpu::isa_name(isa)) + "/" +
-                              std::to_string(threads) + "t";
-      int shed = 0;
-      for (int i = 0; i < n; ++i) {
-        switch (out.reasons[i]) {
-          case FinishReason::kLength:
-            EXPECT_EQ(out.streams[i], solo[i]) << tag << " request " << i;
-            break;
-          case FinishReason::kCancelled:
-          case FinishReason::kDeadline:
-            // Partial service is always an exact prefix of the baseline.
-            EXPECT_TRUE(is_prefix(out.streams[i], solo[i]))
-                << tag << " request " << i;
-            break;
-          case FinishReason::kShedOverload:
-            ++shed;
-            EXPECT_TRUE(out.streams[i].empty()) << tag << " request " << i;
-            break;
-          default:
-            FAIL() << tag << " request " << i << " finished with reason "
-                   << to_string(out.reasons[i]);
-        }
+  for_each_config(supported_isas(), {1, 8}, {0}, [&](const ConfigCell&) {
+    fault::set_site(fault::kKvAlloc, 0.10, 77);
+    QuantizedModel model(weights(), pool_scheme(6));
+    EngineConfig cfg;
+    cfg.scheduler.max_batch = 4;
+    cfg.max_queued_requests = 12;  // the last submissions shed
+    const ChurnOutcome out =
+        run_churn(model, nullptr, cfg, w, cancel_at, deadlines);
+    int shed = 0;
+    for (int i = 0; i < n; ++i) {
+      switch (out.reasons[i]) {
+        case FinishReason::kLength:
+          EXPECT_EQ(out.streams[i], solo[i]) << "request " << i;
+          break;
+        case FinishReason::kCancelled:
+        case FinishReason::kDeadline:
+          // Partial service is always an exact prefix of the baseline.
+          EXPECT_TRUE(is_prefix(out.streams[i], solo[i])) << "request " << i;
+          break;
+        case FinishReason::kShedOverload:
+          ++shed;
+          EXPECT_TRUE(out.streams[i].empty()) << "request " << i;
+          break;
+        default:
+          FAIL() << "request " << i << " finished with reason "
+                 << to_string(out.reasons[i]);
       }
-      EXPECT_EQ(shed, n - 12) << tag << ": queue cap sheds deterministically";
-      EXPECT_EQ(out.stats.completed + out.stats.cancelled +
-                    out.stats.deadline_expired + out.stats.shed +
-                    out.stats.rejected + out.stats.errored,
-                n)
-          << tag;
     }
-  }
-  set_num_threads(0);
+    EXPECT_EQ(shed, n - 12) << "queue cap sheds deterministically";
+    EXPECT_EQ(out.stats.completed + out.stats.cancelled +
+                  out.stats.deadline_expired + out.stats.shed +
+                  out.stats.rejected + out.stats.errored,
+              n);
+  });
 }
 
 // CI hook: when QSERVE_FAULT is set in the environment, rerun the churn
@@ -695,16 +610,14 @@ TEST(Faults, ChurnSweepAcrossIsasAndThreadCounts) {
 // fault-free baseline — fault recovery is preemption, and preemption is
 // bitwise stream-preserving.
 TEST(Faults, ChurnUnderEnvFaultSpec) {
-  FaultGuard guard;
+  ConfigGuard guard;
+  const Workload w = make_workload(8, 20);
+  // Baselines are solo fault-free runs (the oracle disarms); then re-arm the
+  // env spec for the churn run.
+  const auto solo = solo_streams(weights(), w);
   const char* env = std::getenv("QSERVE_FAULT");
   fault::configure(env != nullptr ? env : "");
-  const Workload w = make_workload(8, 20);
-  // Baselines are solo fault-free runs; compute under a clean registry,
-  // then re-arm the env spec for the churn run.
-  fault::clear();
-  const auto solo = solo_streams(w);
-  fault::configure(env != nullptr ? env : "");
-  QuantizedModel model(fixture().weights, tiny_pool_scheme(6));
+  QuantizedModel model(weights(), pool_scheme(6));
   EngineConfig cfg;
   cfg.scheduler.max_batch = 4;
   const ChurnOutcome out =
@@ -722,15 +635,15 @@ TEST(Faults, ChurnUnderEnvFaultSpec) {
 // EngineStats counters add up for a mixed outcome, including the speculative
 // engine.
 TEST(Lifecycle, StatsCountersSumToFinishedRequests) {
-  FaultGuard guard;
+  ConfigGuard guard(ConfigGuard::kNoFaults);
   const Workload w = make_workload(5, 21);
   for (const bool speculative : {false, true}) {
-    QuantizedModel model(fixture().weights,
+    QuantizedModel model(weights(),
                          QuantSchemeConfig::qserve_w4a8kv4_g128());
     std::unique_ptr<QuantizedModel> draft;
     if (speculative)
       draft = std::make_unique<QuantizedModel>(
-          fixture().weights, QuantSchemeConfig::qserve_w4a8kv4_g128());
+          weights(), QuantSchemeConfig::qserve_w4a8kv4_g128());
     EngineConfig cfg;
     cfg.max_queued_requests = 4;
     cfg.speculative.lookahead_k = 2;

@@ -5,74 +5,28 @@
 // and head-layout validation must reject indivisible configurations loudly.
 #include <gtest/gtest.h>
 
-#include <memory>
 #include <vector>
 
 #include "common/check.h"
-#include "common/parallel.h"
-#include "common/rng.h"
-#include "kernels/cpu/isa.h"
-#include "serving/engine.h"
+#include "harness.h"
 
 namespace qserve {
 namespace {
 
-struct Fixture {
-  ModelWeights weights;
-  Fixture() : weights(make_synthetic_weights(toy_config_gqa4(1))) {}
-};
+const ModelWeights& weights() { return toy_weights(toy_config_gqa4(1)); }
 
-const Fixture& fixture() {
-  static Fixture* f = new Fixture();
-  return *f;
-}
-
-struct EnvGuard {
-  ~EnvGuard() {
-    set_num_threads(0);
-    set_tp_shards(0);
-    cpu::clear_isa_override();
-  }
-};
-
-struct Workload {
-  std::vector<std::vector<int>> prompts;
-  std::vector<int> max_new;
-};
-
-Workload random_workload(Rng& rng, int n_requests) {
-  Workload w;
-  for (int i = 0; i < n_requests; ++i) {
-    std::vector<int> prompt(static_cast<size_t>(rng.uniform_int(1, 24)));
-    for (auto& t : prompt) t = rng.uniform_int(0, 511);
-    w.prompts.push_back(std::move(prompt));
-    w.max_new.push_back(rng.uniform_int(4, 12));
-  }
-  return w;
-}
-
-struct RunOutcome {
-  std::vector<std::vector<int>> streams;
-  EngineStats stats;
-};
-
-RunOutcome run_engine(const Workload& w, int shards, const EngineConfig& cfg,
-                      const RequestOptions& base_opts = {}) {
-  QuantizedModel model(fixture().weights,
-                       QuantSchemeConfig::qserve_w4a8kv4_g128(),
-                       TpConfig{shards});
-  ServingEngine engine(&model, cfg);
-  std::vector<int> ids;
-  for (size_t i = 0; i < w.prompts.size(); ++i) {
-    RequestOptions opts = base_opts;
-    opts.max_new_tokens = w.max_new[i];
-    ids.push_back(engine.submit(w.prompts[i], opts, nullptr, nullptr));
-  }
-  RunOutcome out;
-  out.stats = engine.run_to_completion();
-  for (int id : ids) out.streams.push_back(engine.request(id).generated);
-  EXPECT_EQ(model.kv_cache().pages_in_use(), 0);
-  return out;
+// The g=4 model at the given shard count under `cfg` and base options.
+EngineOutcome run(const Workload& w, int shards, const EngineConfig& cfg,
+                  const RequestOptions& opts = {},
+                  const QuantSchemeConfig& scheme =
+                      QuantSchemeConfig::qserve_w4a8kv4_g128()) {
+  EngineRun spec;
+  spec.target = &weights();
+  spec.scheme = scheme;
+  spec.tp = TpConfig{shards};
+  spec.cfg = cfg;
+  spec.opts = opts;
+  return run_engine(spec, w);
 }
 
 TEST(GqaConfig, Group4LayoutAndKvBytesReduction) {
@@ -102,69 +56,38 @@ TEST(GqaConfig, IndivisibleHeadLayoutThrowsLoudly) {
                               QuantSchemeConfig::qserve_w4a8kv4_g128()),
                CheckError);
   // More shards than KV heads cannot give each shard a whole query group.
-  EXPECT_THROW(QuantizedModel(fixture().weights,
+  EXPECT_THROW(QuantizedModel(weights(),
                               QuantSchemeConfig::qserve_w4a8kv4_g128(),
                               TpConfig{4}),
                CheckError);
 }
 
 TEST(GqaEngine, StreamsBitwiseAcrossIsaThreadsAndShards) {
-  EnvGuard guard;
   Rng rng(4100);
-  const Workload w = random_workload(rng, 5);
+  const Workload w = random_workload(rng, 5, {1, 24}, {4, 12});
   EngineConfig cfg;
   cfg.scheduler.max_batch = 3;
   cfg.scheduler.prefill_chunk = 8;
-  std::vector<cpu::Isa> isas = {cpu::Isa::kScalar};
-  if (cpu::detected_isa() != cpu::Isa::kScalar)
-    isas.push_back(cpu::detected_isa());
-  set_num_threads(1);
-  cpu::set_isa(cpu::Isa::kScalar);
-  const RunOutcome base = run_engine(w, 1, cfg);
-  for (const cpu::Isa isa : isas) {
-    cpu::set_isa(isa);
-    for (const int threads : {1, 8}) {
-      set_num_threads(threads);
-      for (const int shards : {1, 2}) {
-        const RunOutcome run = run_engine(w, shards, cfg);
-        EXPECT_EQ(base.streams, run.streams)
-            << "isa=" << cpu::isa_name(isa) << " threads=" << threads
-            << " shards=" << shards;
-      }
-    }
+  EngineOutcome base;
+  {
+    ConfigGuard pin(cpu::Isa::kScalar, /*threads=*/1);
+    base = run(w, 1, cfg);
   }
+  for_each_config(supported_isas(), {1, 8}, {1, 2}, [&](const ConfigCell& c) {
+    EXPECT_EQ(base.streams, run(w, c.shards, cfg).streams);
+  });
 }
 
 TEST(GqaEngine, PreemptionChurnStreamsMatch) {
-  EnvGuard guard;
-  Workload w;
-  for (int i = 0; i < 3; ++i) {
-    w.prompts.push_back(std::vector<int>(8, 2 + i));
-    w.max_new.push_back(18 + 4 * i);
-  }
+  ConfigGuard guard;
+  const Workload w = churn_workload();
   EngineConfig cfg;
   cfg.scheduler.max_batch = 4;
-  auto run_pool = [&](int64_t pages, int shards) {
-    QuantizedModel model(fixture().weights, [&] {
-      QuantSchemeConfig s = QuantSchemeConfig::qserve_w4a8kv4_g128();
-      s.kv_max_pages = pages;
-      return s;
-    }(), TpConfig{shards});
-    ServingEngine engine(&model, cfg);
-    std::vector<int> ids;
-    for (size_t i = 0; i < w.prompts.size(); ++i)
-      ids.push_back(engine.submit(w.prompts[i], w.max_new[i]));
-    RunOutcome out;
-    out.stats = engine.run_to_completion();
-    for (int id : ids) out.streams.push_back(engine.request(id).generated);
-    EXPECT_EQ(model.kv_cache().pages_in_use(), 0);
-    return out;
-  };
-  const RunOutcome roomy = run_pool(1 << 20, 1);
-  const RunOutcome tight = run_pool(3, 1);
+  const EngineOutcome roomy = run(w, 1, cfg, {}, pool_scheme(1 << 20));
+  const EngineOutcome tight = run(w, 1, cfg, {}, pool_scheme(3));
   EXPECT_GE(tight.stats.preemptions, 1);
   EXPECT_EQ(roomy.streams, tight.streams);
-  const RunOutcome tight_tp = run_pool(3, 2);
+  const EngineOutcome tight_tp = run(w, 2, cfg, {}, pool_scheme(3));
   EXPECT_EQ(roomy.streams, tight_tp.streams);
   EXPECT_EQ(tight.stats.preemptions, tight_tp.stats.preemptions);
 }
@@ -172,9 +95,9 @@ TEST(GqaEngine, PreemptionChurnStreamsMatch) {
 TEST(GqaEngine, SlidingWindowComposesWithGroupedHeads) {
   // GQA + windowed KV: the ring walks KV heads, query groups walk the ring's
   // runs; streams must be shard-invariant and recycling must engage.
-  EnvGuard guard;
+  ConfigGuard guard;
   Rng rng(4101);
-  Workload w = random_workload(rng, 3);
+  Workload w = random_workload(rng, 3, {1, 24}, {4, 12});
   // Cross sink + window + slack + boundary page (= 80 tokens at the
   // engine's 16-token slack) so the ring genuinely recycles.
   for (auto& m : w.max_new) m += 90;
@@ -184,10 +107,10 @@ TEST(GqaEngine, SlidingWindowComposesWithGroupedHeads) {
   RequestOptions opts;
   opts.attention_window = 32;
   opts.sink_tokens = 16;
-  const RunOutcome base = run_engine(w, 1, cfg, opts);
+  const EngineOutcome base = run(w, 1, cfg, opts);
   EXPECT_EQ(base.stats.windowed_requests, 3);
   EXPECT_GT(base.stats.kv_recycled_pages, 0);
-  const RunOutcome tp = run_engine(w, 2, cfg, opts);
+  const EngineOutcome tp = run(w, 2, cfg, opts);
   EXPECT_EQ(base.streams, tp.streams);
   // The same workload without a window streams identically while every
   // context stays under sink + window... which it does not here, so the

@@ -7,63 +7,19 @@
 // pages_in_use() == 0 once the cache is cleared.
 #include <cstdlib>
 #include <map>
-#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "common/check.h"
-#include "common/fault_injection.h"
-#include "common/parallel.h"
-#include "common/rng.h"
-#include "kernels/cpu/isa.h"
-#include "model/quantized_model.h"
-#include "model/weights.h"
-#include "serving/engine.h"
+#include "harness.h"
 
 namespace qserve {
 namespace {
 
-using cpu::Isa;
-
-struct IsaGuard {
-  explicit IsaGuard(Isa isa) { cpu::set_isa(isa); }
-  ~IsaGuard() { cpu::clear_isa_override(); }
-};
-
-std::vector<Isa> supported_isas() {
-  std::vector<Isa> v{Isa::kScalar};
-  if (static_cast<int>(cpu::detected_isa()) >= static_cast<int>(Isa::kAvx2))
-    v.push_back(Isa::kAvx2);
-  if (static_cast<int>(cpu::detected_isa()) >= static_cast<int>(Isa::kAvx512))
-    v.push_back(Isa::kAvx512);
-  return v;
-}
-
-struct FaultGuard {
-  FaultGuard() { fault::clear(); }
-  ~FaultGuard() { fault::clear(); }
-};
-
-const ModelWeights& fixture_weights() {
-  static const ModelWeights* w =
-      new ModelWeights(make_synthetic_weights(toy_config(1)));
-  return *w;
-}
-
-QuantSchemeConfig pool_scheme(int64_t pages) {
-  QuantSchemeConfig scheme = QuantSchemeConfig::qserve_w4a8kv4_g128();
-  scheme.kv_max_pages = pages;
-  return scheme;
-}
+const ModelWeights& fixture_weights() { return toy_weights(toy_config(1)); }
 
 // Prompts sharing a long system prefix (page_size = 16 tokens in the toy
 // model's KV config) with short distinct user suffixes.
-struct Workload {
-  std::vector<std::vector<int>> prompts;
-  std::vector<int> max_new;
-};
-
 Workload shared_prefix_workload(int n, int prefix_len, uint64_t seed) {
   Workload w;
   Rng rng(seed);
@@ -79,21 +35,6 @@ Workload shared_prefix_workload(int n, int prefix_len, uint64_t seed) {
   return w;
 }
 
-// Each request served alone, cold, caching off: the bitwise reference.
-std::vector<std::vector<int>> solo_streams(const Workload& w) {
-  fault::clear();
-  std::vector<std::vector<int>> out;
-  for (size_t i = 0; i < w.prompts.size(); ++i) {
-    QuantizedModel model(fixture_weights(),
-                         QuantSchemeConfig::qserve_w4a8kv4_g128());
-    ServingEngine engine(&model, EngineConfig{});
-    const int id = engine.submit(w.prompts[i], w.max_new[i]);
-    engine.run_to_completion();
-    out.push_back(engine.request(id).generated);
-  }
-  return out;
-}
-
 void pump(ServingEngine& engine) {
   int guard = 0;
   while (engine.step()) {
@@ -105,59 +46,51 @@ void pump(ServingEngine& engine) {
 }
 
 TEST(PrefixCaching, WarmStreamsBitwiseIdenticalAcrossIsaAndThreads) {
-  FaultGuard fg;
+  ConfigGuard guard(ConfigGuard::kNoFaults);
   const Workload w = shared_prefix_workload(5, /*prefix_len=*/96, 301);
-  const auto solo = solo_streams(w);
+  const auto solo = solo_streams(fixture_weights(), w);
 
-  for (Isa isa : supported_isas()) {
-    IsaGuard isa_guard(isa);
-    for (int threads : {1, 8}) {
-      set_num_threads(threads);
-      const std::string tag = std::string(cpu::isa_name(isa)) + "/" +
-                              std::to_string(threads) + "t";
-      QuantizedModel model(fixture_weights(), pool_scheme(64));
-      EngineConfig cfg;
-      cfg.prefix_caching = true;
-      cfg.scheduler.prefill_chunk = 16;
-      cfg.scheduler.max_batch = 4;
-      ServingEngine engine(&model, cfg);
+  for_each_config(supported_isas(), {1, 8}, {0}, [&](const ConfigCell&) {
+    QuantizedModel model(fixture_weights(), pool_scheme(64));
+    EngineConfig cfg;
+    cfg.prefix_caching = true;
+    cfg.scheduler.prefill_chunk = 16;
+    cfg.scheduler.max_batch = 4;
+    ServingEngine engine(&model, cfg);
 
-      // Cold request first (drained alone so its donation is in the index
-      // before any other request is planned), then the warm batch.
-      std::vector<int> ids;
-      ids.push_back(engine.submit(w.prompts[0], w.max_new[0]));
-      pump(engine);
-      for (size_t i = 1; i < w.prompts.size(); ++i)
-        ids.push_back(engine.submit(w.prompts[i], w.max_new[i]));
-      pump(engine);
+    // Cold request first (drained alone so its donation is in the index
+    // before any other request is planned), then the warm batch.
+    std::vector<int> ids;
+    ids.push_back(engine.submit(w.prompts[0], w.max_new[0]));
+    pump(engine);
+    for (size_t i = 1; i < w.prompts.size(); ++i)
+      ids.push_back(engine.submit(w.prompts[i], w.max_new[i]));
+    pump(engine);
 
-      const EngineStats& s = engine.stats();
-      for (size_t i = 0; i < ids.size(); ++i) {
-        EXPECT_EQ(engine.request(ids[i]).generated, solo[i])
-            << tag << " request " << i;
-        EXPECT_EQ(engine.request(ids[i]).finish_reason, FinishReason::kLength);
-      }
-      EXPECT_EQ(s.prefix_insertions, int64_t(w.prompts.size()))
-          << tag << ": every completed prefill donates its distinct key";
-      EXPECT_GE(s.prefix_hits, int64_t(w.prompts.size()) - 1) << tag;
-      // Every hit skipped the full 96-token (6-page) shared prefix.
-      EXPECT_EQ(s.prefill_tokens_saved, 96 * s.prefix_hits) << tag;
-      EXPECT_EQ(s.prefix_tokens_reused, s.prefill_tokens_saved) << tag;
-      // Engine forks are page-aligned; no writer ever lands in a shared
-      // page, so the refactor's CoW machinery must never have fired.
-      EXPECT_EQ(s.cow_page_copies, 0) << tag;
-      EXPECT_GE(s.prefix_cache_entries, 1) << tag;
-      EXPECT_GE(s.prefix_cache_pages, 6) << tag;
-
-      // Drained but warm: the cache still holds pages. Clearing it is the
-      // only thing standing between the engine and an empty pool.
-      EXPECT_GT(model.kv_cache().pages_in_use(), 0) << tag;
-      engine.clear_prefix_cache();
-      EXPECT_EQ(model.kv_cache().pages_in_use(), 0) << tag;
-      EXPECT_EQ(model.kv_cache().shared_pages(), 0) << tag;
+    const EngineStats& s = engine.stats();
+    for (size_t i = 0; i < ids.size(); ++i) {
+      EXPECT_EQ(engine.request(ids[i]).generated, solo[i]) << "request " << i;
+      EXPECT_EQ(engine.request(ids[i]).finish_reason, FinishReason::kLength);
     }
-  }
-  set_num_threads(0);
+    EXPECT_EQ(s.prefix_insertions, int64_t(w.prompts.size()))
+        << "every completed prefill donates its distinct key";
+    EXPECT_GE(s.prefix_hits, int64_t(w.prompts.size()) - 1);
+    // Every hit skipped the full 96-token (6-page) shared prefix.
+    EXPECT_EQ(s.prefill_tokens_saved, 96 * s.prefix_hits);
+    EXPECT_EQ(s.prefix_tokens_reused, s.prefill_tokens_saved);
+    // Engine forks are page-aligned; no writer ever lands in a shared
+    // page, so the refactor's CoW machinery must never have fired.
+    EXPECT_EQ(s.cow_page_copies, 0);
+    EXPECT_GE(s.prefix_cache_entries, 1);
+    EXPECT_GE(s.prefix_cache_pages, 6);
+
+    // Drained but warm: the cache still holds pages. Clearing it is the
+    // only thing standing between the engine and an empty pool.
+    EXPECT_GT(model.kv_cache().pages_in_use(), 0);
+    engine.clear_prefix_cache();
+    EXPECT_EQ(model.kv_cache().pages_in_use(), 0);
+    EXPECT_EQ(model.kv_cache().shared_pages(), 0);
+  });
 }
 
 TEST(PrefixCaching, WarmFirstTokenTakesOneChunkStepColdTakesSix) {
@@ -166,9 +99,9 @@ TEST(PrefixCaching, WarmFirstTokenTakesOneChunkStepColdTakesSix) {
   // aligned prefix is forked and only the 2-token tail is prefilled — first
   // token after 1 step, a 6x step-count improvement (the bench measures the
   // same effect in wall-clock on a 1024-token system prompt).
-  FaultGuard fg;
+  ConfigGuard guard(ConfigGuard::kNoFaults);
   const Workload w = shared_prefix_workload(2, /*prefix_len=*/80, 302);
-  const auto solo = solo_streams(w);
+  const auto solo = solo_streams(fixture_weights(), w);
   QuantizedModel model(fixture_weights(), pool_scheme(64));
   EngineConfig cfg;
   cfg.prefix_caching = true;
@@ -202,9 +135,9 @@ TEST(PrefixCaching, SurvivesPreemptionChurnSmallPool) {
   // A pool too small for the whole batch forces eviction round trips while
   // cached entries hold pages. Under-pressure reclaim may sacrifice cache
   // hits, never correctness: every completed stream stays bitwise solo.
-  FaultGuard fg;
+  ConfigGuard guard(ConfigGuard::kNoFaults);
   const Workload w = shared_prefix_workload(6, /*prefix_len=*/48, 303);
-  const auto solo = solo_streams(w);
+  const auto solo = solo_streams(fixture_weights(), w);
   for (const int64_t pool_pages : {12, 20}) {
     QuantizedModel model(fixture_weights(), pool_scheme(pool_pages));
     EngineConfig cfg;
@@ -229,7 +162,7 @@ TEST(PrefixCaching, SurvivesPreemptionChurnSmallPool) {
 }
 
 TEST(PrefixCaching, EntryCapEvictsLruAndPressureEvictsBeforePreempting) {
-  FaultGuard fg;
+  ConfigGuard guard(ConfigGuard::kNoFaults);
   // Three distinct prompts (no shared prefix) through a cap-2 cache.
   Rng rng(304);
   QuantizedModel model(fixture_weights(), pool_scheme(64));
@@ -272,9 +205,9 @@ TEST(PrefixCaching, ChurnUnderFaultInjectionStaysBitwise) {
   // Deterministic kv_alloc faults + the QSERVE_FAULT env spec (when CI sets
   // it): fault recovery is preemption, preemption is stream-preserving, and
   // neither may corrupt a shared page.
-  FaultGuard fg;
+  ConfigGuard guard(ConfigGuard::kNoFaults);
   const Workload w = shared_prefix_workload(6, /*prefix_len=*/48, 305);
-  const auto solo = solo_streams(w);
+  const auto solo = solo_streams(fixture_weights(), w);
   const char* env = std::getenv("QSERVE_FAULT");
   if (env != nullptr) {
     fault::configure(env);
@@ -306,9 +239,9 @@ TEST(ParallelSampling, GreedySiblingsEmitThePrimaryStream) {
   // n=4 at temperature 0: all four completions must equal the solo stream —
   // with the cache on (siblings fork the donated prompt pages) AND off
   // (siblings re-prefill cold). Demuxing metadata must line up.
-  FaultGuard fg;
+  ConfigGuard guard(ConfigGuard::kNoFaults);
   const Workload w = shared_prefix_workload(1, /*prefix_len=*/40, 306);
-  const auto solo = solo_streams(w);
+  const auto solo = solo_streams(fixture_weights(), w);
   for (const bool caching : {false, true}) {
     QuantizedModel model(fixture_weights(), pool_scheme(64));
     EngineConfig cfg;
@@ -350,7 +283,7 @@ TEST(ParallelSampling, TemperatureRunsAreReproducible) {
   // temperature > 0: the four streams draw from one seeded RNG in a fixed
   // order (primary, then siblings ascending), so two identical runs must
   // produce identical stream sets; every completion runs to full length.
-  FaultGuard fg;
+  ConfigGuard guard(ConfigGuard::kNoFaults);
   const Workload w = shared_prefix_workload(1, /*prefix_len=*/40, 307);
   const auto run = [&w]() {
     QuantizedModel model(fixture_weights(), pool_scheme(64));
@@ -386,9 +319,9 @@ TEST(PrefixCaching, SpeculativeEngineComposesWithWarmCache) {
   // above the shared prefix, so warm streams still match the solo baseline
   // (which is itself bitwise equal to non-speculative decoding by the
   // speculative engine's greedy-acceptance invariant).
-  FaultGuard fg;
+  ConfigGuard guard(ConfigGuard::kNoFaults);
   const Workload w = shared_prefix_workload(3, /*prefix_len=*/48, 308);
-  const auto solo = solo_streams(w);
+  const auto solo = solo_streams(fixture_weights(), w);
   QuantizedModel target(fixture_weights(), pool_scheme(64));
   QuantizedModel draft(fixture_weights(), pool_scheme(64));
   EngineConfig cfg;

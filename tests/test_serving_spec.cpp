@@ -9,80 +9,27 @@
 
 #include <map>
 
-#include "common/parallel.h"
-#include "common/rng.h"
-#include "kernels/cpu/isa.h"
-#include "serving/engine.h"
+#include "harness.h"
 
 namespace qserve {
 namespace {
 
-struct Fixture {
-  ModelWeights target;     // 2-layer toy model
-  ModelWeights same;       // the same weights (acceptance == 1 draft)
-  ModelWeights divergent;  // different seed (acceptance ~ 0 draft)
-  Fixture()
-      : target(make_synthetic_weights(toy_config(2))),
-        same(target),
-        divergent(make_synthetic_weights(toy_config(2), [] {
-          SyntheticOptions o;
-          o.seed = 777;
-          return o;
-        }())) {}
-};
+// The 2-layer toy target; drafts are either the same weights (every proposal
+// accepted) or a different seed (acceptance ~ 0).
+const ModelWeights& target() { return toy_weights(toy_config(2)); }
+const ModelWeights& divergent() { return toy_weights(toy_config(2), 777); }
 
-const Fixture& fixture() {
-  static Fixture* f = new Fixture();
-  return *f;
-}
-
-struct Workload {
-  std::vector<std::vector<int>> prompts;
-  std::vector<int> max_new;
-};
-
-Workload random_workload(Rng& rng, int n_requests) {
-  Workload w;
-  for (int i = 0; i < n_requests; ++i) {
-    std::vector<int> prompt(static_cast<size_t>(rng.uniform_int(1, 24)));
-    for (auto& t : prompt) t = rng.uniform_int(0, 511);
-    w.prompts.push_back(std::move(prompt));
-    w.max_new.push_back(rng.uniform_int(1, 10));
-  }
-  return w;
-}
-
-struct RunOutcome {
-  std::vector<std::vector<int>> streams;
-  EngineStats stats;
-};
-
-// draft_weights == nullptr runs the non-speculative baseline.
-RunOutcome run_engine(const Workload& w, const ModelWeights* draft_weights,
-                      int lookahead_k, int64_t kv_max_pages = 1 << 20) {
-  QuantSchemeConfig scheme = QuantSchemeConfig::qserve_w4a8kv4_g128();
-  scheme.kv_max_pages = kv_max_pages;
-  QuantizedModel model(fixture().target, scheme);
-  std::unique_ptr<QuantizedModel> draft;
-  if (draft_weights != nullptr)
-    draft = std::make_unique<QuantizedModel>(
-        *draft_weights, QuantSchemeConfig::qserve_w4a8kv4_g128());
-  EngineConfig cfg;
-  cfg.scheduler.max_batch = 4;
-  cfg.scheduler.prefill_chunk = 8;
-  cfg.speculative.lookahead_k = lookahead_k;
-  ServingEngine engine(&model, draft.get(), cfg);
-  std::vector<int> ids;
-  for (size_t i = 0; i < w.prompts.size(); ++i)
-    ids.push_back(engine.submit(w.prompts[i], w.max_new[i]));
-  RunOutcome out;
-  out.stats = engine.run_to_completion();
-  for (int id : ids) out.streams.push_back(engine.request(id).generated);
-  EXPECT_EQ(model.kv_cache().pages_in_use(), 0);
-  if (draft) {
-    EXPECT_EQ(draft->kv_cache().pages_in_use(), 0);
-  }
-  return out;
+// draft == nullptr runs the non-speculative baseline.
+EngineOutcome run(const Workload& w, const ModelWeights* draft,
+                  int lookahead_k, int64_t kv_max_pages = 1 << 20) {
+  EngineRun spec;
+  spec.target = &target();
+  spec.scheme = pool_scheme(kv_max_pages);
+  spec.draft = draft;
+  spec.cfg.scheduler.max_batch = 4;
+  spec.cfg.scheduler.prefill_chunk = 8;
+  spec.cfg.speculative.lookahead_k = lookahead_k;
+  return run_engine(spec, w);
 }
 
 // --- model level: per-row logits and rollback --------------------------------
@@ -90,12 +37,11 @@ RunOutcome run_engine(const Workload& w, const ModelWeights* draft_weights,
 TEST(QuantizedModel, VerifySpanLogitsMatchSequentialDecodesBitwise) {
   // A k+1-row decode span with logit_rows = k+1 must reproduce, at every
   // position, the exact logits of sequential decode_step calls — the
-  // property the speculative verify forward rests on. The span travels the
-  // gather+attention_prefill path while decode_step uses the fused kernel,
-  // so this also pins the two attention paths to the same bits.
-  const auto& f = fixture();
-  QuantizedModel seq_m(f.target, QuantSchemeConfig::qserve_w4a8kv4_g128());
-  QuantizedModel bat_m(f.target, QuantSchemeConfig::qserve_w4a8kv4_g128());
+  // property the speculative verify forward rests on. Both go through
+  // forward_step -> attend_spans, so this pins one multi-row span (whose
+  // rows share each dequantized page tile) to k+1 one-row spans, row by row.
+  QuantizedModel seq_m(target(), QuantSchemeConfig::qserve_w4a8kv4_g128());
+  QuantizedModel bat_m(target(), QuantSchemeConfig::qserve_w4a8kv4_g128());
 
   const std::vector<int> ctx = {3, 1, 4, 1, 5, 9};
   const std::vector<int> cand = {42, 17, 8, 100};  // pending + 3 candidates
@@ -123,9 +69,8 @@ TEST(QuantizedModel, TruncateThenReappendMatchesNeverAppendedBitwise) {
   // Rollback: append a rejected tail, truncate it away, then continue — the
   // continued logits must equal a model that never saw the tail. Covers
   // mid-page truncation (the boundary page's slots are rewritten).
-  const auto& f = fixture();
-  QuantizedModel clean(f.target, QuantSchemeConfig::qserve_w4a8kv4_g128());
-  QuantizedModel rolled(f.target, QuantSchemeConfig::qserve_w4a8kv4_g128());
+  QuantizedModel clean(target(), QuantSchemeConfig::qserve_w4a8kv4_g128());
+  QuantizedModel rolled(target(), QuantSchemeConfig::qserve_w4a8kv4_g128());
 
   const std::vector<int> ctx = {7, 2, 9, 4};
   const int sc = clean.begin_sequence();
@@ -157,8 +102,7 @@ TEST(QuantizedModel, TruncateThenReappendMatchesNeverAppendedBitwise) {
 }
 
 TEST(QuantizedModel, LogitRowSelectionShapesAndValidation) {
-  const auto& f = fixture();
-  QuantizedModel m(f.target, QuantSchemeConfig::qserve_w4a8kv4_g128());
+  QuantizedModel m(target(), QuantSchemeConfig::qserve_w4a8kv4_g128());
   const int a = m.begin_sequence();
   const int b = m.begin_sequence();
 
@@ -172,9 +116,9 @@ TEST(QuantizedModel, LogitRowSelectionShapesAndValidation) {
   EXPECT_EQ(logits.cols(), m.config().vocab);
 
   // The two rows must equal chunk b's per-position logits computed alone.
-  QuantizedModel solo(f.target, QuantSchemeConfig::qserve_w4a8kv4_g128());
+  QuantizedModel solo(target(), QuantSchemeConfig::qserve_w4a8kv4_g128());
   const int s = solo.begin_sequence();
-  const Tensor l0 = solo.prefill_chunk(s, {4}, 0);
+  const Tensor l0 = solo.prefill(s, {4});
   const Tensor l1 = solo.decode_step(s, 5);
   for (int64_t v = 0; v < logits.cols(); ++v) {
     ASSERT_EQ(logits.at2(0, v), l0[v]);
@@ -206,31 +150,20 @@ TEST(ServingEngineSpec, MatchesBaselineBitwiseAcrossIsasAndThreads) {
   // accepted, steps advance k+1 tokens) and a divergent draft (most
   // proposals rejected, constant rollback).
   Rng rng(4321);
-  const Workload w = random_workload(rng, 6);
-  for (const cpu::Isa isa :
-       {cpu::Isa::kScalar, cpu::Isa::kAvx2, cpu::Isa::kAvx512}) {
-    cpu::set_isa(isa);
-    for (const int threads : {1, 8}) {
-      set_num_threads(threads);
-      const auto baseline = run_engine(w, nullptr, 0);
-      const auto accept_all = run_engine(w, &fixture().same, 3);
-      const auto reject_most = run_engine(w, &fixture().divergent, 2);
-      EXPECT_EQ(baseline.streams, accept_all.streams)
-          << "identical draft, isa=" << cpu::isa_name(isa)
-          << " threads=" << threads;
-      EXPECT_EQ(baseline.streams, reject_most.streams)
-          << "divergent draft, isa=" << cpu::isa_name(isa)
-          << " threads=" << threads;
-      // An identical draft always matches the target's argmax.
-      EXPECT_DOUBLE_EQ(accept_all.stats.acceptance_rate, 1.0);
-      EXPECT_GT(accept_all.stats.proposed_tokens, 0);
-      // Speculation must finish in fewer engine steps when everything is
-      // accepted (k+1 tokens per verify step vs 1).
-      EXPECT_LT(accept_all.stats.steps, baseline.stats.steps);
-    }
-  }
-  set_num_threads(0);
-  cpu::clear_isa_override();
+  const Workload w = random_workload(rng, 6, {1, 24}, {1, 10});
+  for_each_config(supported_isas(), {1, 8}, {0}, [&](const ConfigCell&) {
+    const auto baseline = run(w, nullptr, 0);
+    const auto accept_all = run(w, &target(), 3);
+    const auto reject_most = run(w, &divergent(), 2);
+    EXPECT_EQ(baseline.streams, accept_all.streams) << "identical draft";
+    EXPECT_EQ(baseline.streams, reject_most.streams) << "divergent draft";
+    // An identical draft always matches the target's argmax.
+    EXPECT_DOUBLE_EQ(accept_all.stats.acceptance_rate, 1.0);
+    EXPECT_GT(accept_all.stats.proposed_tokens, 0);
+    // Speculation must finish in fewer engine steps when everything is
+    // accepted (k+1 tokens per verify step vs 1).
+    EXPECT_LT(accept_all.stats.steps, baseline.stats.steps);
+  });
 }
 
 TEST(ServingEngineSpec, PreemptionChurnMatchesBaseline) {
@@ -238,15 +171,10 @@ TEST(ServingEngineSpec, PreemptionChurnMatchesBaseline) {
   // steps append and roll back k+1-token spans — the new concurrent KV
   // mutation path composing with the old one. Streams must stay identical
   // and both pools must drain to zero.
-  Workload w;
-  for (int i = 0; i < 3; ++i) {
-    w.prompts.push_back(std::vector<int>(8, 2 + i));
-    w.max_new.push_back(18 + 4 * i);
-  }
-  const auto baseline = run_engine(w, nullptr, 0, /*kv_max_pages=*/6);
-  const auto spec = run_engine(w, &fixture().same, 2, /*kv_max_pages=*/6);
-  const auto spec_div =
-      run_engine(w, &fixture().divergent, 2, /*kv_max_pages=*/6);
+  const Workload w = churn_workload();
+  const auto baseline = run(w, nullptr, 0, /*kv_max_pages=*/6);
+  const auto spec = run(w, &target(), 2, /*kv_max_pages=*/6);
+  const auto spec_div = run(w, &divergent(), 2, /*kv_max_pages=*/6);
   EXPECT_GE(spec.stats.preemptions, 1);
   EXPECT_EQ(baseline.streams, spec.streams);
   EXPECT_EQ(baseline.streams, spec_div.streams);
@@ -255,13 +183,8 @@ TEST(ServingEngineSpec, PreemptionChurnMatchesBaseline) {
 // --- stats -------------------------------------------------------------------
 
 TEST(ServingEngineSpec, StatsCountMultiTokenStepsHonestly) {
-  Workload w;
-  w.prompts.push_back(std::vector<int>(6, 3));
-  w.max_new.push_back(12);
-  w.prompts.push_back(std::vector<int>(4, 5));
-  w.max_new.push_back(9);
-
-  const auto spec = run_engine(w, &fixture().same, 3);
+  const Workload w{{std::vector<int>(6, 3), std::vector<int>(4, 5)}, {12, 9}};
+  const auto spec = run(w, &target(), 3);
   int64_t generated = 0;
   for (const auto& s : spec.streams)
     generated += static_cast<int64_t>(s.size());
@@ -278,9 +201,9 @@ TEST(ServingEngineSpec, StatsCountMultiTokenStepsHonestly) {
   EXPECT_GT(spec.stats.target_forwards_per_decode_token, 0.0);
   // Per-request counters sum to the engine totals.
   // (streams already checked; run again to read request state)
-  QuantizedModel model(fixture().target,
+  QuantizedModel model(target(),
                        QuantSchemeConfig::qserve_w4a8kv4_g128());
-  QuantizedModel draft(fixture().same,
+  QuantizedModel draft(target(),
                        QuantSchemeConfig::qserve_w4a8kv4_g128());
   EngineConfig cfg;
   cfg.speculative.lookahead_k = 3;
@@ -301,9 +224,9 @@ TEST(ServingEngineSpec, StatsCountMultiTokenStepsHonestly) {
 TEST(ServingEngineSpec, StreamingCallbacksSurviveSpeculation) {
   // Multi-token verify emissions must still fire on_token once per token in
   // stream order and on_finish exactly once.
-  QuantizedModel model(fixture().target,
+  QuantizedModel model(target(),
                        QuantSchemeConfig::qserve_w4a8kv4_g128());
-  QuantizedModel draft(fixture().same,
+  QuantizedModel draft(target(),
                        QuantSchemeConfig::qserve_w4a8kv4_g128());
   EngineConfig cfg;
   cfg.speculative.lookahead_k = 4;
@@ -333,9 +256,8 @@ TEST(ServingEngineSpec, StreamingCallbacksSurviveSpeculation) {
 // --- validation --------------------------------------------------------------
 
 TEST(ServingEngineSpec, ValidationRejectsBadSpeculativeConfigs) {
-  const auto& f = fixture();
-  QuantizedModel model(f.target, QuantSchemeConfig::qserve_w4a8kv4_g128());
-  QuantizedModel draft(f.same, QuantSchemeConfig::qserve_w4a8kv4_g128());
+  QuantizedModel model(target(), QuantSchemeConfig::qserve_w4a8kv4_g128());
+  QuantizedModel draft(target(), QuantSchemeConfig::qserve_w4a8kv4_g128());
   {
     EngineConfig bad;
     bad.temperature = 0.7f;  // speculation is greedy-only

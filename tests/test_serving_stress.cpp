@@ -3,8 +3,7 @@
 // preemption churn in a tiny KV pool, and pool conservation across churn.
 #include <gtest/gtest.h>
 
-#include "common/rng.h"
-#include "serving/engine.h"
+#include "harness.h"
 
 namespace qserve {
 namespace {
@@ -55,41 +54,27 @@ TEST(SchedulerStress, DrainsCompletelyWithRepeatedAdmission) {
   EXPECT_EQ(total, 20);
 }
 
-struct StressFixture {
-  ModelWeights weights;
-  StressFixture() : weights(make_synthetic_weights(toy_config(1))) {}
-};
-
-const StressFixture& stress_fixture() {
-  static StressFixture* f = new StressFixture();
-  return *f;
-}
+const ModelWeights& weights() { return toy_weights(toy_config(1)); }
 
 TEST(EngineStress, RandomWorkloadAllComplete) {
-  QuantizedModel model(stress_fixture().weights,
-                       QuantSchemeConfig::qserve_w4a8kv4_g128());
+  QuantizedModel model(weights(), QuantSchemeConfig::qserve_w4a8kv4_g128());
   EngineConfig cfg;
   cfg.scheduler.max_batch = 3;
   cfg.temperature = 1.0f;
   ServingEngine engine(&model, cfg);
 
   Rng rng(3);
+  const Workload w = random_workload(rng, 10, {1, 12}, {1, 8});
   std::vector<int> ids;
-  std::vector<int> want;
-  for (int i = 0; i < 10; ++i) {
-    std::vector<int> prompt(static_cast<size_t>(rng.uniform_int(1, 12)));
-    for (auto& t : prompt) t = rng.uniform_int(0, 511);
-    const int n = rng.uniform_int(1, 8);
-    ids.push_back(engine.submit(prompt, n));
-    want.push_back(n);
-  }
+  for (size_t i = 0; i < w.prompts.size(); ++i)
+    ids.push_back(engine.submit(w.prompts[i], w.max_new[i]));
   const EngineStats stats = engine.run_to_completion();
   int64_t total = 0;
   for (size_t i = 0; i < ids.size(); ++i) {
     const Request& r = engine.request(ids[i]);
     EXPECT_TRUE(r.done());
-    EXPECT_EQ(static_cast<int>(r.generated.size()), want[i]);
-    total += want[i];
+    EXPECT_EQ(static_cast<int>(r.generated.size()), w.max_new[i]);
+    total += w.max_new[i];
   }
   // Every request's first token is counted separately from decode tokens.
   EXPECT_EQ(stats.first_tokens, static_cast<int64_t>(ids.size()));
@@ -99,8 +84,7 @@ TEST(EngineStress, RandomWorkloadAllComplete) {
 }
 
 TEST(EngineStress, SubmissionsBetweenStepsJoinTheBatch) {
-  QuantizedModel model(stress_fixture().weights,
-                       QuantSchemeConfig::qserve_w4a8kv4_g128());
+  QuantizedModel model(weights(), QuantSchemeConfig::qserve_w4a8kv4_g128());
   EngineConfig cfg;
   cfg.scheduler.max_batch = 4;
   ServingEngine engine(&model, cfg);
@@ -123,8 +107,7 @@ TEST(EngineStress, SubmissionsBetweenStepsJoinTheBatch) {
 TEST(EngineStress, KvPagesConservedAcrossChurn) {
   // Run three waves of requests through the same engine; the pool must
   // return to empty between waves (no leaks, no double frees).
-  QuantizedModel model(stress_fixture().weights,
-                       QuantSchemeConfig::qserve_w4a8kv4_g128());
+  QuantizedModel model(weights(), QuantSchemeConfig::qserve_w4a8kv4_g128());
   EngineConfig cfg;
   cfg.scheduler.max_batch = 2;
   ServingEngine engine(&model, cfg);
@@ -139,51 +122,26 @@ TEST(EngineStress, KvPagesConservedAcrossChurn) {
 TEST(EngineStress, PreemptionChurnStreamsMatchSoloRuns) {
   // A 4-page pool with a crowded batch forces repeated eviction/resume.
   // Greedy decoding is deterministic, so every request must emit exactly
-  // the stream an uncontended solo engine produces, regardless of how many
+  // its solo model-level stream, regardless of how many
   // times it was preempted and re-prefilled.
-  const auto& f = stress_fixture();
-  QuantSchemeConfig scheme = QuantSchemeConfig::qserve_w4a8kv4_g128();
-  scheme.kv_max_pages = 4;  // 64 tokens, 1 layer
-
   Rng rng(5);
-  std::vector<std::vector<int>> prompts;
-  std::vector<int> max_new;
-  for (int i = 0; i < 6; ++i) {
-    std::vector<int> p(static_cast<size_t>(rng.uniform_int(3, 12)));
-    for (auto& t : p) t = rng.uniform_int(0, 511);
-    prompts.push_back(std::move(p));
-    max_new.push_back(rng.uniform_int(8, 20));
-  }
+  const Workload w = random_workload(rng, 6, {3, 12}, {8, 20});
+  const auto solo = solo_streams(weights(), w);
 
-  std::vector<std::vector<int>> solo;
-  for (size_t i = 0; i < prompts.size(); ++i) {
-    QuantizedModel model(f.weights, scheme);
-    ServingEngine engine(&model, EngineConfig{});
-    const int id = engine.submit(prompts[i], max_new[i]);
-    engine.run_to_completion();
-    solo.push_back(engine.request(id).generated);
-  }
-
-  QuantizedModel model(f.weights, scheme);
-  EngineConfig cfg;
-  cfg.scheduler.max_batch = 4;
-  ServingEngine engine(&model, cfg);
-  std::vector<int> ids;
-  for (size_t i = 0; i < prompts.size(); ++i)
-    ids.push_back(engine.submit(prompts[i], max_new[i]));
-  const EngineStats stats = engine.run_to_completion();
-
-  for (size_t i = 0; i < ids.size(); ++i)
-    EXPECT_EQ(engine.request(ids[i]).generated, solo[i]) << "request " << i;
-  EXPECT_EQ(model.kv_cache().pages_in_use(), 0);
+  EngineRun run;
+  run.target = &weights();
+  run.scheme = pool_scheme(4);  // 64 tokens, 1 layer
+  run.cfg.scheduler.max_batch = 4;
+  const EngineOutcome out = run_engine(run, w);  // expects an empty pool
+  for (size_t i = 0; i < out.streams.size(); ++i)
+    EXPECT_EQ(out.streams[i], solo[i]) << "request " << i;
   // The pool is small enough that the batch cannot coexist peacefully.
-  EXPECT_GE(stats.preemptions, 1);
+  EXPECT_GE(out.stats.preemptions, 1);
 }
 
 TEST(EngineStress, SamplingTemperatureChangesOutputsGreedyDoesNot) {
-  const auto& f = stress_fixture();
   auto run = [&](float temp, uint64_t seed) {
-    QuantizedModel model(f.weights, QuantSchemeConfig::qserve_w4a8kv4_g128());
+    QuantizedModel model(weights(), QuantSchemeConfig::qserve_w4a8kv4_g128());
     EngineConfig cfg;
     cfg.temperature = temp;
     cfg.sample_seed = seed;

@@ -1,6 +1,6 @@
 // Google-benchmark microbenchmarks of the CPU kernel implementations: the
-// W4A8 GEMM family (per-channel, per-group, pre-packed), the baselines
-// they are compared against, and the RLP dequantization primitives. These
+// pre-packed W4A8 GEMM the model layers run, the baselines it is compared
+// against, and the RLP dequantization primitives. These
 // measure the *reproduction's* CPU kernels — wall-clock GPU claims live in
 // the simulator benches.
 //
@@ -30,8 +30,6 @@ namespace {
 struct GemmSetup {
   Tensor x, w;
   QuantizedActs qx, qx4;
-  W8PerChannel w8;
-  W4PerChannel w4c;
   W4PerGroup w4g;
   W4A4PerGroup w44;
 
@@ -43,8 +41,6 @@ struct GemmSetup {
     for (int64_t i = 0; i < w.numel(); ++i) w[i] = rng.normal();
     qx = quantize_acts_per_token(x);
     qx4 = quantize_acts_per_token_int4(x);
-    w8 = quantize_w8_per_channel(w);
-    w4c = quantize_w4_per_channel(w);
     w4g = quantize_progressive(w, {.group = 128});
     w44 = quantize_w4a4_per_group(w, 128);
   }
@@ -55,28 +51,8 @@ const GemmSetup& setup() {
   return *s;
 }
 
-void BM_GemmW8A8(benchmark::State& state) {
-  const auto& s = setup();
-  for (auto _ : state) benchmark::DoNotOptimize(gemm_w8a8(s.qx, s.w8));
-}
-BENCHMARK(BM_GemmW8A8);
-
-void BM_GemmW4A8PerChannel(benchmark::State& state) {
-  const auto& s = setup();
-  for (auto _ : state)
-    benchmark::DoNotOptimize(gemm_w4a8_per_channel(s.qx, s.w4c));
-}
-BENCHMARK(BM_GemmW4A8PerChannel);
-
-void BM_GemmW4A8PerGroup(benchmark::State& state) {
-  const auto& s = setup();
-  for (auto _ : state)
-    benchmark::DoNotOptimize(gemm_w4a8_per_group(s.qx, s.w4g));
-}
-BENCHMARK(BM_GemmW4A8PerGroup);
-
 // Pre-packed blocked driver (what the model layers run): pack once, then
-// GEMM — amortizing the layout transform the plain entry points pay per call.
+// GEMM.
 void BM_GemmW4A8PerGroupPacked(benchmark::State& state) {
   const auto& s = setup();
   const auto packed =

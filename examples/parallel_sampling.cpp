@@ -53,7 +53,7 @@ int main() {
               prompt.size(), opts.n, double(cfg.temperature));
 
   const int primary = engine.submit(prompt, opts, nullptr, nullptr);
-  const EngineStats stats = engine.run_to_completion();
+  const EngineStats stats = engine.drain();
 
   const Request& rp = engine.request(primary);
   std::vector<int> ids{primary};

@@ -40,7 +40,7 @@ std::vector<std::vector<int>> run(QuantizedModel* target,
     for (int t = 0; t < 6 + 2 * i; ++t) prompt.push_back((13 * t + i) % 512);
     ids.push_back(engine.submit(prompt, 24));
   }
-  *stats_out = engine.run_to_completion();
+  *stats_out = engine.drain();
   std::vector<std::vector<int>> streams;
   for (int id : ids) streams.push_back(engine.request(id).generated);
   return streams;

@@ -138,10 +138,6 @@ void run_blocked(const QuantizedActs& x, const PackedGemmB& w,
   });
 }
 
-int preferred_nr() {
-  return cpu::microkernel_for(cpu::active_isa()).nr;
-}
-
 }  // namespace
 
 Tensor gemm_f32_ref(const Tensor& x, const Tensor& w) {
@@ -256,30 +252,6 @@ Tensor gemm_blocked_epilogue(const I32Tensor& acc, const QuantizedActs& x,
                 scale.data(), has_zp ? zp_term.data() : nullptr, y.row(t));
   });
   return y;
-}
-
-Tensor gemm_w8a8(const QuantizedActs& x, const W8PerChannel& w) {
-  QS_CHECK_EQ(x.k(), w.k());
-  return gemm_blocked(x, pack_gemm_b(w, preferred_nr()));
-}
-
-Tensor gemm_w4a8_per_channel(const QuantizedActs& x, const W4PerChannel& w) {
-  QS_CHECK_EQ(x.k(), w.k());
-  // Main loop MACs the raw UINT4 codes against INT8 activations; the
-  // zero-point correction -tX * (z*s) happens once per output in the
-  // epilogue (subtraction after multiplication, Eq. 12/13).
-  return gemm_blocked(x, pack_gemm_b(w, preferred_nr()));
-}
-
-Tensor gemm_w4a8_per_group(const QuantizedActs& x, const W4PerGroup& w) {
-  QS_CHECK_EQ(x.k(), w.k());
-  // Packing performs the level-2 dequant (q - z) * s1 to integer level-1
-  // codes (the protective range guarantees they fit INT8; the naive range
-  // wraps, reproducing the paper's Fig. 6 overflow); the blocked GEMM then
-  // runs entirely on the INT8 path. The SWAR-faithful version of the dequant
-  // (RLP, over the compute-aware reordered stream) decodes to the same codes;
-  // test_weight_layout pins the two against each other.
-  return gemm_blocked(x, pack_gemm_b(w, preferred_nr()));
 }
 
 Tensor gemm_w4a4_atom(const QuantizedActs& x, const W4A4PerGroup& w) {

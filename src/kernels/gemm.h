@@ -1,13 +1,14 @@
 // GEMM kernels reproducing the numerics of each serving system's pipeline
 // (Figure 5). All kernels compute Y[m,n] = X[m,k] * W[n,k]^T.
 //
-//   gemm_w8a8              — TRT-LLM W8A8 path: INT8 MACs, epilogue scaling.
-//   gemm_w4a8_per_channel  — QServe per-channel: UINT4 codes MAC'd directly,
+//   gemm_blocked           — the INT8 path, on weights packed by pack_gemm_b:
+//     W8PerChannel           TRT-LLM W8A8: INT8 MACs, epilogue scaling;
+//     W4PerChannel           QServe per-channel: UINT4 codes MAC'd directly,
 //                            zero-point term folded into the epilogue via the
-//                            precomputed token sums tX (Eq. 12/13).
-//   gemm_w4a8_per_group    — QServe progressive: level-2 dequant to level-1
-//                            INT8 codes in the main loop (sub-after-mul),
-//                            INT8 MACs, level-1 scaling in the epilogue.
+//                            precomputed token sums tX (Eq. 12/13);
+//     W4PerGroup             QServe progressive: packing does the level-2
+//                            dequant to level-1 INT8 codes (sub-after-mul),
+//                            then INT8 MACs, level-1 scaling in the epilogue.
 //   gemm_w4a4_atom         — Atom path: INT4 MACs with per-group FP32
 //                            partial-sum dequantization in the main loop.
 //   gemm_w4a16             — weight-only path: FP16 dequant in the main loop.
@@ -17,8 +18,7 @@
 // Outputs are rounded through FP16 (the GPU kernels emit FP16), except
 // gemm_fp16's FP32 logits.
 //
-// The three INT8-path kernels (w8a8, w4a8 per-channel, w4a8 per-group) run on
-// runtime-dispatched SIMD microkernels (kernels/cpu/) over a cache-blocked,
+// The INT8 path runs on runtime-dispatched SIMD microkernels (kernels/cpu/) over a cache-blocked,
 // pre-packed weight layout; QSERVE_ISA selects scalar/avx2/avx512 at runtime
 // and every path is bitwise identical.
 #pragma once
@@ -53,20 +53,14 @@ Tensor gemm_fp16(const Tensor& x, const U16Tensor& w);
 // Raw INT8 x INT8 -> INT32 (the "tensor core" primitive).
 I32Tensor gemm_i8i8_i32(const I8Tensor& x, const I8Tensor& w);
 
-Tensor gemm_w8a8(const QuantizedActs& x, const W8PerChannel& w);
-
-Tensor gemm_w4a8_per_channel(const QuantizedActs& x, const W4PerChannel& w);
-
-Tensor gemm_w4a8_per_group(const QuantizedActs& x, const W4PerGroup& w);
-
 // --- cache-blocked SIMD driver on pre-packed weights -------------------------
 //
-// The three INT8-path kernels above are thin wrappers: they pack the weights
-// for the active ISA (kernels/cpu/isa.h) and call gemm_blocked. Callers that
-// run many GEMMs against the same weights (every model layer, the benches)
-// should pack once with pack_gemm_b (kernels/weight_layout.h) and call
-// gemm_blocked directly — packing also pre-dequantizes per-group weights to
-// their level-1 INT8 codes, so the per-call re-dequantization disappears.
+// Pack once with pack_gemm_b (kernels/weight_layout.h), at the active ISA's
+// microkernel width (cpu::microkernel_for(cpu::active_isa()).nr), and run
+// every GEMM against the same weights on the packed form — packing also
+// pre-dequantizes per-group weights to their level-1 INT8 codes. The level-2
+// dequant's SWAR-faithful form (RLP, over the compute-aware reordered
+// stream) decodes to the same codes; test_weight_layout pins the two.
 //
 // The driver tiles over (n, k): output channels in panels of `w.nr` rows,
 // input channels in blocks sized to keep a weight sub-panel L1-resident, and

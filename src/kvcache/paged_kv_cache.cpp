@@ -356,17 +356,22 @@ void PagedKvCache::truncate_sequence(int seq, int64_t new_len) {
                                                   << " tokens exceeds the "
                                                      "window slack "
                                                   << s.slack);
-    // Release the removed logical pages' slots. Each is the slot's CURRENT
-    // occupant (the slack bound keeps the removed span well inside one ring
-    // revolution), and the slot's previous occupant was overwritten long
-    // ago, so the slot becomes a hole until an append reaches it again. A
-    // hole at the table's tail is popped instead, so a sequence still in
-    // pure growth keeps today's dense-table behavior (and bitwise replay:
-    // truncate-then-append re-allocates exactly as an untruncated run).
+    // Release the removed logical pages' slots (the slack bound keeps the
+    // removed span inside one ring revolution). A wrapped slot's private
+    // page stays in place for the next append, so a full ring keeps the
+    // footprint the scheduler charges it; other slots become holes, and a
+    // hole at the table's tail is popped, so a sequence in pure growth keeps
+    // its dense table (and bitwise replay: truncate-then-append re-allocates
+    // exactly as an untruncated run).
     const int64_t cur_pages = ceil_div(s.length, cfg_.page_size);
     for (int64_t pi = keep_pages; pi < cur_pages; ++pi) {
       const int64_t slot = page_slot(s, pi);
       int& pid = s.page_table[static_cast<size_t>(slot)];
+      Page* page = pid >= 0 ? &pages_[static_cast<size_t>(pid)] : nullptr;
+      if (slot < pi && page != nullptr && page->refcount == 1) {
+        page->generation.fetch_add(1, std::memory_order_relaxed);
+        continue;
+      }
       if (pid >= 0) release_page_locked(pid);
       pid = -1;
     }

@@ -356,12 +356,13 @@ void ServingEngine::bind_prefix(Request& r) {
   // tokens are recomputed), and always leave >= 1 token to prefill so the
   // completing chunk produces the first-token logits.
   int64_t m = std::min(hit->match_len, r.context_len() - 1);
-  // A windowed consumer may only fork positions that are full-causal under
-  // its own policy: rows at p < sinks + window attend [0, p+1) exactly like
-  // full attention, so their KV bytes are policy-independent and shareable.
-  // Beyond that the hidden states (and thus KV bytes) diverge — recompute.
-  if (r.attention_window > 0)
-    m = std::min(m, r.sink_tokens + r.attention_window);
+  // A windowed consumer forks its sink pages at most: their rows attend
+  // [0, p+1) exactly like full attention (policy-independent KV bytes), and
+  // the ring never recycles them. A forked page inside the ring would need
+  // a fresh page when the ring wraps onto it, while the pinned entry keeps
+  // the shared one — a page the scheduler's ring-cap accounting never
+  // reserved.
+  if (r.attention_window > 0) m = std::min(m, r.sink_tokens);
   m = m / page * page;
   if (m <= 0) return;
   prefix_index_.pin(hit->uid);
@@ -379,17 +380,10 @@ void ServingEngine::maybe_insert_prefix(Request& r) {
   if (!cfg_.prefix_caching) return;
   const int64_t page = model_->kv_cache().config().page_size;
   int64_t cached_len = static_cast<int64_t>(r.prompt.size()) / page * page;
-  if (r.attention_window > 0) {
-    // A windowed donor can only share pages whose KV bytes match what full
-    // attention would have produced (rows at p < sinks + window), and whose
-    // pages the ring will never recycle under the donor. If the whole prompt
-    // fits under sinks + window nothing has been recycled yet and the full
-    // aligned prompt is donatable; otherwise only the sink pages are — they
-    // are pinned outside the ring for the donor's lifetime.
-    const int64_t prompt_len = static_cast<int64_t>(r.prompt.size());
-    if (prompt_len > r.sink_tokens + r.attention_window)
-      cached_len = std::min(cached_len, r.sink_tokens);
-  }
+  // A windowed donor shares its sink pages only: their KV bytes match full
+  // attention and they sit outside the ring, which never recycles them (see
+  // bind_prefix).
+  if (r.attention_window > 0) cached_len = std::min(cached_len, r.sink_tokens);
   if (cached_len <= 0) return;                     // prompt shorter than a page
   if (prefix_index_.contains(r.prompt)) return;    // identical key cached
   while (prefix_index_.size() >= cfg_.prefix_cache_max_entries) {

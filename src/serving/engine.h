@@ -17,10 +17,10 @@
 // model-level prefill / decode_step calls are the per-request reference the
 // tests compare against.
 //
-// Callers can stream results instead of polling run_to_completion():
-// submit(prompt, opts, on_token, on_finish) registers per-token/finish
-// callbacks, and drain() (or a caller-driven step() loop) pumps the engine
-// until idle.
+// Callers can stream results through callbacks instead of polling request
+// state: submit(prompt, opts, on_token, on_finish) registers per-token /
+// finish callbacks, and drain() (or a caller-driven step() loop) pumps the
+// engine until idle.
 //
 // Failure semantics: every request finishes exactly once with a definite
 // FinishReason (see request.h). Per-request conditions — bad input, a
@@ -253,16 +253,11 @@ class ServingEngine {
   // draft's caches. Returns false when fully idle.
   bool step();
 
-  // Pump step() until idle. The streaming counterpart of
-  // run_to_completion(): callers consume tokens via callbacks instead of
-  // polling request state afterwards. Derived stats (throughputs, means)
-  // are refreshed at the end of every step(), so a caller-driven step()
-  // loop reads the same numbers from stats().
+  // Pump step() until idle and return the stats. Callers consume tokens via
+  // callbacks or read request state afterwards. Derived stats (throughputs,
+  // means) are refreshed at the end of every step(), so a caller-driven
+  // step() loop reads the same numbers from stats().
   EngineStats drain();
-
-  // Run until all submitted requests finish (alias of drain(), kept for
-  // non-streaming callers).
-  EngineStats run_to_completion() { return drain(); }
 
   const Request& request(int id) const;
   const EngineStats& stats() const { return stats_; }

@@ -252,7 +252,37 @@ StepPlan Scheduler::plan(const std::vector<Request*>& running,
     free += held_pages(*lone);
     plan.stalled.push_back(lone);
   }
+#ifndef NDEBUG
+  audit_plan(running, free_pages, plan);
+#endif
   return plan;
+}
+
+void Scheduler::audit_plan(const std::vector<Request*>& running,
+                           int64_t free_pages, const StepPlan& plan) const {
+  const auto in = [](const auto& v, const Request* r) {
+    return std::find(v.begin(), v.end(), r) != v.end();
+  };
+  int64_t credit = 0, need = 0, queued_tokens = 0;
+  for (const auto* retired : {&plan.expired, &plan.evicted, &plan.stalled})
+    for (const Request* r : *retired) credit += held_pages(*r);
+  std::vector<const Request*> live(plan.admitted.begin(), plan.admitted.end());
+  for (const Request* r : running)
+    if (!in(plan.evicted, r)) live.push_back(r);  // evictees are requeued
+  for (const Request* r : live)
+    QS_CHECK_MSG(!in(queue_, r), "scheduler audit: request "
+                                     << r->id << " is queued and running");
+  for (const Request* r : plan.decodes) need += grow_pages(*r, decode_span_);
+  for (const PrefillWork& w : plan.prefills)
+    need += grow_pages(*w.req, w.tokens);
+  QS_CHECK_MSG(need <= free_pages + credit,
+               "scheduler audit: plan needs " << need << " pages > "
+                                              << free_pages << " free + "
+                                              << credit << " credited");
+  for (const Request* r : queue_) queued_tokens += r->context_len();
+  QS_CHECK_MSG(queued_tokens == queued_prompt_tokens_,
+               "scheduler audit: queued_prompt_tokens "
+                   << queued_prompt_tokens_ << " != " << queued_tokens);
 }
 
 }  // namespace qserve

@@ -145,6 +145,11 @@ class Scheduler {
   // in `free` can absorb any number of tokens (the ring recycles from there).
   int64_t token_capacity(const Request& r, int64_t free) const;
   static bool past_deadline(const Request& r, int64_t current_step);
+  // Debug builds: plan()'s self-check — no live request is still queued,
+  // the plan's page needs fit free_pages plus what expiries, evictions and
+  // stalls credit, and queued_prompt_tokens_ matches the queue.
+  void audit_plan(const std::vector<Request*>& running, int64_t free_pages,
+                  const StepPlan& plan) const;
 
   SchedulerConfig cfg_;
   int page_size_;

@@ -6,13 +6,15 @@
 //  - supported_isas() + for_each_config(): the ISA x threads x shards sweep.
 //  - toy_weights(): synthetic weights, built once per (config, seed).
 //  - Workload + random_workload(): seeded prompts and max_new budgets.
-//  - run_engine(): one engine run over an EngineRun spec, returning streams
-//    and stats and checking that every pool drains.
+//  - run_engine(): one engine run over an EngineRun spec (with optional
+//    per-request options, arrivals and cancels), returning streams and stats
+//    and checking that every request finishes once and every pool drains.
 //  - solo_streams(): the oracle every engine stream is held to.
 #pragma once
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
 #include <exception>
@@ -160,22 +162,20 @@ inline Workload random_workload(Rng& rng, int n, std::pair<int, int> prompt_len,
   return w;
 }
 
-// Three 8-token prompts with 18/22/26-token budgets: together they outgrow a
-// 3-page pool, so a tight pool preempts.
-inline Workload churn_workload() {
-  Workload w;
-  for (int i = 0; i < 3; ++i) {
-    w.prompts.push_back(std::vector<int>(8, 2 + i));
-    w.max_new.push_back(18 + 4 * i);
-  }
-  return w;
-}
-
 // --- engine runner and oracle ---------------------------------------------------
+
+// One request's options, arrival and cancellation in a run_engine script.
+struct RequestScript {
+  RequestOptions opts;         // max_new_tokens is taken from the workload
+  int64_t arrival_step = 0;    // submitted before this engine step runs
+  int cancel_at_token = -1;    // cancels itself from on_token at this length
+  int cancel_on_finish_of = -1;  // cancelled from that request's on_finish
+};
 
 // One engine run: a target (and, when draft is set, a speculative draft)
 // model, both sharded by tp, serving every workload request with `opts`
-// (max_new_tokens taken from the workload).
+// (max_new_tokens taken from the workload), or with script[i] when a script
+// is given. Arrival steps in a script must not decrease.
 struct EngineRun {
   const ModelWeights* target = nullptr;
   QuantSchemeConfig scheme = QuantSchemeConfig::qserve_w4a8kv4_g128();
@@ -184,15 +184,24 @@ struct EngineRun {
   TpConfig tp;
   EngineConfig cfg;
   RequestOptions opts;
+  std::vector<RequestScript> script;
+  // Engine steps before which clear_prefix_cache() is called (ascending).
+  std::vector<int64_t> clear_cache_at;
 };
 
 struct EngineOutcome {
-  std::vector<std::vector<int>> streams;
+  std::vector<std::vector<int>> streams;  // each workload request's stream
+  // Per workload request: the submitted request, then its parallel-sampling
+  // siblings in sample order (callbacks dropped).
+  std::vector<std::vector<Request>> samples;
   EngineStats stats;
 };
 
-// Submits the workload in order, runs to completion, clears the prefix
-// cache and expects both pools back at pages_in_use() == 0.
+// Submits each workload request at its arrival step, in order, and steps the
+// engine until idle, expecting only cached prefixes to hold pages whenever
+// it goes idle. Expects every request (siblings included) to finish
+// exactly once with a definite reason and no KV sequence left, then clears
+// the prefix cache and expects both pools back at pages_in_use() == 0.
 inline EngineOutcome run_engine(const EngineRun& run, const Workload& w) {
   QuantizedModel model(*run.target, run.scheme, run.tp);
   std::unique_ptr<QuantizedModel> draft;
@@ -200,15 +209,68 @@ inline EngineOutcome run_engine(const EngineRun& run, const Workload& w) {
     draft = std::make_unique<QuantizedModel>(*run.draft, run.draft_scheme,
                                              run.tp);
   ServingEngine engine(&model, draft.get(), run.cfg);
-  std::vector<int> ids;
-  for (size_t i = 0; i < w.prompts.size(); ++i) {
-    RequestOptions opts = run.opts;
-    opts.max_new_tokens = w.max_new[i];
-    ids.push_back(engine.submit(w.prompts[i], opts, nullptr, nullptr));
+  const size_t n = w.prompts.size();
+  const auto script = [&](size_t i) {
+    return run.script.empty() ? RequestScript{run.opts} : run.script[i];
+  };
+  std::vector<int> ids(n, -1);
+  std::map<int, int> finishes;  // request id -> on_finish calls
+  const auto submit = [&](size_t i) {
+    RequestScript s = script(i);
+    s.opts.max_new_tokens = w.max_new[i];
+    ids[i] = engine.submit(
+        w.prompts[i], s.opts,
+        [&engine, at = s.cancel_at_token](const Request& r, int) {
+          if (static_cast<int>(r.generated.size()) == at) engine.cancel(r.id);
+        },
+        [&, i](const Request& r) {
+          ++finishes[r.id];
+          for (size_t j = 0; j < run.script.size(); ++j)
+            if (run.script[j].cancel_on_finish_of == static_cast<int>(i) &&
+                ids[j] >= 0)
+              engine.cancel(ids[j]);
+        });
+  };
+  size_t next = 0, next_clear = 0;
+  for (int guard = 0;; ++guard) {
+    const int64_t now = engine.stats().steps;
+    while (next < n && script(next).arrival_step <= now) submit(next++);
+    for (; next_clear < run.clear_cache_at.size() &&
+           run.clear_cache_at[next_clear] <= now;
+         ++next_clear)
+      engine.clear_prefix_cache();
+    if (!engine.step()) {
+      // Idle: only cached prefixes may hold pages.
+      EXPECT_LE(model.kv_cache().pages_in_use(),
+                engine.stats().prefix_cache_pages);
+      if (next == n) break;
+    }
+    if (guard >= 50000) {
+      ADD_FAILURE() << "engine must terminate";
+      break;
+    }
   }
   EngineOutcome out;
-  out.stats = engine.run_to_completion();
-  for (int id : ids) out.streams.push_back(engine.request(id).generated);
+  out.stats = engine.stats();
+  size_t total = 0;
+  for (const int id : ids) {
+    std::vector<Request>& samples = out.samples.emplace_back();
+    samples.push_back(engine.request(id));
+    for (const int sid : samples[0].sibling_ids)
+      samples.push_back(engine.request(sid));
+    for (Request& r : samples) {
+      EXPECT_TRUE(r.done()) << "request " << r.id;
+      EXPECT_EQ(finishes[r.id], 1) << "request " << r.id;
+      EXPECT_NE(r.finish_reason, FinishReason::kNone) << "request " << r.id;
+      EXPECT_EQ(r.seq_handle, -1) << "request " << r.id;
+      EXPECT_EQ(r.draft_seq_handle, -1) << "request " << r.id;
+      r.on_token = nullptr;
+      r.on_finish = nullptr;
+    }
+    total += samples.size();
+    out.streams.push_back(samples[0].generated);
+  }
+  EXPECT_EQ(finishes.size(), total) << "on_finish for an unknown request";
   engine.clear_prefix_cache();
   EXPECT_EQ(model.kv_cache().pages_in_use(), 0) << "target pool leak";
   if (draft) {
@@ -226,16 +288,25 @@ inline int argmax(const Tensor& logits) {
 
 // The solo oracle: each request alone on the model — one prefill of the
 // whole prompt, then greedy decode_step rounds; no engine, batching,
-// chunking or scheduler. Disarms fault injection first (and leaves it
-// disarmed): callers arm what their engine run needs afterwards.
+// chunking or scheduler. A request whose script option sets a sliding
+// window gets it installed with a ring slack of its whole prompt, so the
+// one-shot prefill never recycles a page it still reads. Disarms fault
+// injection first (and leaves it disarmed): callers arm what their engine
+// run needs afterwards.
 inline std::vector<std::vector<int>> solo_streams(
     const ModelWeights& weights, const Workload& w,
-    const QuantSchemeConfig& scheme = QuantSchemeConfig::qserve_w4a8kv4_g128()) {
+    const std::vector<RequestScript>& script = {}) {
   fault::clear();
-  QuantizedModel model(weights, scheme);
+  QuantizedModel model(weights, QuantSchemeConfig::qserve_w4a8kv4_g128());
   std::vector<std::vector<int>> out;
   for (size_t i = 0; i < w.prompts.size(); ++i) {
     const int seq = model.begin_sequence();
+    if (!script.empty() && script[i].opts.attention_window > 0) {
+      const RequestOptions& o = script[i].opts;
+      model.set_sequence_window(
+          seq, o.sink_tokens, o.attention_window,
+          static_cast<int64_t>(std::max<size_t>(w.prompts[i].size(), 1)));
+    }
     std::vector<int> gen = {argmax(model.prefill(seq, w.prompts[i]))};
     while (static_cast<int>(gen.size()) < w.max_new[i])
       gen.push_back(argmax(model.decode_step(seq, gen.back())));
@@ -243,6 +314,12 @@ inline std::vector<std::vector<int>> solo_streams(
     out.push_back(std::move(gen));
   }
   return out;
+}
+
+inline bool is_prefix(const std::vector<int>& prefix,
+                      const std::vector<int>& full) {
+  return prefix.size() <= full.size() &&
+         std::equal(prefix.begin(), prefix.end(), full.begin());
 }
 
 }  // namespace qserve

@@ -1,6 +1,6 @@
 // Cross-ISA equivalence of the attention microkernel subsystem: the scalar,
-// AVX2 and AVX-512 paths must produce bitwise-identical attention outputs —
-// and identical engine token streams — for every KV storage form
+// AVX2 and AVX-512 paths must produce bitwise-identical attention outputs
+// for every KV storage form
 // (INT4/INT8 dynamic, FP16), decode rows, verify spans and prefill chunks
 // over plain and recycled windowed sequences, odd sequence lengths that
 // cross page boundaries, GQA head ratios, head_dims off the 16-lane grid,
@@ -414,35 +414,14 @@ TEST(BatchedAttentionExecutor, MixedStepMatchesSoloRunsAcrossShards) {
   }
 }
 
-EngineOutcome run_workload(bool speculative) {
+TEST(EngineStats, AttentionSecondsSplitOutOfStepTime) {
   Rng rng(31);
   EngineRun run;
   run.target = &weights();
-  run.draft = speculative ? &weights() : nullptr;
   run.cfg.scheduler.max_batch = 3;
   run.cfg.scheduler.prefill_chunk = 8;
-  run.cfg.speculative.lookahead_k = 3;
-  return run_engine(run, random_workload(rng, 5, {1, 20}, {1, 8}));
-}
-
-TEST(AttentionIsaEquivalence, EngineTokenStreamsIdenticalAcrossIsas) {
-  for (const bool speculative : {false, true}) {
-    std::vector<std::vector<int>> ref;
-    {
-      ConfigGuard guard(Isa::kScalar);
-      ref = run_workload(speculative).streams;
-    }
-    for (Isa isa : supported_isas()) {
-      ConfigGuard guard(isa);
-      SCOPED_TRACE(std::string(speculative ? "spec" : "batched") + " isa=" +
-                   cpu::isa_name(isa));
-      EXPECT_EQ(ref, run_workload(speculative).streams);
-    }
-  }
-}
-
-TEST(EngineStats, AttentionSecondsSplitOutOfStepTime) {
-  const EngineOutcome r = run_workload(/*speculative=*/false);
+  const EngineOutcome r =
+      run_engine(run, random_workload(rng, 5, {1, 20}, {1, 8}));
   EXPECT_GT(r.stats.attention_seconds, 0.0);
   EXPECT_GT(r.stats.attention_share, 0.0);
   EXPECT_LE(r.stats.attention_share, 1.0);

@@ -5,10 +5,19 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "kernels/cpu/microkernel.h"
 #include "quant/quantize.h"
 
 namespace qserve {
 namespace {
+
+// The INT8-path GEMM as the model runs it: weights packed for the active
+// ISA's microkernel, then the blocked driver.
+template <typename Weights>
+Tensor packed_gemm(const QuantizedActs& x, const Weights& w) {
+  const int nr = cpu::microkernel_for(cpu::active_isa()).nr;
+  return gemm_blocked(x, pack_gemm_b(w, nr));
+}
 
 Tensor random_tensor(int64_t n, int64_t k, uint64_t seed, float scale = 1.0f) {
   Rng rng(seed);
@@ -44,8 +53,8 @@ TEST(GemmW8A8, CloseToFp32Reference) {
   const Tensor x = random_tensor(4, 128, 1);
   const Tensor w = random_tensor(16, 128, 2);
   const Tensor ref = gemm_f32_ref(x, w);
-  const Tensor y = gemm_w8a8(quantize_acts_per_token(x),
-                             quantize_w8_per_channel(w));
+  const Tensor y = packed_gemm(quantize_acts_per_token(x),
+                               quantize_w8_per_channel(w));
   // W8A8 per-channel+per-token is near-lossless.
   for (int64_t i = 0; i < y.numel(); ++i)
     EXPECT_NEAR(y[i], ref[i], 0.05f * std::abs(ref[i]) + 0.3f);
@@ -56,7 +65,7 @@ TEST(GemmW8A8, ExactlyEqualsIntegerEpilogueFormula) {
   const Tensor w = random_tensor(8, 64, 4);
   const auto qx = quantize_acts_per_token(x);
   const auto qw = quantize_w8_per_channel(w);
-  const Tensor y = gemm_w8a8(qx, qw);
+  const Tensor y = packed_gemm(qx, qw);
   const I32Tensor acc = gemm_i8i8_i32(qx.q, qw.qw);
   for (int64_t t = 0; t < y.rows(); ++t)
     for (int64_t r = 0; r < y.cols(); ++r)
@@ -73,7 +82,7 @@ TEST(GemmW4A8PerChannel, EpilogueFusionMatchesInLoopSubtraction) {
   const Tensor w = random_tensor(12, 96, 6);
   const auto qx = quantize_acts_per_token(x);
   const auto qw = quantize_w4_per_channel(w);
-  const Tensor fused = gemm_w4a8_per_channel(qx, qw);
+  const Tensor fused = packed_gemm(qx, qw);
 
   // In-loop variant: integer (q - z) MACs, epilogue outer-product scaling,
   // but using the *quantized* activation path for the zero-point term too.
@@ -99,8 +108,7 @@ TEST(GemmW4A8PerChannel, CloseToFp32Reference) {
   const Tensor w = random_tensor(16, 128, 8, 0.2f);
   const Tensor ref = gemm_f32_ref(x, w);
   const Tensor y =
-      gemm_w4a8_per_channel(quantize_acts_per_token(x),
-                            quantize_w4_per_channel(w));
+      packed_gemm(quantize_acts_per_token(x), quantize_w4_per_channel(w));
   double err = 0, mag = 0;
   for (int64_t i = 0; i < y.numel(); ++i) {
     err += std::abs(y[i] - ref[i]);
@@ -116,7 +124,7 @@ TEST(GemmW4A8PerGroup, BitExactAgainstLevel1CodeGemm) {
   const Tensor w = random_tensor(8, 256, 10);
   const auto qx = quantize_acts_per_token(x);
   const auto qw = quantize_progressive(w, {.group = 128});
-  const Tensor y = gemm_w4a8_per_group(qx, qw);
+  const Tensor y = packed_gemm(qx, qw);
 
   // Reference: dequantize level-2 -> level-1 int codes, int GEMM, epilogue.
   const I32Tensor codes = dequantize_level1_codes(qw);
@@ -140,11 +148,10 @@ TEST_P(GemmGroupSweep, PerGroupBeatsPerChannelAccuracy) {
   const Tensor x = random_tensor(4, 512, 13);
   const Tensor w = random_tensor(16, 512, 14, 1.0f);
   const Tensor ref = gemm_f32_ref(x, w);
-  const Tensor yg = gemm_w4a8_per_group(
-      quantize_acts_per_token(x),
-      quantize_progressive(w, {.group = group}));
-  const Tensor yc = gemm_w4a8_per_channel(quantize_acts_per_token(x),
-                                          quantize_w4_per_channel(w));
+  const Tensor yg = packed_gemm(quantize_acts_per_token(x),
+                                quantize_progressive(w, {.group = group}));
+  const Tensor yc = packed_gemm(quantize_acts_per_token(x),
+                                quantize_w4_per_channel(w));
   EXPECT_LT(mse(yg, ref), mse(yc, ref));
 }
 
@@ -172,9 +179,8 @@ TEST(GemmW4A4, LessAccurateThanW4A8) {
   const double e44 = mse(gemm_w4a4_atom(quantize_acts_per_token_int4(x),
                                         quantize_w4a4_per_group(w, 128)),
                          ref);
-  const double e48 = mse(gemm_w4a8_per_group(
-                             quantize_acts_per_token(x),
-                             quantize_progressive(w, {.group = 128})),
+  const double e48 = mse(packed_gemm(quantize_acts_per_token(x),
+                                     quantize_progressive(w, {.group = 128})),
                          ref);
   EXPECT_LT(e48, e44);
 }

@@ -105,19 +105,19 @@ I32Tensor reference_acc(const QuantizedActs& x, const PackedGemmB& w) {
   return acc;
 }
 
-// Run `gemm(qx)` (a plain-API kernel) and `pack()` + accumulators under every
-// supported ISA x thread count and require bitwise identity with the
-// one-thread scalar result, whose accumulators must equal reference_acc.
-template <typename Weights, typename GemmFn>
+// Pack `qw` for each supported ISA and run gemm_blocked + accumulators at
+// every thread count, requiring bitwise identity with the one-thread scalar
+// result, whose accumulators must equal reference_acc.
+template <typename Weights>
 void check_all_isas(const QuantizedActs& qx, const Weights& qw,
-                    const GemmFn& gemm, const char* tag) {
+                    const char* tag) {
   Tensor y_scalar;
   I32Tensor acc_scalar;
   {
     ConfigGuard pin(Isa::kScalar, /*threads=*/1);
-    y_scalar = gemm(qx, qw);
     const PackedGemmB packed =
         pack_gemm_b(qw, cpu::microkernel_for(Isa::kScalar).nr);
+    y_scalar = gemm_blocked(qx, packed);
     acc_scalar = gemm_blocked_acc(qx, packed);
     expect_bitwise_equal(reference_acc(qx, packed), acc_scalar, tag);
   }
@@ -130,7 +130,7 @@ void check_all_isas(const QuantizedActs& qx, const Weights& qw,
                    " threads=" + std::to_string(n_threads) +
                    " m=" + std::to_string(qx.m()) + " n=" +
                    std::to_string(packed.n) + " k=" + std::to_string(qx.k()));
-      expect_bitwise_equal(y_scalar, gemm(qx, qw), tag);
+      expect_bitwise_equal(y_scalar, gemm_blocked(qx, packed), tag);
       expect_bitwise_equal(acc_scalar, gemm_blocked_acc(qx, packed), tag);
     }
   }
@@ -160,11 +160,7 @@ TEST(GemmIsaEquivalence, W8A8) {
   for (const Shape& s : kShapes) {
     const auto qx = quantize_acts_per_token(random_acts(s.m, s.k, seed++));
     const auto qw = quantize_w8_per_channel(random_weights(s.n, s.k, seed++));
-    check_all_isas(qx, qw,
-                   [](const QuantizedActs& x, const W8PerChannel& w) {
-                     return gemm_w8a8(x, w);
-                   },
-                   "w8a8");
+    check_all_isas(qx, qw, "w8a8");
   }
 }
 
@@ -173,11 +169,7 @@ TEST(GemmIsaEquivalence, W4A8PerChannel) {
   for (const Shape& s : kShapes) {
     const auto qx = quantize_acts_per_token(random_acts(s.m, s.k, seed++));
     const auto qw = quantize_w4_per_channel(random_weights(s.n, s.k, seed++));
-    check_all_isas(qx, qw,
-                   [](const QuantizedActs& x, const W4PerChannel& w) {
-                     return gemm_w4a8_per_channel(x, w);
-                   },
-                   "w4a8_per_channel");
+    check_all_isas(qx, qw, "w4a8_per_channel");
   }
 }
 
@@ -187,11 +179,7 @@ TEST(GemmIsaEquivalence, W4A8PerGroupProtectiveRange) {
     const auto qx = quantize_acts_per_token(random_acts(s.m, s.k, seed++));
     const auto qw = quantize_progressive(random_weights(s.n, s.k, seed++),
                                          {.group = s.group});
-    check_all_isas(qx, qw,
-                   [](const QuantizedActs& x, const W4PerGroup& w) {
-                     return gemm_w4a8_per_group(x, w);
-                   },
-                   "w4a8_per_group");
+    check_all_isas(qx, qw, "w4a8_per_group");
   }
 }
 
@@ -205,11 +193,7 @@ TEST(GemmIsaEquivalence, W4A8PerGroupNaiveRangeOverflowWraps) {
     const auto qw =
         quantize_progressive(random_weights(s.n, s.k, seed++),
                              {.group = s.group, .level1_range = 127});
-    check_all_isas(qx, qw,
-                   [](const QuantizedActs& x, const W4PerGroup& w) {
-                     return gemm_w4a8_per_group(x, w);
-                   },
-                   "w4a8_per_group_naive");
+    check_all_isas(qx, qw, "w4a8_per_group_naive");
   }
 }
 
@@ -244,8 +228,8 @@ TEST(GemmIsaEquivalence, MismatchedPackWidthFallsBackCorrectly) {
   PackedGemmB packed;
   {
     ConfigGuard guard(Isa::kScalar);
-    ref = gemm_w8a8(qx, qw);
     packed = pack_gemm_b(qw, cpu::microkernel_for(Isa::kScalar).nr);
+    ref = gemm_blocked(qx, packed);
   }
   for (Isa isa : supported_isas()) {
     ConfigGuard guard(isa);
@@ -267,8 +251,9 @@ TEST(GemmIsaEquivalence, RowsAreBatchInvariant) {
   const auto per_channel = quantize_w4_per_channel(w);
   const auto run = [&](const Tensor& rows, bool channel) {
     const QuantizedActs qx = quantize_acts_per_token(rows);
-    return channel ? gemm_w4a8_per_channel(qx, per_channel)
-                   : gemm_w4a8_per_group(qx, per_group);
+    const int nr = cpu::microkernel_for(cpu::active_isa()).nr;
+    return gemm_blocked(qx, channel ? pack_gemm_b(per_channel, nr)
+                                    : pack_gemm_b(per_group, nr));
   };
   for (bool channel : {false, true}) {
     Tensor solo({pool, n});

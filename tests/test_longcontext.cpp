@@ -5,10 +5,11 @@
 // resident bytes are bitwise the bytes a full-attention sequence holds at
 // the same positions; truncate-then-append across the ring boundary matches
 // a sequence that never held the rejected tail. Model layer: window >=
-// context is bitwise identical to full attention. Engine layer: windowed
-// streams are bitwise stable across ISA x threads x TP shards x preemption
-// churn, option validation rejects loudly, and a long generation completes
-// in a pool a full-attention run could never fit.
+// context is bitwise identical to full attention. Engine layer: option
+// validation rejects loudly, and a long generation completes in a pool a
+// full-attention run could never fit. The engine fuzzer
+// (test_engine_fuzz.cpp) holds windowed streams to the solo reference
+// across ISA x threads x TP shards x preemption x faults x speculation.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -222,126 +223,6 @@ TEST(ModelWindow, WindowCoveringContextIsBitwiseFullAttention) {
 
 // --- engine layer -------------------------------------------------------------
 
-// Long enough that context crosses sink + window = 48 and recycles.
-Workload windowed_workload(Rng& rng, int n_requests) {
-  return random_workload(rng, n_requests, {4, 40}, {30, 60});
-}
-
-// Windowed requests (16 sinks, window 32) on the 1-layer toy model.
-EngineOutcome run_windowed(const Workload& w, int shards,
-                           const EngineConfig& cfg,
-                           const QuantSchemeConfig& scheme,
-                           const ModelWeights* draft_weights = nullptr) {
-  EngineRun run;
-  run.target = &toy_weights(toy_config(1));
-  run.scheme = scheme;
-  run.draft = draft_weights;
-  run.draft_scheme = scheme;
-  run.tp = TpConfig{shards};
-  run.cfg = cfg;
-  run.opts.attention_window = 32;
-  run.opts.sink_tokens = 16;
-  return run_engine(run, w);
-}
-
-TEST(EngineWindow, StreamsBitwiseAcrossIsaThreadsAndShards) {
-  Rng rng(1600);
-  const Workload w = windowed_workload(rng, 4);
-  EngineConfig cfg;
-  cfg.scheduler.max_batch = 3;
-  cfg.scheduler.prefill_chunk = 16;
-  const QuantSchemeConfig scheme = QuantSchemeConfig::qserve_w4a8kv4_g128();
-  EngineOutcome base;
-  {
-    ConfigGuard pin(cpu::Isa::kScalar, /*threads=*/1);
-    base = run_windowed(w, 1, cfg, scheme);
-  }
-  EXPECT_EQ(base.stats.windowed_requests, 4);
-  EXPECT_GT(base.stats.kv_recycled_pages, 0);
-  for_each_config(supported_isas(), {1, 8}, {1, 2}, [&](const ConfigCell& c) {
-    EXPECT_EQ(base.streams, run_windowed(w, c.shards, cfg, scheme).streams);
-  });
-}
-
-TEST(EngineWindow, PreemptionChurnPreservesWindowedStreams) {
-  // A tiny pool forces eviction + recompute-on-resume re-prefill of windowed
-  // requests; per-row windows make the re-derived ring state, and thus the
-  // streams, bitwise identical to the uncontended run.
-  ConfigGuard guard;
-  Rng rng(1601);
-  const Workload w = windowed_workload(rng, 3);
-  EngineConfig cfg;
-  cfg.scheduler.max_batch = 3;
-  cfg.scheduler.prefill_chunk = 16;
-  const EngineOutcome base =
-      run_windowed(w, 1, cfg, QuantSchemeConfig::qserve_w4a8kv4_g128());
-  // Enough for one windowed request's ring (sink 1 + window 2 + slack 1 + 1
-  // boundary = 5 pages/layer) plus a little contention headroom.
-  const EngineOutcome churn = run_windowed(w, 1, cfg, pool_scheme(8));
-  EXPECT_GE(churn.stats.preemptions, 1);
-  EXPECT_EQ(base.streams, churn.streams);
-}
-
-TEST(EngineWindow, FaultInjectionPreservesWindowedStreams) {
-  ConfigGuard guard;
-  set_num_threads(1);
-  Rng rng(1602);
-  const Workload w = windowed_workload(rng, 3);
-  EngineConfig cfg;
-  cfg.scheduler.max_batch = 3;
-  cfg.scheduler.prefill_chunk = 16;
-  const QuantSchemeConfig scheme = QuantSchemeConfig::qserve_w4a8kv4_g128();
-  const EngineOutcome base = run_windowed(w, 1, cfg, scheme);
-  fault::set_site(fault::kKvAppend, 0.05, 21);
-  const EngineOutcome faulted = run_windowed(w, 1, cfg, scheme);
-  fault::clear();
-  EXPECT_GE(faulted.stats.faulted_steps, 1);
-  EXPECT_EQ(base.streams, faulted.streams);
-}
-
-TEST(EngineWindow, SpeculativeWindowedStreamsMatchBaseline) {
-  // Greedy draft/verify over windowed requests: rollbacks truncate across
-  // the ring, and the streams must still equal the non-speculative engine's.
-  ConfigGuard guard;
-  const ModelWeights& draft = toy_weights(toy_config(1), 777);
-  Rng rng(1603);
-  const Workload w = windowed_workload(rng, 3);
-  EngineConfig cfg;
-  cfg.scheduler.max_batch = 3;
-  cfg.scheduler.prefill_chunk = 16;
-  const QuantSchemeConfig scheme = QuantSchemeConfig::qserve_w4a8kv4_g128();
-  const EngineOutcome base = run_windowed(w, 1, cfg, scheme);
-  EngineConfig spec_cfg = cfg;
-  spec_cfg.speculative.lookahead_k = 3;
-  const EngineOutcome spec = run_windowed(w, 1, spec_cfg, scheme, &draft);
-  // Every rejected draft token is a truncate across the ring; acceptance is
-  // incidental (the toy draft rarely agrees with the target).
-  EXPECT_GT(spec.stats.proposed_tokens, 0);
-  EXPECT_EQ(base.streams, spec.streams);
-}
-
-TEST(EngineWindow, WindowCoveringContextMatchesFullAttention) {
-  ConfigGuard guard;
-  const ModelWeights& weights = toy_weights(toy_config(1));
-  const QuantSchemeConfig scheme = QuantSchemeConfig::qserve_w4a8kv4_g128();
-  std::vector<int> prompt(20, 9);
-  EngineConfig cfg;
-  auto run_one = [&](int64_t window, int64_t sink) {
-    QuantizedModel model(weights, scheme);
-    ServingEngine engine(&model, cfg);
-    RequestOptions opts;
-    opts.max_new_tokens = 24;
-    opts.attention_window = window;
-    opts.sink_tokens = sink;
-    const int id = engine.submit(prompt, opts, nullptr, nullptr);
-    engine.run_to_completion();
-    return engine.request(id).generated;
-  };
-  const auto full = run_one(0, 0);
-  // 20 + 24 = 44 context <= 16 + 64: never recycles, bitwise full attention.
-  EXPECT_EQ(full, run_one(64, 16));
-}
-
 TEST(EngineWindow, InvalidOptionsRejectLoudly) {
   ConfigGuard guard;
   const ModelWeights& weights = toy_weights(toy_config(1));
@@ -365,7 +246,7 @@ TEST(EngineWindow, InvalidOptionsRejectLoudly) {
   ok.sink_tokens = 16;
   ok.max_new_tokens = 4;
   const int id = engine.submit({1, 2, 3}, ok, nullptr, nullptr);
-  engine.run_to_completion();
+  engine.drain();
   EXPECT_EQ(engine.request(id).finish_reason, FinishReason::kLength);
   EXPECT_EQ(engine.stats().rejected, 3);
   EXPECT_EQ(model.kv_cache().pages_in_use(), 0);
@@ -392,7 +273,7 @@ TEST(EngineWindow, LongGenerationCompletesInSmallPoolWithFlatFootprint) {
     RequestOptions full;
     full.max_new_tokens = 600;
     const int id = engine.submit(prompt, full, nullptr, nullptr);
-    engine.run_to_completion();
+    engine.drain();
     EXPECT_EQ(engine.request(id).finish_reason, FinishReason::kError);
     EXPECT_LT(engine.request(id).generated.size(), 600u);
     EXPECT_EQ(model.kv_cache().pages_in_use(), 0);
@@ -411,7 +292,7 @@ TEST(EngineWindow, LongGenerationCompletesInSmallPoolWithFlatFootprint) {
         pages_at_token.push_back(model.kv_cache().pages_in_use());
       },
       nullptr);
-  const EngineStats stats = engine.run_to_completion();
+  const EngineStats stats = engine.drain();
   EXPECT_EQ(engine.request(id).finish_reason, FinishReason::kLength);
   EXPECT_EQ(engine.request(id).generated.size(), 600u);
   EXPECT_EQ(stats.preemptions, 0);
@@ -422,70 +303,6 @@ TEST(EngineWindow, LongGenerationCompletesInSmallPoolWithFlatFootprint) {
     ASSERT_EQ(pages_at_token[t], pages_at_token[199]) << t;
   EXPECT_LE(pages_at_token[199], 10);
   EXPECT_EQ(model.kv_cache().pages_in_use(), 0);
-}
-
-TEST(EngineWindow, ParallelSamplingSiblingsInheritWindow) {
-  ConfigGuard guard;
-  const ModelWeights& weights = toy_weights(toy_config(1));
-  QuantizedModel model(weights, QuantSchemeConfig::qserve_w4a8kv4_g128());
-  EngineConfig cfg;
-  cfg.scheduler.prefill_chunk = 16;
-  ServingEngine engine(&model, cfg);
-  RequestOptions opts;
-  opts.max_new_tokens = 60;  // crosses sink + window = 48
-  opts.attention_window = 32;
-  opts.sink_tokens = 16;
-  opts.n = 2;
-  const std::vector<int> prompt(10, 4);
-  const int id = engine.submit(prompt, opts, nullptr, nullptr);
-  engine.run_to_completion();
-  const Request& primary = engine.request(id);
-  ASSERT_EQ(primary.sibling_ids.size(), 1u);
-  const Request& sibling = engine.request(primary.sibling_ids[0]);
-  EXPECT_EQ(sibling.attention_window, 32);
-  EXPECT_EQ(sibling.sink_tokens, 16);
-  EXPECT_EQ(sibling.window_page_cap, primary.window_page_cap);
-  // Greedy siblings replay the primary's stream — through their own ring.
-  EXPECT_EQ(primary.generated, sibling.generated);
-  EXPECT_EQ(model.kv_cache().pages_in_use(), 0);
-}
-
-TEST(EngineWindow, PrefixCachingSharesOnlyPolicyIndependentPrefix) {
-  // Windowed donors clamp their donation to the sink+window prefix (or the
-  // sinks alone once recycling has begun), so later hits reuse only KV bytes
-  // that are bitwise what full attention would hold — streams must equal the
-  // cache-off run exactly.
-  ConfigGuard guard;
-  const ModelWeights& weights = toy_weights(toy_config(1));
-  const std::vector<int> common(20, 7);
-  auto run = [&](bool caching) {
-    QuantizedModel model(weights, QuantSchemeConfig::qserve_w4a8kv4_g128());
-    EngineConfig cfg;
-    cfg.scheduler.max_batch = 1;  // serialize: donate, then hit, then hit
-    cfg.scheduler.prefill_chunk = 16;
-    cfg.prefix_caching = caching;
-    ServingEngine engine(&model, cfg);
-    EngineOutcome out;
-    std::vector<int> ids;
-    for (int i = 0; i < 3; ++i) {
-      std::vector<int> prompt = common;
-      prompt.push_back(100 + i);
-      RequestOptions opts;
-      opts.max_new_tokens = 50;
-      opts.attention_window = 32;
-      opts.sink_tokens = 16;
-      ids.push_back(engine.submit(prompt, opts, nullptr, nullptr));
-    }
-    out.stats = engine.run_to_completion();
-    for (int id : ids) out.streams.push_back(engine.request(id).generated);
-    engine.clear_prefix_cache();
-    EXPECT_EQ(model.kv_cache().pages_in_use(), 0);
-    return out;
-  };
-  const EngineOutcome cold = run(false);
-  const EngineOutcome cached = run(true);
-  EXPECT_GE(cached.stats.prefix_hits, 1);
-  EXPECT_EQ(cold.streams, cached.streams);
 }
 
 }  // namespace

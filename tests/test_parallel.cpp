@@ -16,6 +16,7 @@
 #include "common/check.h"
 #include "common/math_util.h"
 #include "harness.h"
+#include "kernels/cpu/microkernel.h"
 #include "kernels/gemm.h"
 #include "quant/quantize.h"
 
@@ -270,10 +271,13 @@ TEST(ParallelKernels, W4A8PerGroupBitwiseIdenticalAcrossThreadCounts) {
   const auto qx = quantize_acts_per_token(x);
   const auto qw = quantize_progressive(w, {.group = 128});
 
+  const PackedGemmB packed =
+      pack_gemm_b(qw, cpu::microkernel_for(cpu::active_isa()).nr);
+
   ConfigGuard guard(/*threads=*/1);
-  const Tensor serial = gemm_w4a8_per_group(qx, qw);
+  const Tensor serial = gemm_blocked(qx, packed);
   set_num_threads(8);
-  const Tensor parallel = gemm_w4a8_per_group(qx, qw);
+  const Tensor parallel = gemm_blocked(qx, packed);
 
   ASSERT_TRUE(serial.same_shape(parallel));
   for (int64_t i = 0; i < serial.numel(); ++i)
@@ -286,10 +290,13 @@ TEST(ParallelKernels, W8A8BitwiseIdenticalAcrossThreadCounts) {
   const auto qx = quantize_acts_per_token(x);
   const auto qw = quantize_w8_per_channel(w);
 
+  const PackedGemmB packed =
+      pack_gemm_b(qw, cpu::microkernel_for(cpu::active_isa()).nr);
+
   ConfigGuard guard(/*threads=*/1);
-  const Tensor serial = gemm_w8a8(qx, qw);
+  const Tensor serial = gemm_blocked(qx, packed);
   set_num_threads(8);
-  const Tensor parallel = gemm_w8a8(qx, qw);
+  const Tensor parallel = gemm_blocked(qx, packed);
 
   for (int64_t i = 0; i < serial.numel(); ++i)
     ASSERT_EQ(serial[i], parallel[i]) << i;

@@ -1,9 +1,9 @@
-// Batched step executor: the engine's streams (one forward_step per engine
-// step across all requests) equal a per-request model-level reference
-// bitwise, across ISAs, thread counts and preemption churn; sampled streams
-// are identical across ISAs and thread counts; streaming-callback ordering;
+// Batched step executor: one forward_step over decode rows and prefill
+// chunks reproduces per-sequence calls bitwise; streaming-callback ordering;
 // loud construction-time config validation; batched-GEMM occupancy and k = 0
-// verify-span stats.
+// verify-span stats. The engine fuzzer (test_engine_fuzz.cpp) holds the
+// engine's greedy and sampled streams to the model-level reference across
+// ISAs, thread counts, shard counts and preemption churn.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -16,17 +16,6 @@ namespace qserve {
 namespace {
 
 const ModelWeights& weights() { return toy_weights(toy_config(1)); }
-
-// The toy model at `scheme` under `cfg`.
-EngineOutcome run(const Workload& w, const EngineConfig& cfg,
-                  const QuantSchemeConfig& scheme =
-                      QuantSchemeConfig::qserve_w4a8kv4_g128()) {
-  EngineRun spec;
-  spec.target = &weights();
-  spec.scheme = scheme;
-  spec.cfg = cfg;
-  return run_engine(spec, w);
-}
 
 // --- model-level identity ----------------------------------------------------
 
@@ -108,56 +97,6 @@ TEST(QuantizedModel, ForwardStepValidatesChunks) {
 }
 
 // --- engine-level identity across ISAs and thread counts ---------------------
-
-TEST(ServingEngineBatched, GreedyMatchesModelLevelReferenceAcrossIsasAndThreads) {
-  // Randomized mixed decode+prefill batches: with a small prefill chunk and
-  // staggered lengths, most steps stack decode rows from some requests with
-  // prefill chunks from others. The engine's greedy streams must equal the
-  // per-request model-level reference bitwise for every ISA the host can
-  // run and at 1 and 8 threads.
-  Rng rng(1234);
-  const Workload w = random_workload(rng, 6, {1, 24}, {1, 10});
-  EngineConfig cfg;
-  cfg.scheduler.max_batch = 4;
-  cfg.scheduler.prefill_chunk = 8;
-  for_each_config(supported_isas(), {1, 8}, {0}, [&](const ConfigCell&) {
-    EXPECT_EQ(run(w, cfg).streams, solo_streams(weights(), w));
-  });
-}
-
-TEST(ServingEngineBatched, SampledStreamsIdenticalAcrossIsasAndThreads) {
-  // Temperature sampling draws from one engine RNG serially in admission
-  // order, so a seeded run's streams must not depend on ISA or threads.
-  Rng rng(1234);
-  const Workload w = random_workload(rng, 6, {1, 24}, {1, 10});
-  EngineConfig cfg;
-  cfg.scheduler.max_batch = 4;
-  cfg.scheduler.prefill_chunk = 8;
-  cfg.temperature = 0.8f;
-  std::vector<std::vector<int>> anchor;
-  {
-    ConfigGuard pin(cpu::Isa::kScalar, /*threads=*/1);
-    anchor = run(w, cfg).streams;
-  }
-  for_each_config(supported_isas(), {1, 8}, {0}, [&](const ConfigCell&) {
-    EXPECT_EQ(run(w, cfg).streams, anchor);
-  });
-}
-
-TEST(ServingEngineBatched, PreemptionChurnMatchesModelLevelReference) {
-  // A 3-page pool forces eviction + re-prefill of prompt + generated tokens;
-  // recompute-on-resume must leave every greedy stream equal to the
-  // reference, at 1 and 8 threads.
-  const Workload w = churn_workload();
-  EngineConfig cfg;
-  cfg.scheduler.max_batch = 4;
-  const auto expect = solo_streams(weights(), w);
-  for_each_config({cpu::active_isa()}, {1, 8}, {0}, [&](const ConfigCell&) {
-    const EngineOutcome out = run(w, cfg, pool_scheme(3));
-    EXPECT_EQ(out.streams, expect);
-    EXPECT_GE(out.stats.preemptions, 1);
-  });
-}
 
 // --- streaming API -----------------------------------------------------------
 
@@ -285,7 +224,7 @@ TEST(ServingEngineBatched, BatchTokenStatsCountRowsNotRequests) {
   cfg.scheduler.max_batch = 3;
   ServingEngine engine(&model, cfg);
   for (int i = 0; i < 3; ++i) engine.submit(std::vector<int>(8, 1 + i), 4);
-  const EngineStats stats = engine.run_to_completion();
+  const EngineStats stats = engine.drain();
   // Step 1 stacks 3 prefill chunks of 8 rows; steps 2-4 stack 3 decode rows.
   EXPECT_EQ(stats.peak_batch, 3);              // requests
   EXPECT_EQ(stats.peak_batch_tokens, 24);      // rows

@@ -5,7 +5,9 @@
 // allocation faults under preemption churn — finishes only the affected
 // request (exactly one on_finish, a definite reason), leaks zero pages, and
 // leaves every other request's token stream bitwise identical to a
-// fault-free run, across ISAs and thread counts.
+// fault-free run. The engine fuzzer (test_engine_fuzz.cpp) composes the
+// same finishes and injected faults with every other feature, across ISAs,
+// thread counts and shard counts.
 #include <cstdlib>
 #include <memory>
 #include <set>
@@ -25,75 +27,6 @@ const ModelWeights& weights() { return toy_weights(toy_config(1)); }
 Workload make_workload(int n, uint64_t seed) {
   Rng rng(seed);
   return random_workload(rng, n, {3, 12}, {4, 14});
-}
-
-struct ChurnOutcome {
-  std::vector<FinishReason> reasons;
-  std::vector<int> finish_count;
-  std::vector<std::vector<int>> streams;
-  EngineStats stats;
-};
-
-// Submit the workload with optional per-request cancel points (cancel_at[i]
-// tokens, -1 = never, issued from inside on_token) and deadlines, pump the
-// engine to idle, and assert the universal invariants: termination, exactly
-// one on_finish per request with a definite reason, and zero pages leaked.
-ChurnOutcome run_churn(QuantizedModel& model, QuantizedModel* draft,
-                       const EngineConfig& cfg, const Workload& w,
-                       const std::vector<int>& cancel_at,
-                       const std::vector<int64_t>& deadlines) {
-  ServingEngine engine(&model, draft, cfg);
-  const size_t n = w.prompts.size();
-  ChurnOutcome out;
-  out.reasons.assign(n, FinishReason::kNone);
-  out.finish_count.assign(n, 0);
-  out.streams.resize(n);
-  std::vector<int> ids(n, -1);
-  for (size_t i = 0; i < n; ++i) {
-    RequestOptions opts;
-    opts.max_new_tokens = w.max_new[i];
-    opts.deadline_steps = deadlines[i];
-    const int cancel_after = cancel_at[i];
-    ids[i] = engine.submit(
-        w.prompts[i], opts,
-        [&engine, cancel_after](const Request& r, int) {
-          if (cancel_after >= 0 &&
-              static_cast<int>(r.generated.size()) == cancel_after)
-            engine.cancel(r.id);
-        },
-        [&out, i](const Request& r) {
-          ++out.finish_count[i];
-          out.reasons[i] = r.finish_reason;
-        });
-  }
-  int guard = 0;
-  while (engine.step()) {
-    if (++guard >= 50000) {
-      ADD_FAILURE() << "engine must terminate";
-      break;
-    }
-  }
-  for (size_t i = 0; i < n; ++i) {
-    const Request& r = engine.request(ids[i]);
-    EXPECT_TRUE(r.done()) << "request " << i;
-    EXPECT_EQ(out.finish_count[i], 1) << "request " << i;
-    EXPECT_NE(out.reasons[i], FinishReason::kNone) << "request " << i;
-    EXPECT_EQ(r.finish_reason, out.reasons[i]) << "request " << i;
-    EXPECT_EQ(r.seq_handle, -1) << "request " << i;
-    EXPECT_EQ(r.draft_seq_handle, -1) << "request " << i;
-    out.streams[i] = r.generated;
-  }
-  EXPECT_EQ(model.kv_cache().pages_in_use(), 0) << "target pool leak";
-  if (draft != nullptr) {
-    EXPECT_EQ(draft->kv_cache().pages_in_use(), 0) << "draft pool leak";
-  }
-  out.stats = engine.stats();
-  return out;
-}
-
-bool is_prefix(const std::vector<int>& prefix, const std::vector<int>& full) {
-  return prefix.size() <= full.size() &&
-         std::equal(prefix.begin(), prefix.end(), full.begin());
 }
 
 // ---------------------------------------------------------------------------
@@ -203,7 +136,7 @@ TEST(Lifecycle, UnservableSubmissionsRejectNotAbort) {
   }
   // The engine still serves well-formed work afterwards.
   const int good = engine.submit({3, 4, 5}, 4);
-  engine.run_to_completion();
+  engine.drain();
   EXPECT_EQ(engine.request(good).finish_reason, FinishReason::kLength);
   EXPECT_EQ(engine.request(good).generated.size(), 4u);
   EXPECT_EQ(engine.stats().rejected, 5);
@@ -239,7 +172,7 @@ TEST(Lifecycle, BoundedQueueShedsAndTrySubmitReportsBackpressure) {
   EXPECT_GE(d, 0);
   EXPECT_EQ(engine.request(d).finish_reason, FinishReason::kRejected);
 
-  engine.run_to_completion();
+  engine.drain();
   EXPECT_EQ(engine.request(a).finish_reason, FinishReason::kLength);
   EXPECT_EQ(engine.request(b).finish_reason, FinishReason::kLength);
   EXPECT_EQ(engine.stats().shed, 1);
@@ -247,7 +180,7 @@ TEST(Lifecycle, BoundedQueueShedsAndTrySubmitReportsBackpressure) {
   EXPECT_EQ(engine.stats().queue_depth_high_water, 2);
   // Once drained, the queue has room again.
   EXPECT_GE(engine.try_submit({7, 8}, RequestOptions{}), 0);
-  engine.run_to_completion();
+  engine.drain();
   EXPECT_EQ(model.kv_cache().pages_in_use(), 0);
 }
 
@@ -262,7 +195,7 @@ TEST(Lifecycle, PromptTokenCapShedsIndependentlyOfRequestCap) {
   EXPECT_EQ(engine.try_submit(std::vector<int>(5, 2), RequestOptions{}), -1);
   const int b = engine.submit(std::vector<int>(4, 3), 2);  // 6 + 4 fits
   const int c = engine.submit(std::vector<int>(1, 4), 2);  // 11 > 10: shed
-  engine.run_to_completion();
+  engine.drain();
   EXPECT_EQ(engine.request(a).finish_reason, FinishReason::kLength);
   EXPECT_EQ(engine.request(b).finish_reason, FinishReason::kLength);
   EXPECT_EQ(engine.request(c).finish_reason, FinishReason::kShedOverload);
@@ -309,7 +242,7 @@ TEST(Lifecycle, CancelQueuedRunningAndFinished) {
   // Cancelling again, or cancelling a finished request, reports false.
   EXPECT_FALSE(engine.cancel(ids[0]));
   EXPECT_FALSE(engine.cancel(ids[2]));
-  engine.run_to_completion();
+  engine.drain();
   EXPECT_EQ(engine.request(ids[1]).finish_reason, FinishReason::kLength);
   EXPECT_EQ(engine.request(ids[1]).generated, solo[1]);
   EXPECT_FALSE(engine.cancel(ids[1]));
@@ -322,20 +255,23 @@ TEST(Lifecycle, CancelFromOnTokenMidStream) {
   ConfigGuard guard(ConfigGuard::kNoFaults);
   const Workload w = make_workload(4, 12);
   const auto solo = solo_streams(weights(), w);
-  QuantizedModel model(weights(),
-                       QuantSchemeConfig::qserve_w4a8kv4_g128());
-  ServingEngine engine(&model, EngineConfig{});
-  std::vector<int> cancel_at = {2, -1, 3, -1};
-  std::vector<int64_t> deadlines(4, 0);
-  const ChurnOutcome out =
-      run_churn(model, nullptr, EngineConfig{}, w, cancel_at, deadlines);
+  const std::vector<int> cancel_at = {2, -1, 3, -1};
+  EngineRun run;
+  run.target = &weights();
+  for (const int at : cancel_at) {
+    RequestScript s;
+    s.cancel_at_token = at;
+    run.script.push_back(s);
+  }
+  const EngineOutcome out = run_engine(run, w);
   for (size_t i = 0; i < 4; ++i) {
+    const FinishReason reason = out.samples[i][0].finish_reason;
     if (cancel_at[i] >= 0 && cancel_at[i] < w.max_new[i]) {
-      EXPECT_EQ(out.reasons[i], FinishReason::kCancelled) << i;
+      EXPECT_EQ(reason, FinishReason::kCancelled) << i;
       EXPECT_EQ(static_cast<int>(out.streams[i].size()), cancel_at[i]) << i;
       EXPECT_TRUE(is_prefix(out.streams[i], solo[i])) << i;
     } else {
-      EXPECT_EQ(out.reasons[i], FinishReason::kLength) << i;
+      EXPECT_EQ(reason, FinishReason::kLength) << i;
       EXPECT_EQ(out.streams[i], solo[i]) << i;
     }
   }
@@ -423,7 +359,7 @@ TEST(Lifecycle, DeadlineAndTtftDeadlineExpire) {
   relaxed.max_new_tokens = 3;
   relaxed.deadline_steps = 10000;
   const int c = engine.submit(w.prompts[1], relaxed, nullptr, nullptr);
-  engine.run_to_completion();
+  engine.drain();
   EXPECT_EQ(engine.request(c).finish_reason, FinishReason::kLength);
 }
 
@@ -476,7 +412,7 @@ TEST(Lifecycle, ThrowingOnFinishIsContained) {
                                [](const Request&) {
                                  throw std::runtime_error("finish bug");
                                });
-  engine.run_to_completion();  // must not propagate
+  engine.drain();  // must not propagate
   EXPECT_EQ(engine.request(id).finish_reason, FinishReason::kLength);
   EXPECT_EQ(engine.stats().callback_exceptions, 1);
   EXPECT_EQ(model.kv_cache().pages_in_use(), 0);
@@ -485,152 +421,6 @@ TEST(Lifecycle, ThrowingOnFinishIsContained) {
 // ---------------------------------------------------------------------------
 // Injected faults
 // ---------------------------------------------------------------------------
-
-TEST(Faults, AllocFaultConvertsToPreemptionNotAbort) {
-  ConfigGuard guard(ConfigGuard::kNoFaults);
-  set_num_threads(1);
-  Workload w;  // multi-page requests: every one crosses page boundaries
-  for (int i = 0; i < 6; ++i) {
-    w.prompts.push_back(std::vector<int>(static_cast<size_t>(18 + 5 * i),
-                                         200 + i));
-    w.max_new.push_back(8);
-  }
-  const auto solo = solo_streams(weights(), w);
-  fault::set_site(fault::kKvAlloc, 0.25, 2024);
-  QuantizedModel model(weights(), pool_scheme(6));
-  EngineConfig cfg;
-  cfg.scheduler.max_batch = 4;
-  const ChurnOutcome out =
-      run_churn(model, nullptr, cfg, w, std::vector<int>(6, -1),
-                std::vector<int64_t>(6, 0));
-  for (size_t i = 0; i < 6; ++i) {
-    EXPECT_EQ(out.reasons[i], FinishReason::kLength) << i;
-    EXPECT_EQ(out.streams[i], solo[i])
-        << "stream " << i << " must be bitwise fault-invariant";
-  }
-  EXPECT_GT(fault::counters(fault::kKvAlloc).injected, 0)
-      << "the schedule must actually inject at this rate/seed";
-  EXPECT_GE(out.stats.faulted_steps, 1);
-}
-
-TEST(Faults, EngineStepAndAppendSitesRecoverToo) {
-  ConfigGuard guard(ConfigGuard::kNoFaults);
-  set_num_threads(1);
-  const Workload w = make_workload(4, 17);
-  const auto solo = solo_streams(weights(), w);
-  fault::configure("engine_step:0.15:5,kv_append:0.05:6");
-  QuantizedModel model(weights(),
-                       QuantSchemeConfig::qserve_w4a8kv4_g128());
-  const ChurnOutcome out =
-      run_churn(model, nullptr, EngineConfig{}, w, std::vector<int>(4, -1),
-                std::vector<int64_t>(4, 0));
-  for (size_t i = 0; i < 4; ++i) EXPECT_EQ(out.streams[i], solo[i]) << i;
-  EXPECT_GE(out.stats.faulted_steps, 1);
-}
-
-TEST(Faults, SpeculativeEngineRecoversWithBothPools) {
-  ConfigGuard guard(ConfigGuard::kNoFaults);
-  set_num_threads(1);
-  const Workload w = make_workload(4, 18);
-  const auto solo = solo_streams(weights(), w);
-  fault::set_site(fault::kKvAlloc, 0.08, 31);
-  QuantizedModel model(weights(), pool_scheme(8));
-  QuantizedModel draft(weights(), pool_scheme(8));
-  EngineConfig cfg;
-  cfg.scheduler.max_batch = 2;
-  cfg.speculative.lookahead_k = 2;
-  const ChurnOutcome out = run_churn(model, &draft, cfg, w,
-                                     std::vector<int>(4, -1),
-                                     std::vector<int64_t>(4, 0));
-  // Speculative decoding is bitwise-identical to the baseline, and fault
-  // recovery must preserve that: same streams, both pools empty (run_churn
-  // asserts the pools).
-  for (size_t i = 0; i < 4; ++i) {
-    EXPECT_EQ(out.reasons[i], FinishReason::kLength) << i;
-    EXPECT_EQ(out.streams[i], solo[i]) << i;
-  }
-}
-
-// The acceptance-criteria sweep: randomized cancel/deadline/shed/alloc-fault
-// mix, re-run across every supported ISA and {1, 8} threads. Non-faulted
-// requests must match the fault-free solo baseline bitwise in every
-// configuration; every configuration must drain to zero pages.
-TEST(Faults, ChurnSweepAcrossIsasAndThreadCounts) {
-  ConfigGuard guard(ConfigGuard::kNoFaults);
-  const int n = 16;
-  const Workload w = make_workload(n, 19);
-  const auto solo = solo_streams(weights(), w);
-
-  std::vector<int> cancel_at(n, -1);
-  std::vector<int64_t> deadlines(n, 0);
-  for (int i = 0; i < n; ++i) {
-    if (i % 5 == 0) cancel_at[i] = 2;       // cancelled from on_token
-    if (i % 7 == 3) deadlines[i] = 6;       // may expire under churn
-  }
-
-  for_each_config(supported_isas(), {1, 8}, {0}, [&](const ConfigCell&) {
-    fault::set_site(fault::kKvAlloc, 0.10, 77);
-    QuantizedModel model(weights(), pool_scheme(6));
-    EngineConfig cfg;
-    cfg.scheduler.max_batch = 4;
-    cfg.max_queued_requests = 12;  // the last submissions shed
-    const ChurnOutcome out =
-        run_churn(model, nullptr, cfg, w, cancel_at, deadlines);
-    int shed = 0;
-    for (int i = 0; i < n; ++i) {
-      switch (out.reasons[i]) {
-        case FinishReason::kLength:
-          EXPECT_EQ(out.streams[i], solo[i]) << "request " << i;
-          break;
-        case FinishReason::kCancelled:
-        case FinishReason::kDeadline:
-          // Partial service is always an exact prefix of the baseline.
-          EXPECT_TRUE(is_prefix(out.streams[i], solo[i])) << "request " << i;
-          break;
-        case FinishReason::kShedOverload:
-          ++shed;
-          EXPECT_TRUE(out.streams[i].empty()) << "request " << i;
-          break;
-        default:
-          FAIL() << "request " << i << " finished with reason "
-                 << to_string(out.reasons[i]);
-      }
-    }
-    EXPECT_EQ(shed, n - 12) << "queue cap sheds deterministically";
-    EXPECT_EQ(out.stats.completed + out.stats.cancelled +
-                  out.stats.deadline_expired + out.stats.shed +
-                  out.stats.rejected + out.stats.errored,
-              n);
-  });
-}
-
-// CI hook: when QSERVE_FAULT is set in the environment, rerun the churn
-// workload under exactly that spec (applied programmatically so this test is
-// independent of what earlier tests armed). Streams must STILL match the
-// fault-free baseline — fault recovery is preemption, and preemption is
-// bitwise stream-preserving.
-TEST(Faults, ChurnUnderEnvFaultSpec) {
-  ConfigGuard guard;
-  const Workload w = make_workload(8, 20);
-  // Baselines are solo fault-free runs (the oracle disarms); then re-arm the
-  // env spec for the churn run.
-  const auto solo = solo_streams(weights(), w);
-  const char* env = std::getenv("QSERVE_FAULT");
-  fault::configure(env != nullptr ? env : "");
-  QuantizedModel model(weights(), pool_scheme(6));
-  EngineConfig cfg;
-  cfg.scheduler.max_batch = 4;
-  const ChurnOutcome out =
-      run_churn(model, nullptr, cfg, w, std::vector<int>(8, -1),
-                std::vector<int64_t>(8, 0));
-  for (size_t i = 0; i < 8; ++i) {
-    EXPECT_EQ(out.reasons[i], FinishReason::kLength) << i;
-    EXPECT_EQ(out.streams[i], solo[i]) << i;
-  }
-  if (env != nullptr && fault::enabled()) {
-    EXPECT_GE(out.stats.faulted_steps, 0);  // smoke: reached idle under env
-  }
-}
 
 // EngineStats counters add up for a mixed outcome, including the speculative
 // engine.
@@ -658,7 +448,7 @@ TEST(Lifecycle, StatsCountersSumToFinishedRequests) {
     // 5th submission shed (cap 4), plus one rejection and one cancellation.
     const int rejected = engine.submit({}, RequestOptions{}, nullptr, nullptr);
     engine.cancel(ids[2]);
-    engine.run_to_completion();
+    engine.drain();
     const EngineStats& s = engine.stats();
     EXPECT_EQ(s.shed, 1) << "speculative=" << speculative;
     EXPECT_EQ(s.rejected, 1);

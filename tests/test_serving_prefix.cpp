@@ -1,10 +1,12 @@
 // Prefix caching & parallel sampling at the engine level. The central
 // invariants: a request served from a warm prefix cache produces a token
 // stream BITWISE identical to a cold start (the KV bytes of a token prefix
-// are a pure function of the prefix), across ISAs and thread counts, under
-// preemption churn and injected faults; engine-level forks are page-aligned
-// and therefore never trigger copy-on-write; and every test drains to
-// pages_in_use() == 0 once the cache is cleared.
+// are a pure function of the prefix), across ISAs and thread counts;
+// engine-level forks are page-aligned and therefore never trigger
+// copy-on-write; and every test drains to pages_in_use() == 0 once the cache
+// is cleared. The engine fuzzer (test_engine_fuzz.cpp) composes prefix
+// caching and parallel sampling with preemption, faults, speculation and
+// windows.
 #include <cstdlib>
 #include <map>
 #include <vector>
@@ -131,36 +133,6 @@ TEST(PrefixCaching, WarmFirstTokenTakesOneChunkStepColdTakesSix) {
   EXPECT_EQ(model.kv_cache().pages_in_use(), 0);
 }
 
-TEST(PrefixCaching, SurvivesPreemptionChurnSmallPool) {
-  // A pool too small for the whole batch forces eviction round trips while
-  // cached entries hold pages. Under-pressure reclaim may sacrifice cache
-  // hits, never correctness: every completed stream stays bitwise solo.
-  ConfigGuard guard(ConfigGuard::kNoFaults);
-  const Workload w = shared_prefix_workload(6, /*prefix_len=*/48, 303);
-  const auto solo = solo_streams(fixture_weights(), w);
-  for (const int64_t pool_pages : {12, 20}) {
-    QuantizedModel model(fixture_weights(), pool_scheme(pool_pages));
-    EngineConfig cfg;
-    cfg.prefix_caching = true;
-    cfg.scheduler.prefill_chunk = 16;
-    cfg.scheduler.max_batch = 4;
-    ServingEngine engine(&model, cfg);
-    std::vector<int> ids;
-    for (size_t i = 0; i < w.prompts.size(); ++i)
-      ids.push_back(engine.submit(w.prompts[i], w.max_new[i]));
-    pump(engine);
-    for (size_t i = 0; i < ids.size(); ++i) {
-      EXPECT_EQ(engine.request(ids[i]).finish_reason, FinishReason::kLength)
-          << "pool=" << pool_pages << " request " << i;
-      EXPECT_EQ(engine.request(ids[i]).generated, solo[i])
-          << "pool=" << pool_pages << " request " << i;
-    }
-    engine.clear_prefix_cache();
-    EXPECT_EQ(model.kv_cache().pages_in_use(), 0);
-    EXPECT_EQ(model.kv_cache().shared_pages(), 0);
-  }
-}
-
 TEST(PrefixCaching, EntryCapEvictsLruAndPressureEvictsBeforePreempting) {
   ConfigGuard guard(ConfigGuard::kNoFaults);
   // Three distinct prompts (no shared prefix) through a cap-2 cache.
@@ -199,148 +171,6 @@ TEST(PrefixCaching, EntryCapEvictsLruAndPressureEvictsBeforePreempting) {
   EXPECT_EQ(small.kv_cache().pages_in_use(), 0);
   engine.clear_prefix_cache();
   EXPECT_EQ(model.kv_cache().pages_in_use(), 0);
-}
-
-TEST(PrefixCaching, ChurnUnderFaultInjectionStaysBitwise) {
-  // Deterministic kv_alloc faults + the QSERVE_FAULT env spec (when CI sets
-  // it): fault recovery is preemption, preemption is stream-preserving, and
-  // neither may corrupt a shared page.
-  ConfigGuard guard(ConfigGuard::kNoFaults);
-  const Workload w = shared_prefix_workload(6, /*prefix_len=*/48, 305);
-  const auto solo = solo_streams(fixture_weights(), w);
-  const char* env = std::getenv("QSERVE_FAULT");
-  if (env != nullptr) {
-    fault::configure(env);
-  } else {
-    fault::set_site(fault::kKvAlloc, 0.05, 91);
-  }
-  QuantizedModel model(fixture_weights(), pool_scheme(24));
-  EngineConfig cfg;
-  cfg.prefix_caching = true;
-  cfg.scheduler.prefill_chunk = 16;
-  cfg.scheduler.max_batch = 4;
-  ServingEngine engine(&model, cfg);
-  std::vector<int> ids;
-  for (size_t i = 0; i < w.prompts.size(); ++i)
-    ids.push_back(engine.submit(w.prompts[i], w.max_new[i]));
-  pump(engine);
-  for (size_t i = 0; i < ids.size(); ++i) {
-    EXPECT_EQ(engine.request(ids[i]).finish_reason, FinishReason::kLength)
-        << i;
-    EXPECT_EQ(engine.request(ids[i]).generated, solo[i]) << i;
-  }
-  fault::clear();
-  engine.clear_prefix_cache();
-  EXPECT_EQ(model.kv_cache().pages_in_use(), 0);
-  EXPECT_EQ(model.kv_cache().shared_pages(), 0);
-}
-
-TEST(ParallelSampling, GreedySiblingsEmitThePrimaryStream) {
-  // n=4 at temperature 0: all four completions must equal the solo stream —
-  // with the cache on (siblings fork the donated prompt pages) AND off
-  // (siblings re-prefill cold). Demuxing metadata must line up.
-  ConfigGuard guard(ConfigGuard::kNoFaults);
-  const Workload w = shared_prefix_workload(1, /*prefix_len=*/40, 306);
-  const auto solo = solo_streams(fixture_weights(), w);
-  for (const bool caching : {false, true}) {
-    QuantizedModel model(fixture_weights(), pool_scheme(64));
-    EngineConfig cfg;
-    cfg.prefix_caching = caching;
-    cfg.scheduler.prefill_chunk = 16;
-    ServingEngine engine(&model, cfg);
-    RequestOptions opts;
-    opts.max_new_tokens = w.max_new[0];
-    opts.n = 4;
-    std::map<int, int> finishes;
-    const int primary = engine.submit(
-        w.prompts[0], opts, nullptr,
-        [&finishes](const Request& r) { ++finishes[r.id]; });
-    pump(engine);
-
-    const Request& rp = engine.request(primary);
-    ASSERT_EQ(rp.sibling_ids.size(), 3u) << "caching=" << caching;
-    EXPECT_EQ(rp.n_samples, 4);
-    EXPECT_EQ(rp.sample_index, 0);
-    EXPECT_EQ(rp.generated, solo[0]) << "caching=" << caching;
-    int index = 1;
-    for (const int sid : rp.sibling_ids) {
-      const Request& rs = engine.request(sid);
-      EXPECT_EQ(rs.finish_reason, FinishReason::kLength);
-      EXPECT_EQ(rs.generated, solo[0])
-          << "caching=" << caching << " sibling " << rs.sample_index;
-      EXPECT_EQ(rs.parent_id, primary);
-      EXPECT_EQ(rs.sample_index, index++);
-      EXPECT_EQ(rs.n_samples, 4);
-      EXPECT_EQ(finishes[sid], 1);
-    }
-    EXPECT_EQ(finishes[primary], 1);
-    engine.clear_prefix_cache();
-    EXPECT_EQ(model.kv_cache().pages_in_use(), 0) << "caching=" << caching;
-  }
-}
-
-TEST(ParallelSampling, TemperatureRunsAreReproducible) {
-  // temperature > 0: the four streams draw from one seeded RNG in a fixed
-  // order (primary, then siblings ascending), so two identical runs must
-  // produce identical stream sets; every completion runs to full length.
-  ConfigGuard guard(ConfigGuard::kNoFaults);
-  const Workload w = shared_prefix_workload(1, /*prefix_len=*/40, 307);
-  const auto run = [&w]() {
-    QuantizedModel model(fixture_weights(), pool_scheme(64));
-    EngineConfig cfg;
-    cfg.prefix_caching = true;
-    cfg.temperature = 0.8f;
-    cfg.sample_seed = 1234;
-    ServingEngine engine(&model, cfg);
-    RequestOptions opts;
-    opts.max_new_tokens = 8;
-    opts.n = 4;
-    const int primary = engine.submit(w.prompts[0], opts, nullptr, nullptr);
-    int guard = 0;
-    while (engine.step() && ++guard < 50000) {
-    }
-    std::vector<std::vector<int>> streams;
-    streams.push_back(engine.request(primary).generated);
-    for (const int sid : engine.request(primary).sibling_ids)
-      streams.push_back(engine.request(sid).generated);
-    engine.clear_prefix_cache();
-    EXPECT_EQ(model.kv_cache().pages_in_use(), 0);
-    return streams;
-  };
-  const auto first = run();
-  const auto again = run();
-  ASSERT_EQ(first.size(), 4u);
-  for (const auto& s : first) EXPECT_EQ(s.size(), 8u);
-  EXPECT_EQ(first, again);
-}
-
-TEST(PrefixCaching, SpeculativeEngineComposesWithWarmCache) {
-  // Speculative decode + prefix cache: verify-step rollbacks truncate only
-  // above the shared prefix, so warm streams still match the solo baseline
-  // (which is itself bitwise equal to non-speculative decoding by the
-  // speculative engine's greedy-acceptance invariant).
-  ConfigGuard guard(ConfigGuard::kNoFaults);
-  const Workload w = shared_prefix_workload(3, /*prefix_len=*/48, 308);
-  const auto solo = solo_streams(fixture_weights(), w);
-  QuantizedModel target(fixture_weights(), pool_scheme(64));
-  QuantizedModel draft(fixture_weights(), pool_scheme(64));
-  EngineConfig cfg;
-  cfg.prefix_caching = true;
-  cfg.scheduler.prefill_chunk = 16;
-  cfg.speculative.lookahead_k = 2;
-  ServingEngine engine(&target, &draft, cfg);
-  std::vector<int> ids;
-  ids.push_back(engine.submit(w.prompts[0], w.max_new[0]));
-  pump(engine);
-  for (size_t i = 1; i < w.prompts.size(); ++i)
-    ids.push_back(engine.submit(w.prompts[i], w.max_new[i]));
-  pump(engine);
-  for (size_t i = 0; i < ids.size(); ++i)
-    EXPECT_EQ(engine.request(ids[i]).generated, solo[i]) << i;
-  EXPECT_GE(engine.stats().prefix_hits, 1);
-  engine.clear_prefix_cache();
-  EXPECT_EQ(target.kv_cache().pages_in_use(), 0);
-  EXPECT_EQ(draft.kv_cache().pages_in_use(), 0);
 }
 
 }  // namespace

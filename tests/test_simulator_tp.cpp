@@ -77,7 +77,7 @@ double measured_decode_tps(const ModelWeights& weights, int shards) {
     for (auto& t : prompt) t = rng.uniform_int(0, 511);
     engine.submit(prompt, /*max_new_tokens=*/48);
   }
-  const EngineStats stats = engine.run_to_completion();
+  const EngineStats stats = engine.drain();
   return stats.decode_tokens_per_second;
 }
 

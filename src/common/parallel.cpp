@@ -293,19 +293,6 @@ class ShardGroup {
   int pool_threads_ = 0;
 };
 
-std::atomic<int> tp_override{0};
-
-int default_tp_shards() {
-  static const int env_shards = [] {
-    if (const char* env = std::getenv("QSERVE_TP_SHARDS")) {
-      const int n = std::atoi(env);
-      if (n > 0) return n;
-    }
-    return 1;
-  }();
-  return env_shards;
-}
-
 }  // namespace
 
 int num_threads() {
@@ -332,15 +319,6 @@ void parallel_for(int64_t begin, int64_t end, int64_t grain,
   }
   ThreadPool* pool = tl_pool;
   (pool != nullptr ? *pool : ThreadPool::instance()).run(begin, end, grain, fn);
-}
-
-int tp_shards() {
-  const int n = tp_override.load(std::memory_order_relaxed);
-  return n > 0 ? n : default_tp_shards();
-}
-
-void set_tp_shards(int n) {
-  tp_override.store(n > 0 ? n : 0, std::memory_order_relaxed);
 }
 
 int current_shard() { return tl_shard; }

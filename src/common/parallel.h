@@ -35,9 +35,9 @@
 // max(1, T / n_shards) threads each. run_sharded(n, fn) executes fn(0..n-1)
 // concurrently — shard 0 on the caller, shards 1..n-1 on persistent leader
 // threads — and while a shard body runs, parallel_for on that thread (and
-// num_threads()) resolve to the shard's private pool. Shard count resolution
-// mirrors the thread count: set_tp_shards(n) overrides, else the
-// QSERVE_TP_SHARDS environment variable, else 1.
+// num_threads()) resolve to the shard's private pool. The shard count is
+// the caller's argument: a model's comes from its TpConfig
+// (model/quantized_model.h), never from a process-wide default.
 #pragma once
 
 #include <cstdint>
@@ -72,16 +72,6 @@ void parallel_for(int64_t begin, int64_t end, int64_t grain,
 // True while executing inside a parallel_for worker chunk (nested regions
 // run inline). Exposed for tests and for code that must avoid re-entry.
 bool in_parallel_region();
-
-// Requested tensor-parallel shard count, >= 1. Resolution order:
-//  1. set_tp_shards(n), 2. QSERVE_TP_SHARDS (read once), 3. 1.
-// This is a *request*: consumers (QuantizedModel) clamp it to what the model
-// geometry supports, which is safe because sharded execution is bitwise
-// identical at every shard count.
-int tp_shards();
-
-// Override the shard count. n <= 0 resets to the env default.
-void set_tp_shards(int n);
 
 // Run fn(0), ..., fn(n_shards - 1) concurrently, one shard per thread: the
 // caller runs shard 0, persistent leader threads run the rest. While a shard

@@ -28,16 +28,9 @@ bool int8_path_scheme(WeightScheme w) {
          w == WeightScheme::kW4PerGroupProgressive;
 }
 
-int resolve_tp_shards(const ModelConfig& cfg, const QuantSchemeConfig& qcfg,
+int checked_tp_shards(const ModelConfig& cfg, const QuantSchemeConfig& qcfg,
                       const TpConfig& tp) {
-  const int max_feasible =
-      int8_path_scheme(qcfg.weights) ? cfg.n_kv_heads : 1;
-  if (tp.n_shards == 0) {
-    // Runtime default: clamp silently — QSERVE_TP_SHARDS applies to every
-    // model in the process, shardable or not.
-    return std::max(1, std::min(tp_shards(), max_feasible));
-  }
-  QS_CHECK_MSG(tp.n_shards >= 1, "TpConfig.n_shards must be >= 1 (0 = auto)");
+  QS_CHECK_MSG(tp.n_shards >= 1, "TpConfig.n_shards must be >= 1");
   if (tp.n_shards > 1) {
     QS_CHECK_MSG(int8_path_scheme(qcfg.weights),
                  "tensor parallelism requires an INT8-path weight scheme "
@@ -260,10 +253,6 @@ Tensor QuantizedLinear::epilogue(const I32Tensor& acc,
 // --- QuantizedModel --------------------------------------------------------------
 
 QuantizedModel::QuantizedModel(const ModelWeights& weights,
-                               const QuantSchemeConfig& cfg)
-    : QuantizedModel(weights, cfg, TpConfig{}) {}
-
-QuantizedModel::QuantizedModel(const ModelWeights& weights,
                                const QuantSchemeConfig& cfg,
                                const TpConfig& tp)
     : cfg_(weights.cfg), qcfg_(cfg) {
@@ -275,7 +264,7 @@ QuantizedModel::QuantizedModel(const ModelWeights& weights,
                "QuantSchemeConfig.level1_range must be in [1, 127]");
   QS_CHECK_MSG(cfg.kv_max_pages > 0,
                "QuantSchemeConfig.kv_max_pages must be >= 1");
-  tp_ = resolve_tp_shards(cfg_, cfg, tp);
+  tp_ = checked_tp_shards(cfg_, cfg, tp);
   // Shard plan: contiguous near-even KV head ranges (feasibility caps tp_ at
   // n_kv_heads, so every range is non-empty), query ranges scaled by the GQA
   // group, and near-even granularity-1 splits of ffn_dim and the o_proj

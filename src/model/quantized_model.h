@@ -19,15 +19,13 @@
 
 namespace qserve {
 
-// Tensor-parallel execution config. n_shards = 0 resolves the shard count
-// from the runtime default (QSERVE_TP_SHARDS / set_tp_shards()) and clamps
-// it to what the model can serve: INT8-path weight schemes (W8A8 and the two
-// W4A8 variants) shard up to n_kv_heads ways; every other scheme runs
-// single-shard. An explicit n_shards >= 1 is validated loudly instead —
-// requesting 2 shards of a scheme or head layout that cannot shard throws
-// CheckError at construction, not a silent fallback.
+// Tensor-parallel execution config: the model's shard count, its only
+// source. One shard always works; INT8-path weight schemes (W8A8 and the
+// two W4A8 variants) shard up to n_kv_heads ways. Any other request —
+// n_shards < 1, more shards than KV heads, or sharding a scheme without
+// exact INT32 accumulators — throws CheckError at construction.
 struct TpConfig {
-  int n_shards = 0;
+  int n_shards = 1;
 };
 
 // The weight scheme also fixes the activation format: FP16 activations for
@@ -148,12 +146,10 @@ struct BatchedStep {
 
 class QuantizedModel {
  public:
-  // `weights` are the (possibly QoQ-transformed) FP32 weights to quantize.
-  // The two-argument form resolves the tensor-parallel shard count from the
-  // runtime default (TpConfig{0}); pass an explicit TpConfig to pin it.
-  QuantizedModel(const ModelWeights& weights, const QuantSchemeConfig& cfg);
+  // `weights` are the (possibly QoQ-transformed) FP32 weights to quantize;
+  // `tp` sets the tensor-parallel shard count (one shard by default).
   QuantizedModel(const ModelWeights& weights, const QuantSchemeConfig& cfg,
-                 const TpConfig& tp);
+                 const TpConfig& tp = {});
 
   // Stateless full-sequence forward: logits of every position
   // ([|tokens|, vocab]) through a scratch KV sequence, released on return
@@ -236,12 +232,12 @@ class QuantizedModel {
   // over all of the step's spans, never a per-sequence fan-out.
   int64_t batched_attention_calls() const { return batched_attention_calls_; }
 
-  // Tensor-parallel observability. tp_shards() is the resolved shard count S
-  // the executor runs every layer at; S = 1 is its degenerate case, not a
-  // separate path. tp_comm_seconds() is the cumulative wall time spent at
-  // the reduction boundaries — the concat of column-parallel output slices
-  // and the all-reduce + epilogue of row-parallel partials — i.e. the time a
-  // multi-device deployment would spend in collectives.
+  // Tensor-parallel observability. tp_shards() is TpConfig::n_shards, the
+  // shard count S the executor runs every layer at; S = 1 is its degenerate
+  // case, not a separate path. tp_comm_seconds() is the cumulative wall time
+  // spent at the reduction boundaries — the concat of column-parallel output
+  // slices and the all-reduce + epilogue of row-parallel partials — i.e. the
+  // time a multi-device deployment would spend in collectives.
   // tp_shard_max/mean_seconds() accumulate, per shard region, the slowest
   // shard's wall time and the mean shard wall time; their ratio is the
   // shard-imbalance factor EngineStats reports. At S = 1 there are no

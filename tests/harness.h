@@ -1,9 +1,10 @@
 // Shared harness for the serving, kernel-ISA and parallel suites.
 //
-//  - ConfigGuard: RAII return of the thread count, the TP shard default, the
-//    ISA pin and the fault sites to their env defaults, so a failing ASSERT
-//    never leaks an override into later tests.
-//  - supported_isas() + for_each_config(): the ISA x threads x shards sweep.
+//  - ConfigGuard: RAII return of the thread count, the ISA pin and the fault
+//    sites to their env defaults, so a failing ASSERT never leaks an
+//    override into later tests.
+//  - supported_isas() + for_each_config(): the ISA x threads sweep (a shard
+//    count is a model argument, TpConfig, so tests pass it in-process).
 //  - toy_weights(): synthetic weights, built once per (config, seed).
 //  - Workload + random_workload(): seeded prompts and max_new budgets.
 //  - run_engine(): one engine run over an EngineRun spec (with optional
@@ -37,10 +38,10 @@ namespace qserve {
 
 // --- process-wide knobs ---------------------------------------------------------
 
-// On scope exit, returns the thread count, the TP shard default, the ISA pin
-// and the fault sites to their env defaults (QSERVE_NUM_THREADS /
-// QSERVE_TP_SHARDS / QSERVE_ISA / QSERVE_FAULT). kNoFaults also disarms every
-// site on entry, for tests that need a clean fault registry.
+// On scope exit, returns the thread count, the ISA pin and the fault sites
+// to their env defaults (QSERVE_NUM_THREADS / QSERVE_ISA / QSERVE_FAULT).
+// kNoFaults also disarms every site on entry, for tests that need a clean
+// fault registry.
 class ConfigGuard {
  public:
   enum Faults { kEnvFaults, kNoFaults };
@@ -56,7 +57,6 @@ class ConfigGuard {
   explicit ConfigGuard(int threads) { set_num_threads(threads); }
   ~ConfigGuard() {
     set_num_threads(0);
-    set_tp_shards(0);
     cpu::clear_isa_override();
     const char* env = std::getenv("QSERVE_FAULT");
     try {
@@ -79,36 +79,20 @@ inline std::vector<cpu::Isa> supported_isas() {
   return v;
 }
 
-// One cell of the sweep. shards is handed to the body (TpConfig{shards});
-// 0 means the runtime default.
-struct ConfigCell {
-  cpu::Isa isa;
-  int threads;
-  int shards;
-  std::string name() const {
-    return std::string("isa=") + cpu::isa_name(isa) +
-           " threads=" + std::to_string(threads) +
-           " shards=" + std::to_string(shards);
-  }
-};
-
-// Runs fn(cell) for every cell of isas x threads x shards (ISA outermost)
-// with the ISA pinned and the thread count set, each under a SCOPED_TRACE
-// naming the cell; then returns every knob to its env default.
+// Runs fn() for every cell of isas x threads (ISA outermost) with the ISA
+// pinned and the thread count set, each under a SCOPED_TRACE naming the
+// cell; then returns every knob to its env default.
 template <typename Fn>
 void for_each_config(const std::vector<cpu::Isa>& isas,
-                     const std::vector<int>& threads,
-                     const std::vector<int>& shards, Fn&& fn) {
+                     const std::vector<int>& threads, Fn&& fn) {
   ConfigGuard guard;
   for (const cpu::Isa isa : isas) {
     cpu::set_isa(isa);
     for (const int t : threads) {
       set_num_threads(t);
-      for (const int s : shards) {
-        const ConfigCell cell{isa, t, s};
-        SCOPED_TRACE(cell.name());
-        fn(cell);
-      }
+      SCOPED_TRACE(std::string("isa=") + cpu::isa_name(isa) +
+                   " threads=" + std::to_string(t));
+      fn();
     }
   }
 }

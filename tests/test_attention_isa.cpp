@@ -321,41 +321,44 @@ TEST(AttentionIsaEquivalence, BatchedMatchesPerSequenceUnderChurn) {
 const ModelWeights& weights() { return toy_weights(toy_config(2)); }
 
 TEST(BatchedAttentionExecutor, OneDispatchPerLayerPerStep) {
-  QuantizedModel m(weights(), QuantSchemeConfig::qserve_w4a8kv4_g128());
   // Every forward dispatches the attention executor once per layer and
   // shard, whatever its spans are — prefill chunks, verify spans and decode
-  // rows alike, never a per-sequence fan-out (QSERVE_TP_SHARDS picks the
-  // shard count).
-  const int64_t n_dispatch = int64_t(m.config().n_layers) * m.tp_shards();
+  // rows alike, never a per-sequence fan-out — at 1 and 2 shards.
+  for (const int shards : {1, 2}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    QuantizedModel m(weights(), QuantSchemeConfig::qserve_w4a8kv4_g128(),
+                     TpConfig{shards});
+    const int64_t n_dispatch = int64_t(m.config().n_layers) * shards;
 
-  // A prefill-only step per sequence.
-  std::vector<int> seqs;
-  for (int i = 0; i < 3; ++i) {
-    const int s = m.begin_sequence();
-    m.prefill(s, {3, 1, 4, 1, 5});
-    seqs.push_back(s);
-    EXPECT_EQ((i + 1) * n_dispatch, m.batched_attention_calls());
-  }
-  EXPECT_GT(m.attention_seconds(), 0.0);
+    // A prefill-only step per sequence.
+    std::vector<int> seqs;
+    for (int i = 0; i < 3; ++i) {
+      const int s = m.begin_sequence();
+      m.prefill(s, {3, 1, 4, 1, 5});
+      seqs.push_back(s);
+      EXPECT_EQ((i + 1) * n_dispatch, m.batched_attention_calls());
+    }
+    EXPECT_GT(m.attention_seconds(), 0.0);
 
-  // One step with 3 decode rows.
-  BatchedStep step;
-  for (const int s : seqs)
-    step.chunks.push_back({s, {7}, static_cast<int>(m.seq_pos(s)), 1});
-  m.forward_step(step);
-  EXPECT_EQ(4 * n_dispatch, m.batched_attention_calls());
+    // One step with 3 decode rows.
+    BatchedStep step;
+    for (const int s : seqs)
+      step.chunks.push_back({s, {7}, static_cast<int>(m.seq_pos(s)), 1});
+    m.forward_step(step);
+    EXPECT_EQ(4 * n_dispatch, m.batched_attention_calls());
 
-  // A mixed step: a prefill chunk, a 3-row verify span and two decode rows.
-  const int fresh = m.begin_sequence();
-  BatchedStep mixed;
-  mixed.chunks.push_back({fresh, {2, 7, 1, 8, 2, 8}, 0, 1});
-  mixed.chunks.push_back(
-      {seqs[0], {9, 9, 9}, static_cast<int>(m.seq_pos(seqs[0])), 3});
-  for (size_t i = 1; i < seqs.size(); ++i)
+    // A mixed step: a prefill chunk, a 3-row verify span and two decode rows.
+    const int fresh = m.begin_sequence();
+    BatchedStep mixed;
+    mixed.chunks.push_back({fresh, {2, 7, 1, 8, 2, 8}, 0, 1});
     mixed.chunks.push_back(
-        {seqs[i], {6}, static_cast<int>(m.seq_pos(seqs[i])), 1});
-  m.forward_step(mixed);
-  EXPECT_EQ(5 * n_dispatch, m.batched_attention_calls());
+        {seqs[0], {9, 9, 9}, static_cast<int>(m.seq_pos(seqs[0])), 3});
+    for (size_t i = 1; i < seqs.size(); ++i)
+      mixed.chunks.push_back(
+          {seqs[i], {6}, static_cast<int>(m.seq_pos(seqs[i])), 1});
+    m.forward_step(mixed);
+    EXPECT_EQ(5 * n_dispatch, m.batched_attention_calls());
+  }
 }
 
 TEST(BatchedAttentionExecutor, MixedStepMatchesSoloRunsAcrossShards) {

@@ -4,8 +4,9 @@
 // Each seed draws one case over the public API: ISA, threads, TP shards, the
 // model, a tight (preempting) or roomy pool, the engine config (batch,
 // chunk, prefix caching, a speculative draft that agrees with the target or
-// diverges from it, temperature, queue caps), a workload with shared-prefix
-// groups, per-request options (parallel sampling, sliding windows,
+// diverges from it, temperature, queue caps), a workload with a
+// shared-prefix group whose prefix ends mid-page (strict prefixes included),
+// per-request options (parallel sampling, sliding windows,
 // deadlines), cancels from on_token / on_finish, arrivals between steps,
 // prefix-cache clears and injected faults. The case runs once and is held
 // to one oracle (check_case):
@@ -27,8 +28,9 @@
 //  - TP runs report reduction time and imbalance, single-shard runs neither.
 //
 // After the seed list a coverage ledger asserts that every feature was
-// reached at every ISA, at 1 and at 8 threads and with more than one shard,
-// so a generator edit that loses coverage fails here.
+// reached at every ISA, at 1 and at 8 threads, with more than one shard and
+// under faults wherever kLedger asks, so a generator edit that loses
+// coverage fails here.
 //
 // When QSERVE_FAULT is set, every case that draws a fault spec runs under
 // exactly that spec instead, and the test asserts that the spec reached the
@@ -62,31 +64,34 @@ const char* const kSites[] = {fault::kKvAlloc, fault::kKvAppend,
 enum Feature {
   kPreempt, kFault, kPrefixHit, kSibling, kRecycle, kAccept, kRollback,
   kCancel, kDeadline, kShed, kTemperature, kGqa, kTp2, kTp4, kReject,
-  kFeatureCount
+  kMidPagePrefix, kFeatureCount
 };
 const char* const kFeatureNames[] = {
     "preemption", "faulted_step", "prefix_hit", "sibling", "ring_recycle",
     "accepted_draft", "draft_rollback", "cancel", "deadline", "shed",
-    "temperature", "gqa4", "tp2", "tp4", "reject"};
+    "temperature", "gqa4", "tp2", "tp4", "reject", "mid_page_prefix"};
 static_assert(std::size(kFeatureNames) == kFeatureCount);
 
 // Which slots of each feature the ledger requires: the ISA, thread and
-// shard configurations each feature's bitwise claim is checked at.
+// shard configurations each feature's bitwise claim is checked at, and
+// whether it must also be reached in a case that runs under faults.
 struct LedgerRow {
   Feature feature;
   bool every_isa;
   bool threads_1_and_8;
   bool sharded;
+  bool faulted = false;
 };
 constexpr LedgerRow kLedger[] = {
     {kPreempt, false, true, true},     {kFault, true, true, true},
     {kPrefixHit, true, true, true},    {kSibling, false, false, true},
-    {kRecycle, true, true, true},      {kAccept, true, true, true},
-    {kRollback, true, true, true},     {kCancel, true, true, false},
-    {kDeadline, true, true, false},    {kShed, true, true, false},
-    {kTemperature, true, true, false}, {kGqa, true, true, true},
-    {kTp2, true, true, false},         {kTp4, false, true, false},
-    {kReject, false, false, false},
+    {kRecycle, true, true, true, true},
+    {kAccept, true, true, true},       {kRollback, true, true, true},
+    {kCancel, true, true, false},      {kDeadline, true, true, false},
+    {kShed, true, true, false},        {kTemperature, true, true, false},
+    {kGqa, true, true, true},          {kTp2, true, true, false},
+    {kTp4, false, true, false},        {kReject, false, false, false, true},
+    {kMidPagePrefix, false, false, false},
 };
 
 ModelConfig model_config(int model) {
@@ -182,15 +187,28 @@ Case draw_case(uint64_t seed, const char* env_spec) {
   if (chance(rng, 5))
     c.cfg.max_queued_prompt_tokens = rng.uniform_int(20, 80);
 
-  // Workload: random prompts, then a group sharing at least one full page.
+  // Workload: random prompts, then a group sharing a prefix of one or two
+  // full pages and part of the next. A member's suffix may carry its cached
+  // key past the shared prefix, and a member may be a strict prefix of the
+  // one before it: either way a later member's fork would end mid-page.
   c.w = random_workload(rng, rng.uniform_int(1, 3), {1, 24}, {1, 12});
+  const size_t group = c.w.prompts.size();  // the group's first member
   if (!chance(rng, 3)) {
-    std::vector<int> prefix(static_cast<size_t>(rng.uniform_int(16, 32)));
+    std::vector<int> prefix(static_cast<size_t>(
+        kPage * rng.uniform_int(1, 2) + rng.uniform_int(1, kPage - 1)));
     for (auto& t : prefix) t = rng.uniform_int(0, 511);
-    for (int g = rng.uniform_int(2, 3); g > 0; --g) {
+    const int members = rng.uniform_int(2, 3);
+    for (int g = 0; g < members; ++g) {
       std::vector<int> p = prefix;
-      for (int s = rng.uniform_int(1, 4); s > 0; --s)
-        p.push_back(rng.uniform_int(0, 511));
+      const int longer = g > 0 ? int(c.w.prompts.back().size()) : 0;
+      if (longer > kPage + 1 && chance(rng, 2)) {
+        p.assign(c.w.prompts.back().begin(),
+                 c.w.prompts.back().begin() +
+                     rng.uniform_int(kPage + 1, longer - 1));
+      } else {
+        for (int s = rng.uniform_int(1, int(kPage)); s > 0; --s)
+          p.push_back(rng.uniform_int(0, 511));
+      }
       c.w.prompts.push_back(std::move(p));
       c.w.max_new.push_back(rng.uniform_int(1, 12));
     }
@@ -227,9 +245,10 @@ Case draw_case(uint64_t seed, const char* env_spec) {
     bool invalid = false;
     if (chance(rng, 20)) {
       invalid = true;
-      switch (rng.uniform_int(0, 2)) {
+      switch (rng.uniform_int(0, 3)) {
         case 0: s.opts.attention_window = kPage + kPage / 2; break;
-        case 1: s.opts.attention_window = 0; s.opts.sink_tokens = kPage; break;
+        case 1: s.opts.attention_window = -kPage; break;
+        case 2: s.opts.attention_window = 0; s.opts.sink_tokens = kPage; break;
         default: s.opts.n = 0; break;
       }
     }
@@ -238,6 +257,14 @@ Case draw_case(uint64_t seed, const char* env_spec) {
   }
   std::sort(arrivals.begin(), arrivals.end());
   for (size_t i = 0; i < n; ++i) c.script[i].arrival_step = arrivals[i];
+  // A group member arrives once the member before it has had the steps to
+  // prefill, so its lookup can find that member's key cached.
+  for (size_t i = group + 1; i < n; ++i) {
+    int64_t& at = c.script[i].arrival_step;
+    at = std::max(at, c.script[i - 1].arrival_step + 1 +
+                          ceil_div(int64_t(c.w.prompts[i - 1].size()),
+                                   int64_t(c.cfg.scheduler.prefill_chunk)));
+  }
   if (c.cfg.prefix_caching && chance(rng, 3)) {
     for (int k = rng.uniform_int(1, 2); k > 0; --k)
       c.clears.push_back(rng.uniform_int(1, 30));
@@ -304,6 +331,23 @@ std::vector<std::pair<std::string, double>> armed_sites(
                        std::atof(entry.c_str() + colon + 1));
   }
   return sites;
+}
+
+// True when request i would fork a cached key of request j's prompt up to a
+// point inside a page: bind_prefix's bound is the common prefix, j's cached
+// full pages and all but i's last prompt token, and the engine forks only
+// the full pages below it (a windowed request forks sink pages at most).
+bool mid_page_fork(const Case& c, size_t i, size_t j) {
+  if (c.invalid[i] || c.invalid[j] || c.script[i].opts.attention_window > 0 ||
+      c.script[j].opts.attention_window > 0)
+    return false;
+  const std::vector<int>& a = c.w.prompts[i];
+  const std::vector<int>& b = c.w.prompts[j];
+  const int64_t common =
+      std::mismatch(a.begin(), a.end(), b.begin(), b.end()).first - a.begin();
+  const int64_t m = std::min({common, int64_t(b.size()) / kPage * kPage,
+                              int64_t(a.size()) - 1});
+  return m > kPage && m % kPage != 0;
 }
 
 struct CaseRun {
@@ -463,7 +507,8 @@ void check_case(const Case& c, Ledger& ledger) {
             requests);
   EXPECT_EQ(st.first_tokens, served);
   EXPECT_EQ(st.first_tokens + st.decode_tokens, tokens);
-  // Engine forks are page-aligned: no writer lands in a shared page.
+  // Engine forks are page-aligned, also where the cached match ends
+  // mid-page: no writer lands in a shared page.
   EXPECT_EQ(st.cow_page_copies, 0);
   EXPECT_EQ(st.prefix_tokens_reused, st.prefill_tokens_saved);
   // A draft with the target's weights agrees on every token, unless a
@@ -521,6 +566,10 @@ void check_case(const Case& c, Ledger& ledger) {
   hit[kTp2] = c.shards == 2;
   hit[kTp4] = c.shards == 4;
   hit[kReject] = reasons[FinishReason::kRejected] > 0;
+  // A prefix hit in a case holding a pair whose fork would end mid-page.
+  for (size_t i = 0; i < c.w.prompts.size() && st.prefix_hits > 0; ++i)
+    for (size_t j = 0; j < c.w.prompts.size(); ++j)
+      hit[kMidPagePrefix] |= i != j && mid_page_fork(c, i, j);
   for (int f = 0; f < kFeatureCount; ++f) {
     if (!hit[f]) continue;
     const std::string name = kFeatureNames[f];
@@ -528,6 +577,7 @@ void check_case(const Case& c, Ledger& ledger) {
     ledger.hits.insert(name + "@" + cpu::isa_name(c.isa));
     ledger.hits.insert(name + "@threads=" + std::to_string(c.threads));
     if (c.shards > 1) ledger.hits.insert(name + "@shards>1");
+    if (!c.faults.empty()) ledger.hits.insert(name + "@faults");
   }
 }
 
@@ -535,14 +585,14 @@ TEST(EngineFuzz, SeededCasesHoldTheOracle) {
   ConfigGuard guard;
   const char* env = std::getenv("QSERVE_FAULT");
   Ledger ledger;
-  // 45 seeds fill the ledger on hosts with one, two or three ISAs; a
+  // 60 seeds fill the ledger on hosts with one, two or three ISAs; a
   // generator edit that empties a slot fails below.
-  for (uint64_t seed = 1; seed <= 45; ++seed)
+  for (uint64_t seed = 1; seed <= 60; ++seed)
     check_case(draw_case(seed, env), ledger);
 
   // Coverage ledger: every feature reached at least once, plus the
-  // (feature, ISA), (feature, 1 / 8 threads) and (feature, shards > 1)
-  // slots kLedger names.
+  // (feature, ISA), (feature, 1 / 8 threads), (feature, shards > 1) and
+  // (feature, faults) slots kLedger names.
   for (const LedgerRow& row : kLedger) {
     const std::string name = kFeatureNames[row.feature];
     std::vector<std::string> want = {name};
@@ -554,6 +604,7 @@ TEST(EngineFuzz, SeededCasesHoldTheOracle) {
       want.push_back(name + "@threads=8");
     }
     if (row.sharded) want.push_back(name + "@shards>1");
+    if (row.faulted) want.push_back(name + "@faults");
     for (const std::string& w : want)
       EXPECT_TRUE(ledger.hits.count(w)) << "no case reached " << w;
   }

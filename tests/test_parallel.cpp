@@ -198,13 +198,6 @@ TEST(RunSharded, SingleShardRunsInlineOnCallerPool) {
   });
 }
 
-TEST(TpShardsConfig, OverrideAndReset) {
-  set_tp_shards(3);
-  EXPECT_EQ(tp_shards(), 3);
-  set_tp_shards(0);
-  EXPECT_GE(tp_shards(), 1);  // env default (QSERVE_TP_SHARDS or 1)
-}
-
 // --- fixed pairwise summation tree -------------------------------------------
 
 TEST(PairwiseTreeSum, MatchesExplicitTreeAndHandlesEdges) {

@@ -1,14 +1,15 @@
 // Prefix caching & parallel sampling at the engine level. The central
 // invariants: a request served from a warm prefix cache produces a token
 // stream BITWISE identical to a cold start (the KV bytes of a token prefix
-// are a pure function of the prefix), across ISAs and thread counts;
-// engine-level forks are page-aligned and therefore never trigger
+// are a pure function of the prefix), across ISAs, thread counts and shard
+// counts; engine-level forks are page-aligned and therefore never trigger
 // copy-on-write; and every test drains to pages_in_use() == 0 once the cache
 // is cleared. The engine fuzzer (test_engine_fuzz.cpp) composes prefix
 // caching and parallel sampling with preemption, faults, speculation and
 // windows.
 #include <cstdlib>
 #include <map>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -52,46 +53,54 @@ TEST(PrefixCaching, WarmStreamsBitwiseIdenticalAcrossIsaAndThreads) {
   const Workload w = shared_prefix_workload(5, /*prefix_len=*/96, 301);
   const auto solo = solo_streams(fixture_weights(), w);
 
-  for_each_config(supported_isas(), {1, 8}, {0}, [&](const ConfigCell&) {
-    QuantizedModel model(fixture_weights(), pool_scheme(64));
-    EngineConfig cfg;
-    cfg.prefix_caching = true;
-    cfg.scheduler.prefill_chunk = 16;
-    cfg.scheduler.max_batch = 4;
-    ServingEngine engine(&model, cfg);
+  // At 1 and 2 shards: the streams and every count below are shard-count
+  // invariant too.
+  for_each_config(supported_isas(), {1, 8}, [&] {
+    for (const int shards : {1, 2}) {
+      SCOPED_TRACE("shards=" + std::to_string(shards));
+      QuantizedModel model(fixture_weights(), pool_scheme(64),
+                           TpConfig{shards});
+      EngineConfig cfg;
+      cfg.prefix_caching = true;
+      cfg.scheduler.prefill_chunk = 16;
+      cfg.scheduler.max_batch = 4;
+      ServingEngine engine(&model, cfg);
 
-    // Cold request first (drained alone so its donation is in the index
-    // before any other request is planned), then the warm batch.
-    std::vector<int> ids;
-    ids.push_back(engine.submit(w.prompts[0], w.max_new[0]));
-    pump(engine);
-    for (size_t i = 1; i < w.prompts.size(); ++i)
-      ids.push_back(engine.submit(w.prompts[i], w.max_new[i]));
-    pump(engine);
+      // Cold request first (drained alone so its donation is in the index
+      // before any other request is planned), then the warm batch.
+      std::vector<int> ids;
+      ids.push_back(engine.submit(w.prompts[0], w.max_new[0]));
+      pump(engine);
+      for (size_t i = 1; i < w.prompts.size(); ++i)
+        ids.push_back(engine.submit(w.prompts[i], w.max_new[i]));
+      pump(engine);
 
-    const EngineStats& s = engine.stats();
-    for (size_t i = 0; i < ids.size(); ++i) {
-      EXPECT_EQ(engine.request(ids[i]).generated, solo[i]) << "request " << i;
-      EXPECT_EQ(engine.request(ids[i]).finish_reason, FinishReason::kLength);
+      const EngineStats& s = engine.stats();
+      for (size_t i = 0; i < ids.size(); ++i) {
+        EXPECT_EQ(engine.request(ids[i]).generated, solo[i])
+            << "request " << i;
+        EXPECT_EQ(engine.request(ids[i]).finish_reason,
+                  FinishReason::kLength);
+      }
+      EXPECT_EQ(s.prefix_insertions, int64_t(w.prompts.size()))
+          << "every completed prefill donates its distinct key";
+      EXPECT_GE(s.prefix_hits, int64_t(w.prompts.size()) - 1);
+      // Every hit skipped the full 96-token (6-page) shared prefix.
+      EXPECT_EQ(s.prefill_tokens_saved, 96 * s.prefix_hits);
+      EXPECT_EQ(s.prefix_tokens_reused, s.prefill_tokens_saved);
+      // Engine forks are page-aligned; no writer ever lands in a shared
+      // page, so the refactor's CoW machinery must never have fired.
+      EXPECT_EQ(s.cow_page_copies, 0);
+      EXPECT_GE(s.prefix_cache_entries, 1);
+      EXPECT_GE(s.prefix_cache_pages, 6);
+
+      // Drained but warm: the cache still holds pages. Clearing it is the
+      // only thing standing between the engine and an empty pool.
+      EXPECT_GT(model.kv_cache().pages_in_use(), 0);
+      engine.clear_prefix_cache();
+      EXPECT_EQ(model.kv_cache().pages_in_use(), 0);
+      EXPECT_EQ(model.kv_cache().shared_pages(), 0);
     }
-    EXPECT_EQ(s.prefix_insertions, int64_t(w.prompts.size()))
-        << "every completed prefill donates its distinct key";
-    EXPECT_GE(s.prefix_hits, int64_t(w.prompts.size()) - 1);
-    // Every hit skipped the full 96-token (6-page) shared prefix.
-    EXPECT_EQ(s.prefill_tokens_saved, 96 * s.prefix_hits);
-    EXPECT_EQ(s.prefix_tokens_reused, s.prefill_tokens_saved);
-    // Engine forks are page-aligned; no writer ever lands in a shared
-    // page, so the refactor's CoW machinery must never have fired.
-    EXPECT_EQ(s.cow_page_copies, 0);
-    EXPECT_GE(s.prefix_cache_entries, 1);
-    EXPECT_GE(s.prefix_cache_pages, 6);
-
-    // Drained but warm: the cache still holds pages. Clearing it is the
-    // only thing standing between the engine and an empty pool.
-    EXPECT_GT(model.kv_cache().pages_in_use(), 0);
-    engine.clear_prefix_cache();
-    EXPECT_EQ(model.kv_cache().pages_in_use(), 0);
-    EXPECT_EQ(model.kv_cache().shared_pages(), 0);
   });
 }
 

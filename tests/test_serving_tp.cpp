@@ -1,12 +1,10 @@
 // Tensor-parallel execution: model-level forward_step logits and KV state
 // must be bitwise identical at 1/2/4 shards across ISAs and thread counts;
-// shard-count resolution clamps the runtime default and loudly rejects
-// infeasible explicit configs. The engine fuzzer (test_engine_fuzz.cpp)
-// checks engine streams, fault schedules and the TP stats (comm_seconds,
-// shard_imbalance) at every shard count.
+// TpConfig is the only source of a shard count and infeasible configs throw
+// at construction. The engine fuzzer (test_engine_fuzz.cpp) checks engine
+// streams, fault schedules and the TP stats (comm_seconds, shard_imbalance)
+// at every shard count.
 #include <gtest/gtest.h>
-
-#include <algorithm>
 
 #include "harness.h"
 
@@ -51,7 +49,7 @@ TEST(TensorParallelModel, ForwardStepBitwiseAcrossShardsIsasThreadsSchemes) {
       out.insert(out.end(), cont.data(), cont.data() + cont.numel());
       return out;
     };
-    for_each_config(supported_isas(), {1, 8}, {0}, [&](const ConfigCell&) {
+    for_each_config(supported_isas(), {1, 8}, [&] {
       const std::vector<float> base = run_one(1);
       for (const int shards : {2, 4}) {
         const std::vector<float> tp = run_one(shards);
@@ -63,23 +61,7 @@ TEST(TensorParallelModel, ForwardStepBitwiseAcrossShardsIsasThreadsSchemes) {
   }
 }
 
-// --- shard-count resolution ---------------------------------------------------
-
-TEST(TensorParallelConfig, RuntimeDefaultClampsToFeasible) {
-  ConfigGuard guard;
-  set_tp_shards(8);
-  // INT8-path MHA toy: 4 KV heads cap the 8 requested shards at 4.
-  QuantizedModel clamped(weights(), QuantSchemeConfig::qserve_w4a8kv4_g128());
-  EXPECT_EQ(clamped.tp_shards(), 4);
-  // Non-INT8-path scheme: always single-shard under the runtime default.
-  QuantizedModel w4a16(weights(), QuantSchemeConfig::trt_w4a16());
-  EXPECT_EQ(w4a16.tp_shards(), 1);
-  set_tp_shards(0);
-  // Back on the environment default (QSERVE_TP_SHARDS or 1), still clamped
-  // to the 4 KV heads so the CI shard sweep can run this suite unchanged.
-  QuantizedModel plain(weights(), QuantSchemeConfig::qserve_w4a8kv4_g128());
-  EXPECT_EQ(plain.tp_shards(), std::min(tp_shards(), 4));
-}
+// --- shard-count validation ---------------------------------------------------
 
 TEST(TensorParallelConfig, ExplicitInfeasibleConfigsThrow) {
   // More shards than KV heads.
@@ -94,18 +76,20 @@ TEST(TensorParallelConfig, ExplicitInfeasibleConfigsThrow) {
   EXPECT_THROW(
       QuantizedModel(weights(), QuantSchemeConfig::fp16(), TpConfig{2}),
       CheckError);
-  EXPECT_THROW(QuantizedModel(weights(),
-                              QuantSchemeConfig::qserve_w4a8kv4_g128(),
-                              TpConfig{-1}),
-               CheckError);
-  // An explicit single shard is always fine, any scheme.
+  // Fewer than one shard: no value means "pick one for me".
+  for (const int n : {0, -1}) {
+    EXPECT_THROW(QuantizedModel(weights(),
+                                QuantSchemeConfig::qserve_w4a8kv4_g128(),
+                                TpConfig{n}),
+                 CheckError)
+        << n;
+  }
+  // A single shard is always fine, any scheme, and is the default.
   QuantizedModel one(weights(), QuantSchemeConfig::trt_w4a16(), TpConfig{1});
   EXPECT_EQ(one.tp_shards(), 1);
+  QuantizedModel plain(weights(), QuantSchemeConfig::qserve_w4a8kv4_g128());
+  EXPECT_EQ(plain.tp_shards(), 1);
 }
-
-// --- engine-level stream identity --------------------------------------------
-
-// --- fault-schedule invariance ------------------------------------------------
 
 }  // namespace
 }  // namespace qserve

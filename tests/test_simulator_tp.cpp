@@ -89,7 +89,6 @@ TEST(TpScalingCalibration, PredictionTracksMeasuredShardCurve) {
   }
   const int threads = static_cast<int>(hw < 8 ? hw : 8);
   set_num_threads(threads);
-  set_tp_shards(0);
 
   const ModelWeights weights = make_synthetic_weights(toy_config_mha(2));
   // Warm-up run so lazy pool/leader spawning is off the measured path.
